@@ -22,7 +22,6 @@ from __future__ import annotations
 import cmath
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -30,8 +29,8 @@ import numpy as np
 
 _trapz = getattr(np, "trapezoid", None) or np.trapz
 
-from .errors import DomainError, InversionError
-from .inversion import EulerScheme, GsScheme, Scheme, invert_values, scheme_nodes
+from .errors import CmrsError, DomainError, InversionError
+from .inversion import TILT_INCOMPATIBLE_MSG, GsScheme, Scheme, invert_values, scheme_nodes
 from .transforms import AtomSet, JointTransformModel
 
 STATUS_OK = "ok"
@@ -57,7 +56,6 @@ class AllocationRequest:
     tilt: Optional[float] = None
     balance_tol: float = 1e-3
     density_floor: float = 1e-300
-    threads: int = 1
 
     def __post_init__(self) -> None:
         grid = tuple(float(s) for s in self.s_grid)
@@ -71,8 +69,6 @@ class AllocationRequest:
             raise DomainError(f"balance_tol must be positive, got {self.balance_tol}")
         if not (self.density_floor > 0.0):
             raise DomainError(f"density_floor must be positive, got {self.density_floor}")
-        if self.threads < 1:
-            raise DomainError(f"threads must be >= 1, got {self.threads}")
         if self.tilt is not None and self.tilt < 0.0:
             raise DomainError(f"tilt must be >= 0, got {self.tilt}")
         object.__setattr__(self, "s_grid", grid)
@@ -82,10 +78,7 @@ class AllocationRequest:
         scheme, tilt = self.scheme, self.tilt
         if isinstance(scheme, GsScheme):
             if tilt is not None and tilt > 0.0:
-                raise InversionError(
-                    "gaver-stehfest cannot be combined with positive tilting; "
-                    "use the euler scheme"
-                )
+                raise InversionError(TILT_INCOMPATIBLE_MSG)
             return scheme
         if tilt is None or tilt == scheme.theta:
             return scheme
@@ -104,30 +97,12 @@ class AtomicTransformRemainder:
     model: JointTransformModel
     atoms: AtomSet
 
-    def aggregate(self, z: complex) -> complex:
-        out = complex(self.model.aggregate_transform(z))
-        for e in self.atoms.entries:
-            out -= e.mass * _cexp(-z * e.location)
-        return out
-
-    def allocation(self, i: int, z: complex) -> complex:
-        out = complex(self.model.allocation_transform(i, z))
-        for e in self.atoms.entries:
-            out -= e.allocation[i] * _cexp(-z * e.location)
-        return out
-
     def values_at(self, z: complex) -> np.ndarray:
-        """Real parts of (aggregate, allocation_1 .. allocation_n) at z."""
-        n = self.model.n
-        batch = self.model.batch_allocation_transform
-        row = np.empty(n + 1)
-        agg = complex(self.model.aggregate_transform(z))
-        if batch is not None:
-            alloc = np.asarray(batch(z), dtype=complex)
-        else:
-            alloc = np.array(
-                [complex(self.model.allocation_transform(i, z)) for i in range(n)]
-            )
+        """Real parts of the continuous parts of (L_S, L_1 .. L_n) at z."""
+        vals = np.asarray(self.model.transform(z), dtype=complex)
+        row = np.empty(self.model.n + 1)
+        agg = complex(vals[0])
+        alloc = vals[1:]
         for e in self.atoms.entries:
             damp = _cexp(-z * e.location)
             agg -= e.mass * damp
@@ -251,7 +226,8 @@ def allocate(request: AllocationRequest) -> AllocationResult:
     s_grid = np.array(request.s_grid)
     values = np.full((npts, n + 1), np.nan)
 
-    def do_point(k: int) -> None:
+    start = time.perf_counter()
+    for k in range(npts):
         s = s_grid[k]
         try:
             nodes = scheme_nodes(scheme, s)
@@ -260,19 +236,10 @@ def allocate(request: AllocationRequest) -> AllocationResult:
                 zc = complex(z)
                 arg = zc.real if zc.imag == 0.0 else zc
                 V[row] = remainder.values_at(arg)
-            if not np.isfinite(V).all():
-                return
-            values[k] = invert_values(V, s, scheme)
-        except (ArithmeticError, ValueError, DomainError, InversionError):
-            return
-
-    start = time.perf_counter()
-    if request.threads > 1:
-        with ThreadPoolExecutor(max_workers=request.threads) as pool:
-            list(pool.map(do_point, range(npts)))
-    else:
-        for k in range(npts):
-            do_point(k)
+            if np.isfinite(V).all():
+                values[k] = invert_values(V, s, scheme)
+        except (ArithmeticError, ValueError, CmrsError):
+            pass  # one bad node fails its gridpoint, never the whole run
     elapsed = time.perf_counter() - start
 
     density = values[:, 0].copy()

@@ -127,7 +127,7 @@ def write_csv(result: AllocationResult, fh: TextIO) -> int:
     return len(rows)
 
 
-def _build_request(cfg: RunConfig, threads: int) -> AllocationRequest:
+def _build_request(cfg: RunConfig) -> AllocationRequest:
     model, _ = build_model_from_config(cfg.model)
     return AllocationRequest(
         model=model,
@@ -135,7 +135,6 @@ def _build_request(cfg: RunConfig, threads: int) -> AllocationRequest:
         scheme=cfg.scheme.build(),
         balance_tol=cfg.tolerance.balance,
         density_floor=cfg.tolerance.density_floor,
-        threads=threads,
     )
 
 
@@ -143,8 +142,8 @@ def _status_exit(result: AllocationResult) -> int:
     return 0 if result.worst_status == STATUS_OK else 2
 
 
-def cmd_allocate(cfg: RunConfig, out: Optional[str], threads: int) -> int:
-    result = allocate(_build_request(cfg, threads))
+def cmd_allocate(cfg: RunConfig, out: Optional[str]) -> int:
+    result = allocate(_build_request(cfg))
     path = out or cfg.output.path
     if path:
         with open(path, "w") as fh:
@@ -164,7 +163,7 @@ def cmd_allocate(cfg: RunConfig, out: Optional[str], threads: int) -> int:
     return _status_exit(result)
 
 
-def cmd_diagnose(cfg: RunConfig, threads: int, sweep: Optional[str], diag_tol: float) -> int:
+def cmd_diagnose(cfg: RunConfig, sweep: Optional[str], diag_tol: float) -> int:
     model, _ = build_model_from_config(cfg.model)
     t_grid = np.logspace(-2, 2, 25)
     report = diagonal_diagnostic(model, t_grid, tol=diag_tol)
@@ -173,7 +172,7 @@ def cmd_diagnose(cfg: RunConfig, threads: int, sweep: Optional[str], diag_tol: f
         f"t in [{t_grid[0]:g}, {t_grid[-1]:g}] "
         f"({'pass' if report.all_passed else 'FAIL'} at {diag_tol:g})"
     )
-    result = allocate(_build_request(cfg, threads))
+    result = allocate(_build_request(cfg))
     scan = breakdown_scan(result)
     if scan.clean:
         print(
@@ -198,7 +197,6 @@ def cmd_diagnose(cfg: RunConfig, threads: int, sweep: Optional[str], diag_tol: f
                 scheme=sch,
                 balance_tol=cfg.tolerance.balance,
                 density_floor=cfg.tolerance.density_floor,
-                threads=threads,
             )
             sc = breakdown_scan(allocate(req))
             where = "clean" if sc.clean else f"breaks at s = {sc.breakdown_s:g}"
@@ -228,14 +226,14 @@ def _closed_form_reference(spec):
     )
 
 
-def run_verify(cfg: RunConfig, threads: int = 1, seed: Optional[int] = None) -> tuple[bool, list[str]]:
+def run_verify(cfg: RunConfig, seed: Optional[int] = None) -> tuple[bool, list[str]]:
     """Compare inverted shares against the configured reference.  Returns
     (all passed, report lines)."""
     vf = cfg.verify
     if vf.method == "none":
         raise ConfigError("verify block has method: none; nothing to check")
     model, spec = build_model_from_config(cfg.model)
-    result = allocate(_build_request(cfg, threads))
+    result = allocate(_build_request(cfg))
     n = model.n
     tol = vf.tolerance
     lines: list[str] = []
@@ -310,8 +308,8 @@ def run_verify(cfg: RunConfig, threads: int = 1, seed: Optional[int] = None) -> 
     return passed, lines
 
 
-def cmd_verify(cfg: RunConfig, threads: int, seed: Optional[int]) -> int:
-    passed, lines = run_verify(cfg, threads, seed)
+def cmd_verify(cfg: RunConfig, seed: Optional[int]) -> int:
+    passed, lines = run_verify(cfg, seed)
     for line in lines:
         print(line)
     return 0 if passed else 2
@@ -351,7 +349,7 @@ class BenchRow:
         return (self.seconds_tilted - self.seconds_untilted) / self.seconds_untilted
 
 
-def run_bench(cfg: RunConfig, threads: int = 1) -> list[BenchRow]:
+def run_bench(cfg: RunConfig) -> list[BenchRow]:
     """Portfolio-size timing sweep on a fixed 100-point grid.
 
     The configured model must be common_shock_cp; it is replicated out to
@@ -381,7 +379,6 @@ def run_bench(cfg: RunConfig, threads: int = 1) -> list[BenchRow]:
                 scheme=EulerScheme(theta=theta),
                 balance_tol=cfg.tolerance.balance,
                 density_floor=cfg.tolerance.density_floor,
-                threads=threads,
             )
             for theta in (0.0, cfg.bench.tilt)
         }
@@ -406,8 +403,8 @@ def run_bench(cfg: RunConfig, threads: int = 1) -> list[BenchRow]:
     return rows
 
 
-def cmd_bench(cfg: RunConfig, threads: int) -> int:
-    rows = run_bench(cfg, threads)
+def cmd_bench(cfg: RunConfig) -> int:
+    rows = run_bench(cfg)
     print(f"{'n':>8} {'untilted_s':>12} {'tilted_s':>12} {'overhead':>9}")
     for row in rows:
         print(
@@ -436,9 +433,8 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _add_common(sub, *, config_required=True):
-    sub.add_argument("--config", required=config_required, help="YAML run configuration")
-    sub.add_argument("--threads", type=int, default=1, help="worker threads for grid points")
+def _add_config(sub):
+    sub.add_argument("--config", required=True, help="YAML run configuration")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -446,20 +442,20 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("allocate", help="invert shares over the configured grid, write CSV")
-    _add_common(p)
+    _add_config(p)
     p.add_argument("--out", help="CSV destination (default: output.path from config, else stdout)")
 
     p = sub.add_parser("diagnose", help="transform diagonal check and breakdown scan")
-    _add_common(p)
+    _add_config(p)
     p.add_argument("--sweep", help="comma-separated tilt values to scan, e.g. 0,0.2,0.5")
     p.add_argument("--tol", type=float, default=1e-5, help="diagonal residual tolerance")
 
     p = sub.add_parser("verify", help="compare against the configured reference")
-    _add_common(p)
+    _add_config(p)
     p.add_argument("--seed", type=int, help="override verify.seed for Monte Carlo")
 
     p = sub.add_parser("bench", help="portfolio-size timing sweep")
-    _add_common(p)
+    _add_config(p)
 
     p = sub.add_parser("weights", help="print the Gaver-Stehfest weight table")
     p.add_argument("--order", type=int, default=8, help="rule order M")
@@ -474,13 +470,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return cmd_weights(args.order)
         cfg = load_config(args.config)
         if args.command == "allocate":
-            return cmd_allocate(cfg, args.out, args.threads)
+            return cmd_allocate(cfg, args.out)
         if args.command == "diagnose":
-            return cmd_diagnose(cfg, args.threads, args.sweep, args.tol)
+            return cmd_diagnose(cfg, args.sweep, args.tol)
         if args.command == "verify":
-            return cmd_verify(cfg, args.threads, args.seed)
+            return cmd_verify(cfg, args.seed)
         if args.command == "bench":
-            return cmd_bench(cfg, args.threads)
+            return cmd_bench(cfg)
         raise ConfigError(f"unknown command {args.command!r}")
     except CmrsError as exc:
         print(f"error: {exc}", file=sys.stderr)

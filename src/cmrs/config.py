@@ -16,7 +16,7 @@ import numpy as np
 import yaml
 
 from .errors import ConfigError
-from .inversion import EulerScheme, GsScheme, Scheme
+from .inversion import TILT_INCOMPATIBLE_MSG, EulerScheme, GsScheme, Scheme
 from .mixing import gamma_mixing, levy_mixing, point_mass_mixing
 from .models import (
     CommonShockCPSpec,
@@ -34,8 +34,6 @@ from .models import (
     exponential_severity,
 )
 from .transforms import JointTransformModel
-
-_TILT_MSG = "gaver-stehfest cannot be combined with positive tilting; use the euler scheme"
 
 
 def _require_keys(block: dict, allowed: set, where: str) -> None:
@@ -94,7 +92,7 @@ class SchemeSpec:
         if self.rule not in ("euler", "gaver-stehfest"):
             raise ConfigError(f"scheme rule must be euler or gaver-stehfest, got {self.rule!r}")
         if self.rule == "gaver-stehfest" and self.theta > 0.0:
-            raise ConfigError(_TILT_MSG)
+            raise ConfigError(TILT_INCOMPATIBLE_MSG)
         if self.theta < 0.0:
             raise ConfigError(f"scheme theta must be >= 0, got {self.theta}")
 

@@ -27,17 +27,17 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from .errors import CmrsError, DomainError, InversionError
+from .errors import DomainError, InversionError
 
 _LN2 = math.log(2.0)
 
 GS_ORDER_CAP = 24
 
-_TILT_INCOMPATIBLE_MSG = (
+TILT_INCOMPATIBLE_MSG = (
     "gaver-stehfest cannot be combined with positive tilting; use the euler scheme"
 )
 
@@ -127,11 +127,7 @@ Scheme = GsScheme | EulerScheme
 
 
 def scheme_nodes(scheme: Scheme, s: float) -> np.ndarray:
-    """Transform evaluation nodes for one gridpoint, as a complex array.
-
-    The same node values are used by the scalar and batch paths, which is what
-    makes their outputs bit-identical.
-    """
+    """Transform evaluation nodes for one gridpoint, as a complex array."""
     if not (s > 0.0):
         raise DomainError(f"inversion target must satisfy s > 0, got {s}")
     if isinstance(scheme, GsScheme):
@@ -149,54 +145,14 @@ def scheme_nodes(scheme: Scheme, s: float) -> np.ndarray:
     return re + 1j * (ks * c)
 
 
-def _as_real(val) -> float:
-    return val.real if isinstance(val, complex) else float(val)
-
-
-def _gs_cell(values: Sequence[float], s: float, scheme: GsScheme) -> float:
-    c = _LN2 / s
-    return c * math.fsum(w * v for w, v in zip(scheme.weights, values))
-
-
-def _euler_csums(values: Sequence[float]) -> list[float]:
-    # Neumaier-compensated running sums of the alternating series
-    # 0.5*a_0 - a_1 + a_2 - ...; the compensated value is recorded after
-    # every term so the binomial average can pick out S_N..S_{N+m}.
-    csums = []
-    acc = 0.0
-    comp = 0.0
-    for k, v in enumerate(values):
-        t = 0.5 * v if k == 0 else (v if k % 2 == 0 else -v)
-        tnew = acc + t
-        if abs(acc) >= abs(t):
-            comp += (acc - tnew) + t
-        else:
-            comp += (t - tnew) + acc
-        acc = tnew
-        csums.append(acc + comp)
-    return csums
-
-
-def _euler_cell(values: Sequence[float], s: float, scheme: EulerScheme) -> float:
-    csums = _euler_csums(values)
-    pref = math.exp(scheme.A / 2.0) / s
-    out = (
-        math.fsum(comb(scheme.m, r) * pref * csums[scheme.N + r] for r in range(scheme.m + 1))
-        / 2.0**scheme.m
-    )
-    if scheme.theta > 0.0:
-        out *= math.exp(-scheme.theta * s)
-    return out
-
-
 def invert_values(values: np.ndarray, s: float, scheme: Scheme) -> np.ndarray:
     """Invert many transforms at one s from their pre-evaluated node values.
 
     ``values`` has one row per node (in ``scheme_nodes`` order, real parts)
-    and one column per target transform.  Column results are bit-identical to
-    the scalar ``gs_invert`` / ``euler_invert`` on the same node values: the
-    accumulation below performs the same elementary float operations in the
-    same order, just elementwise across columns.
+    and one column per target transform.  Gaver-Stehfest sums each column
+    with ``math.fsum``; Euler forms Neumaier-compensated running sums of the
+    alternating series 0.5*a_0 - a_1 + a_2 - ..., elementwise across columns,
+    and takes the binomial average of the partial sums S_N..S_{N+m}.
     """
     values = np.asarray(values, dtype=float)
     if isinstance(scheme, GsScheme):
@@ -230,73 +186,19 @@ def invert_values(values: np.ndarray, s: float, scheme: Scheme) -> np.ndarray:
     return out
 
 
-def _eval_nodes(transform: Callable, nodes: np.ndarray, s: float) -> list[float]:
-    vals = []
+def invert(transform: Callable, s: float, scheme: Scheme) -> float:
+    """Invert one transform at s > 0: sample it at the scheme's nodes (a float
+    on the real axis, a complex number on the contour) and invert that single
+    column with ``invert_values``."""
+    nodes = scheme_nodes(scheme, s)
+    vals = np.empty((len(nodes), 1))
     for k, z in enumerate(nodes):
         zc = complex(z)
         raw = transform(zc.real if zc.imag == 0.0 else zc)
-        v = _as_real(raw)
+        v = complex(raw).real
         if not math.isfinite(v):
             raise InversionError(
                 f"transform returned non-finite value {raw!r} at node {k} (z={zc}, s={s})"
             )
-        vals.append(v)
-    return vals
-
-
-def gs_invert(transform: Callable, s: float, scheme: GsScheme, tilt: float = 0.0) -> float:
-    """Gaver-Stehfest inversion of ``transform`` at s > 0.
-
-    ``transform`` is sampled at the real nodes k*ln2/s, k = 1..2M.  Any
-    positive ``tilt`` is refused: the rule has no contour to shift.
-    """
-    if tilt > 0.0:
-        raise InversionError(_TILT_INCOMPATIBLE_MSG)
-    nodes = scheme_nodes(scheme, s)
-    return _gs_cell(_eval_nodes(transform, nodes, s), s, scheme)
-
-
-def euler_invert(transform: Callable, s: float, scheme: EulerScheme) -> float:
-    """Euler-summation inversion of ``transform`` at s > 0.
-
-    With scheme.theta > 0 the nodes are shifted left by theta and the result
-    multiplied by exp(-theta*s); the recovered density is the same (up to
-    roundoff), the tilt only reshapes where the numerical error lives.
-    """
-    nodes = scheme_nodes(scheme, s)
-    return _euler_cell(_eval_nodes(transform, nodes, s), s, scheme)
-
-
-def invert(transform: Callable, s: float, scheme: Scheme) -> float:
-    if isinstance(scheme, GsScheme):
-        return gs_invert(transform, s, scheme)
-    return euler_invert(transform, s, scheme)
-
-
-def invert_batch(
-    transforms: Sequence[Callable], s_grid: Sequence[float], scheme: Scheme
-) -> np.ndarray:
-    """Invert several transforms on a shared grid.
-
-    Output has one row per gridpoint and one column per transform; the node
-    set is computed once per gridpoint and shared across all targets.  A cell
-    whose transform evaluation fails or returns a non-finite value is marked
-    NaN instead of aborting the batch; a contour violation at some s marks
-    that whole row.
-    """
-    out = np.full((len(s_grid), len(transforms)), np.nan)
-    for si, s in enumerate(s_grid):
-        try:
-            nodes = scheme_nodes(scheme, float(s))
-        except InversionError:
-            continue
-        for j, tr in enumerate(transforms):
-            try:
-                vals = _eval_nodes(tr, nodes, float(s))
-            except (CmrsError, ArithmeticError, ValueError):
-                continue
-            if isinstance(scheme, GsScheme):
-                out[si, j] = _gs_cell(vals, float(s), scheme)
-            else:
-                out[si, j] = _euler_cell(vals, float(s), scheme)
-    return out
+        vals[k, 0] = v
+    return float(invert_values(vals, s, scheme)[0])

@@ -1,13 +1,13 @@
 """Closed-form model families given at Laplace-transform level.
 
-Every builder returns a JointTransformModel exposing the aggregate transform
-L_S(z) = E[exp(-zS)] and the allocation transforms L_i(z) = E[X_i exp(-zS)]
-for Re z > 0, together with any atoms of S (point masses split across risks).
-The scalar allocation path delegates to the vectorized batch evaluator, so
-both agree bit for bit by construction.
+Every builder returns a JointTransformModel whose one evaluator ``transform``
+gives the aggregate transform L_S(z) = E[exp(-zS)] and all allocation
+transforms L_i(z) = E[X_i exp(-zS)] for Re z > 0 in one array, together with
+any atoms of S (point masses split across risks).  Each evaluation computes
+every per-risk factor once and shares it between L_S and the L_i.
 
 Each builder probes its aggregate transform near the origin at construction
-time: L(1e-8) must sit within 1e-6 of 1, which catches unnormalized weights,
+time: L_S(1e-8) must sit within 1e-6 of 1, which catches unnormalized weights,
 wrong signs and similar wiring mistakes before any inversion is attempted.
 """
 
@@ -36,15 +36,44 @@ _PROBE_T = 1e-8
 _PROBE_TOL = 1e-6
 
 
-def _probe_unit_mass(agg: Callable, label: str) -> None:
+def _probe_unit_mass(model: JointTransformModel) -> None:
     try:
-        v = complex(agg(_PROBE_T))
+        v = complex(model.transform(_PROBE_T)[0])
     except Exception as exc:
-        raise ModelSpecError(f"{label}: aggregate transform failed near 0: {exc}") from exc
+        raise ModelSpecError(f"{model.label}: aggregate transform failed near 0: {exc}") from exc
+    _check_unit_mass(model.label, v)
+
+
+def _check_unit_mass(label: str, v: complex) -> None:
     if not (abs(v - 1.0) <= _PROBE_TOL):
         raise ModelSpecError(
             f"{label}: aggregate transform at t={_PROBE_T} is {v}, expected 1 within {_PROBE_TOL}"
         )
+
+
+def _joint(agg: complex, alloc) -> np.ndarray:
+    """The evaluator's output [L_S, L_1, ..., L_n]."""
+    out = np.empty(len(alloc) + 1, dtype=complex)
+    out[0] = agg
+    out[1:] = alloc
+    return out
+
+
+def _product_rule(lsts: Sequence[complex], mean_lsts: Sequence[complex]) -> np.ndarray:
+    """[prod_j L_j, (M_i prod_{j != i} L_j)_i] for independent risks with
+    transforms L_j and mean transforms M_j = E[X_j exp(-z X_j)]; the products
+    over j != i come from prefix and suffix products."""
+    n = len(lsts)
+    agg = 1.0 + 0.0j
+    for v in lsts:
+        agg *= v
+    pre = np.ones(n + 1, dtype=complex)
+    for j in range(n):
+        pre[j + 1] = pre[j] * lsts[j]
+    suf = np.ones(n + 1, dtype=complex)
+    for j in range(n - 1, -1, -1):
+        suf[j] = suf[j + 1] * lsts[j]
+    return _joint(agg, [mean_lsts[i] * pre[i] * suf[i + 1] for i in range(n)])
 
 
 def _positive_tuple(values: Sequence[float], what: str) -> tuple[float, ...]:
@@ -133,116 +162,16 @@ def build_mixed_exp_frailty(spec: MixedExpFrailtySpec) -> JointTransformModel:
         raise ModelSpecError("frailty mixing needs strictly positive quadrature locations")
     r = theta[:, None] / lam[None, :]  # (nodes, risks)
 
-    def aggregate(z):
-        return complex(np.dot(w, np.prod(r / (r + z), axis=1)))
-
-    def batch(z):
+    def transform(z):
         fk = np.prod(r / (r + z), axis=1)
-        return (w * fk) @ (1.0 / (r + z))
-
-    def allocation(i, z):
-        return complex(batch(z)[i])
+        return _joint(complex(np.dot(w, fk)), (w * fk) @ (1.0 / (r + z)))
 
     model = JointTransformModel(
         n=n,
-        aggregate_transform=aggregate,
-        allocation_transform=allocation,
-        batch_allocation_transform=batch,
+        transform=transform,
         label=f"mixed_exp_frailty(n={n},{spec.mixing.label})",
     )
-    _probe_unit_mass(aggregate, model.label)
-    return model
-
-
-# ---------------------------------------------------------------------------
-# exponential-dispersion frailty
-
-
-@dataclass(frozen=True)
-class EdfFrailtySpec:
-    """Risks from exponential-dispersion families joined by a common frailty.
-
-    Risk j has cumulant function kappa_j, canonical parameter eta_j(theta)
-    driven by the frailty, and dispersion phi_j.  ``t_max`` declares the
-    largest Re z for which every kappa_j(eta_j(theta_k) - phi_j z) stays
-    inside the cumulant domain; evaluation beyond it is refused rather than
-    guessed at.
-    """
-
-    cumulants: tuple[Callable, ...]
-    cumulant_derivs: tuple[Callable, ...]
-    canonical_maps: tuple[Callable, ...]
-    dispersions: tuple[float, ...]
-    mixing: MixingLawHandle
-    t_max: float
-
-    def __post_init__(self) -> None:
-        n = len(self.cumulants)
-        if n == 0:
-            raise ModelSpecError("need at least one risk")
-        if not (len(self.cumulant_derivs) == len(self.canonical_maps) == len(self.dispersions) == n):
-            raise ModelSpecError("cumulants, derivs, canonical maps and dispersions must align")
-        object.__setattr__(self, "cumulants", tuple(self.cumulants))
-        object.__setattr__(self, "cumulant_derivs", tuple(self.cumulant_derivs))
-        object.__setattr__(self, "canonical_maps", tuple(self.canonical_maps))
-        object.__setattr__(self, "dispersions", _positive_tuple(self.dispersions, "dispersions"))
-        if not (self.t_max > 0.0):
-            raise ModelSpecError(f"t_max must be positive, got {self.t_max}")
-
-    @property
-    def n(self) -> int:
-        return len(self.cumulants)
-
-
-def build_edf_frailty(spec: EdfFrailtySpec) -> JointTransformModel:
-    n = spec.n
-    theta = spec.mixing.nodes
-    w = spec.mixing.weights
-    etas = [np.array([spec.canonical_maps[j](t) for t in theta]) for j in range(n)]
-    base = [np.array([spec.cumulants[j](e) for e in etas[j]]) for j in range(n)]
-
-    def _check(z: complex) -> complex:
-        z = complex(z)
-        if z.real > spec.t_max:
-            raise DomainError(
-                f"Re z = {z.real} exceeds declared cumulant domain t_max = {spec.t_max}"
-            )
-        return z
-
-    def _log_factors(z):
-        # (nodes,) array of sum_j (kappa_j(eta_j - phi_j z) - kappa_j(eta_j)) / phi_j
-        acc = np.zeros(len(theta), dtype=complex)
-        for j in range(n):
-            phi = spec.dispersions[j]
-            kj = spec.cumulants[j]
-            acc += (np.array([kj(e - phi * z) for e in etas[j]]) - base[j]) / phi
-        return acc
-
-    def aggregate(z):
-        z = _check(z)
-        return complex(np.dot(w, np.exp(_log_factors(z))))
-
-    def batch(z):
-        z = _check(z)
-        ex = w * np.exp(_log_factors(z))
-        out = np.empty(n, dtype=complex)
-        for i in range(n):
-            phi = spec.dispersions[i]
-            ki = spec.cumulant_derivs[i]
-            out[i] = np.dot(ex, np.array([ki(e - phi * z) for e in etas[i]]))
-        return out
-
-    def allocation(i, z):
-        return complex(batch(z)[i])
-
-    model = JointTransformModel(
-        n=n,
-        aggregate_transform=aggregate,
-        allocation_transform=allocation,
-        batch_allocation_transform=batch,
-        label=f"edf_frailty(n={n},{spec.mixing.label})",
-    )
-    _probe_unit_mass(aggregate, model.label)
+    _probe_unit_mass(model)
     return model
 
 
@@ -288,11 +217,13 @@ class MatrixExpSpec:
         M = z * np.eye(self.dim) - self.T
         return self.p0 + complex(np.dot(self.alpha, complex_solve(M, self.u)))
 
-    def mean_lst(self, z: complex) -> complex:
-        """E[X exp(-zX)] = alpha (zI - T)^{-2} u, via two solves."""
+    def lst_pair(self, z: complex) -> tuple[complex, complex]:
+        """(E[exp(-zX)], E[X exp(-zX)]) = (p0 + alpha y, alpha (zI - T)^{-1} y)
+        with y = (zI - T)^{-1} u: two solves for both."""
         M = z * np.eye(self.dim) - self.T
         y = complex_solve(M, self.u)
-        return complex(np.dot(self.alpha, complex_solve(M, y)))
+        mean = complex(np.dot(self.alpha, complex_solve(M, y)))
+        return self.p0 + complex(np.dot(self.alpha, y)), mean
 
 
 def is_phase_type(spec: MatrixExpSpec, tol: float = 1e-9) -> bool:
@@ -335,45 +266,27 @@ def build_matrix_exp(specs: Sequence[MatrixExpSpec]) -> JointTransformModel:
     if not specs:
         raise ModelSpecError("need at least one risk")
     n = len(specs)
+    # the per-risk probes at t = 1e-8 multiply to L_S(1e-8), the unit-mass probe
+    agg_at_probe = 1.0 + 0.0j
     for k, sp in enumerate(specs):
         v = complex(sp.lst(1e-6))
         if not (abs(v.imag) <= 1e-12 and 0.0 < v.real <= 1.0 + 1e-9):
             raise ModelSpecError(f"risk {k}: transform probe at z=1e-6 gave {v}, not in (0, 1]")
-        if abs(sp.lst(_PROBE_T) - 1.0) > _PROBE_TOL:
+        v = sp.lst(_PROBE_T)
+        if abs(v - 1.0) > _PROBE_TOL:
             raise ModelSpecError(f"risk {k}: transform at t={_PROBE_T} not within {_PROBE_TOL} of 1")
+        agg_at_probe *= v
 
-    def aggregate(z):
-        out = 1.0 + 0.0j
-        for sp in specs:
-            out *= sp.lst(z)
-        return out
-
-    def batch(z):
-        vals = [sp.lst(z) for sp in specs]
-        pre = np.ones(n + 1, dtype=complex)
-        for j in range(n):
-            pre[j + 1] = pre[j] * vals[j]
-        suf = np.ones(n + 1, dtype=complex)
-        for j in range(n - 1, -1, -1):
-            suf[j] = suf[j + 1] * vals[j]
-        return np.array([specs[i].mean_lst(z) * pre[i] * suf[i + 1] for i in range(n)])
-
-    def allocation(i, z):
-        return complex(batch(z)[i])
+    def transform(z):
+        pairs = [sp.lst_pair(z) for sp in specs]
+        return _product_rule([p[0] for p in pairs], [p[1] for p in pairs])
 
     atom_mass = math.prod(sp.p0 for sp in specs)
     atoms = AtomSet(
         (AtomEntry(0.0, atom_mass, (0.0,) * n),) if atom_mass > 0.0 else ()
     )
-    model = JointTransformModel(
-        n=n,
-        aggregate_transform=aggregate,
-        allocation_transform=allocation,
-        batch_allocation_transform=batch,
-        atoms=atoms,
-        label=f"matrix_exp(n={n})",
-    )
-    _probe_unit_mass(aggregate, model.label)
+    model = JointTransformModel(n=n, transform=transform, atoms=atoms, label=f"matrix_exp(n={n})")
+    _check_unit_mass(model.label, agg_at_probe)
     return model
 
 
@@ -478,28 +391,22 @@ def _katz_pgf(kind: str, a: float, b: float, w: complex) -> complex:
 def build_katz_compound(spec: KatzCompoundSpec) -> JointTransformModel:
     n = spec.n
 
-    def aggregate(z):
-        out = 1.0 + 0.0j
+    def transform(z):
+        phis = [sev.lst(z) for sev in spec.severities]
+        ls = 1.0 + 0.0j
         for i in range(n):
-            out *= _katz_pgf(spec.kinds[i], spec.a[i], spec.b[i], spec.severities[i].lst(z))
-        return out
-
-    def batch(z):
-        ls = aggregate(z)
-        out = np.empty(n, dtype=complex)
+            ls *= _katz_pgf(spec.kinds[i], spec.a[i], spec.b[i], phis[i])
+        out = np.empty(n + 1, dtype=complex)
+        out[0] = ls
         for i in range(n):
-            a, b = spec.a[i], spec.b[i]
+            a, b, phi = spec.a[i], spec.b[i], phis[i]
             if spec.kinds[i] == "degenerate":
-                out[i] = 0.0
+                out[i + 1] = 0.0
                 continue
-            phi = spec.severities[i].lst(z)
             if (a * phi).real >= 1.0 - 1e-15:
                 raise EvaluationError(f"frequency pgf evaluated at aw = {a * phi}, too close to 1")
-            out[i] = (a + b) / (1.0 - a * phi) * spec.severities[i].mean_lst(z) * ls
+            out[i + 1] = (a + b) / (1.0 - a * phi) * spec.severities[i].mean_lst(z) * ls
         return out
-
-    def allocation(i, z):
-        return complex(batch(z)[i])
 
     atom_mass = 1.0
     for i in range(n):
@@ -513,15 +420,9 @@ def build_katz_compound(spec: KatzCompoundSpec) -> JointTransformModel:
     if all(sev.mean is not None for sev in spec.severities):
         means = tuple(spec.count_mean(i) * spec.severities[i].mean for i in range(n))
     model = JointTransformModel(
-        n=n,
-        aggregate_transform=aggregate,
-        allocation_transform=allocation,
-        batch_allocation_transform=batch,
-        atoms=atoms,
-        means=means,
-        label=f"katz_compound(n={n})",
+        n=n, transform=transform, atoms=atoms, means=means, label=f"katz_compound(n={n})"
     )
-    _probe_unit_mass(aggregate, model.label)
+    _probe_unit_mass(model)
     return model
 
 
@@ -580,29 +481,19 @@ def build_common_shock_cp(spec: CommonShockCPSpec) -> JointTransformModel:
     bet = np.array(spec.betas)
     p = np.array(spec.weights)
 
-    def aggregate(z):
+    def transform(z):
         acc = lam0 * (b0 / (b0 + z) - 1.0)
         acc += np.sum(lam * (bet / (bet + z) - 1.0))
-        return cmath.exp(acc)
-
-    def batch(z):
-        return aggregate(z) * (lam0 * p * b0 / (b0 + z) ** 2 + lam * bet / (bet + z) ** 2)
-
-    def allocation(i, z):
-        return complex(batch(z)[i])
+        ls = cmath.exp(acc)
+        alloc = ls * (lam0 * p * b0 / (b0 + z) ** 2 + lam * bet / (bet + z) ** 2)
+        return _joint(ls, alloc)
 
     atoms = AtomSet((AtomEntry(0.0, math.exp(-spec.total_rate), (0.0,) * n),))
     means = tuple(float(lam0 * p[i] / b0 + lam[i] / bet[i]) for i in range(n))
     model = JointTransformModel(
-        n=n,
-        aggregate_transform=aggregate,
-        allocation_transform=allocation,
-        batch_allocation_transform=batch,
-        atoms=atoms,
-        means=means,
-        label=f"common_shock_cp(n={n})",
+        n=n, transform=transform, atoms=atoms, means=means, label=f"common_shock_cp(n={n})"
     )
-    _probe_unit_mass(aggregate, model.label)
+    _probe_unit_mass(model)
     return model
 
 
@@ -734,47 +625,22 @@ def build_lognormal_portfolio(spec: LognormalPortfolioSpec) -> JointTransformMod
     n = spec.n
     stats: dict = {}
 
-    def _lsts(z):
+    def _sums(z, factor):
         return [
-            _lognormal_sum(spec.mu[j], spec.sigma[j], z, spec.gh_order, False, stats)
+            _lognormal_sum(spec.mu[j], spec.sigma[j], z, spec.gh_order, factor, stats)
             for j in range(n)
         ]
 
-    def aggregate(z):
-        out = 1.0 + 0.0j
-        for v in _lsts(z):
-            out *= v
-        return out
-
-    def batch(z):
-        vals = _lsts(z)
-        pre = np.ones(n + 1, dtype=complex)
-        for j in range(n):
-            pre[j + 1] = pre[j] * vals[j]
-        suf = np.ones(n + 1, dtype=complex)
-        for j in range(n - 1, -1, -1):
-            suf[j] = suf[j + 1] * vals[j]
-        return np.array(
-            [
-                _lognormal_sum(spec.mu[i], spec.sigma[i], z, spec.gh_order, True, stats)
-                * pre[i]
-                * suf[i + 1]
-                for i in range(n)
-            ]
-        )
-
-    def allocation(i, z):
-        return complex(batch(z)[i])
+    def transform(z):
+        return _product_rule(_sums(z, False), _sums(z, True))
 
     means = tuple(math.exp(m + s**2 / 2.0) for m, s in zip(spec.mu, spec.sigma))
     model = JointTransformModel(
         n=n,
-        aggregate_transform=aggregate,
-        allocation_transform=allocation,
-        batch_allocation_transform=batch,
+        transform=transform,
         means=means,
         label=f"lognormal(n={n},gh={spec.gh_order})",
         stats=stats,
     )
-    _probe_unit_mass(aggregate, model.label)
+    _probe_unit_mass(model)
     return model

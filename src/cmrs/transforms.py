@@ -2,8 +2,10 @@
 
 The central object couples the aggregate transform L_S(z) = E[exp(-zS)] of
 S = X_1 + ... + X_n with the allocation transforms L_i(z) = E[X_i exp(-zS)]
-and a declared set of atoms of S.  Inversion, allocation and diagnostics all
-consume this interface and nothing else.
+and a declared set of atoms of S.  Each L_i is the partial derivative of the
+joint transform in t_i, taken on the diagonal t_1 = ... = t_n = z, so a model
+evaluates L_S and all L_i together, once per node.  Inversion, allocation and
+diagnostics all consume this interface and nothing else.
 
 Conventions: risks are indexed 0..n-1 in code (reports and CSV columns are
 labelled 1..n); transforms are only ever evaluated at Re z > 0 (never at 0,
@@ -13,7 +15,6 @@ as optional metadata instead).
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -51,13 +52,9 @@ class AtomSet:
     Atom masses are model inputs, not computed here.  Each entry must satisfy
     the balance identity sum_i nu_i({s_j}) = s_j * mass(s_j); at location 0
     this forces every nu_i to vanish, which is what makes h_i(0) = 0.
-
-    ``tilted`` marks atom sets produced by an exponential tilt, whose masses
-    are scaled by exp(theta*s_j) and may legitimately sum beyond 1.
     """
 
     entries: tuple[AtomEntry, ...] = ()
-    tilted: bool = False
 
     def __post_init__(self) -> None:
         ordered = tuple(sorted(self.entries, key=lambda e: e.location))
@@ -82,7 +79,7 @@ class AtomSet:
                     f"{math.fsum(e.allocation)}, expected {target}"
                 )
             total += e.mass
-        if not self.tilted and total > 1.0 + 1e-12:
+        if total > 1.0 + 1e-12:
             raise ModelSpecError(f"total atom mass {total} exceeds 1")
 
     def __len__(self) -> int:
@@ -102,28 +99,6 @@ class AtomSet:
     def total_mass(self) -> float:
         return math.fsum(e.mass for e in self.entries)
 
-    def aggregate_term(self, z: complex) -> complex:
-        """Transform of the atomic part: sum_j mass_j * exp(-z s_j)."""
-        return sum((e.mass * cmath.exp(-z * e.location) for e in self.entries), 0j)
-
-    def allocation_term(self, i: int, z: complex) -> complex:
-        """Transform of the atomic allocation part for risk i."""
-        return sum((e.allocation[i] * cmath.exp(-z * e.location) for e in self.entries), 0j)
-
-    def scaled(self, theta: float) -> "AtomSet":
-        """Masses scaled by exp(theta*s_j), for tilted-density bookkeeping."""
-        if theta == 0.0:
-            return self
-        entries = tuple(
-            AtomEntry(
-                e.location,
-                e.mass * math.exp(theta * e.location),
-                tuple(v * math.exp(theta * e.location) for v in e.allocation),
-            )
-            for e in self.entries
-        )
-        return AtomSet(entries, tilted=True)
-
 
 _EMPTY_ATOMS = AtomSet()
 
@@ -132,23 +107,19 @@ _EMPTY_ATOMS = AtomSet()
 class JointTransformModel:
     """A portfolio model given purely at transform level.
 
-    ``aggregate_transform`` maps z (Re z > 0) to L_S(z); ``allocation_transform``
-    maps (i, z) to L_i(z) = E[X_i exp(-zS)].  ``batch_allocation_transform`` is
-    an optional vectorized evaluator returning all n allocation values at one
-    node as an ndarray; the allocation engine uses it when present (the scalar
-    path is the reference and both must agree exactly).
+    ``transform`` maps z (Re z > 0) to the complex array
+    [L_S(z), L_1(z), ..., L_n(z)] with L_i(z) = E[X_i exp(-zS)].  It receives
+    a float on the real axis and a complex number off it.
 
     ``means`` is optional metadata (absent when unknown or infinite).  ``stats``
     is a mutable scratch dict for evaluation counters (e.g. underflow guards).
     """
 
     n: int
-    aggregate_transform: Callable[[complex], complex]
-    allocation_transform: Callable[[int, complex], complex]
+    transform: Callable[[complex], np.ndarray]
     atoms: AtomSet = _EMPTY_ATOMS
     means: Optional[tuple[float, ...]] = None
     label: str = ""
-    batch_allocation_transform: Optional[Callable[[complex], np.ndarray]] = None
     stats: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
@@ -161,113 +132,32 @@ class JointTransformModel:
                 raise ModelSpecError("atom allocation row length must equal n")
 
 
-@dataclass(frozen=True, eq=False)
-class TiltedModelView:
-    """View of a model under an exponential tilt by theta >= 0.
-
-    Transforms at z delegate to the base model at z - theta, so evaluation is
-    only valid for Re z > theta.  Atom masses are scaled by exp(theta*s_j) so
-    that subtracting the view's atomic transform leaves exactly the tilted
-    continuous remainder.  The ratio h_i = xi_i / f_S is invariant under the
-    tilt, which is what makes tilted inversion usable at all.
-    """
-
-    base: JointTransformModel
-    theta: float
-
-    def __post_init__(self) -> None:
-        if not (self.theta >= 0.0) or not math.isfinite(self.theta):
-            raise ModelSpecError(f"tilt must be finite and >= 0, got {self.theta}")
-        object.__setattr__(self, "_atoms", self.base.atoms.scaled(self.theta))
-
-    @property
-    def n(self) -> int:
-        return self.base.n
-
-    @property
-    def atoms(self) -> AtomSet:
-        return self._atoms  # type: ignore[attr-defined]
-
-    @property
-    def means(self) -> None:
-        return None  # tilted measure is not a probability law
-
-    @property
-    def label(self) -> str:
-        return f"{self.base.label}+tilt{self.theta:g}"
-
-    @property
-    def stats(self) -> dict:
-        return self.base.stats
-
-    def _shift(self, z: complex) -> complex:
-        z = complex(z)
-        if not (z.real > self.theta):
-            raise DomainError(
-                f"tilted view needs Re z > theta = {self.theta}, got Re z = {z.real}"
-            )
-        return z - self.theta
-
-    def aggregate_transform(self, z: complex) -> complex:
-        return self.base.aggregate_transform(self._shift(z))
-
-    def allocation_transform(self, i: int, z: complex) -> complex:
-        return self.base.allocation_transform(i, self._shift(z))
-
-    @property
-    def batch_allocation_transform(self):
-        fn = self.base.batch_allocation_transform
-        if fn is None:
-            return None
-        return lambda z: fn(self._shift(z))
-
-
-def tilt_view(model: JointTransformModel, theta: float) -> TiltedModelView:
-    """Exponentially tilted view of ``model``.  theta = 0 gives a view that
-    reproduces the base bit for bit at every node."""
-    if theta < 0.0:
-        raise DomainError(f"tilt must be >= 0, got {theta}")
-    return TiltedModelView(model, theta)
-
-
-def _check_value(val: complex, what: str, z: complex) -> complex:
-    if not (math.isfinite(val.real) and math.isfinite(val.imag)):
-        raise EvaluationError(f"{what} returned non-finite value {val} at z={z}")
-    return val
-
-
-def _check_pure_real(val: complex, what: str, z: complex) -> complex:
-    if abs(val.imag) > _PURE_REAL_RTOL * abs(val.real) + _PURE_REAL_ATOL:
+def eval_transform(model, z: complex) -> np.ndarray:
+    """[L_S(z), L_1(z), ..., L_n(z)] for Re z > 0, with shape, finiteness and
+    (on the real axis) pure-real checks on every entry."""
+    z = complex(z)
+    if not (z.real > 0.0):
+        raise DomainError(f"transform needs Re z > 0, got Re z = {z.real}")
+    vals = np.asarray(model.transform(z), dtype=complex)
+    if vals.shape != (model.n + 1,):
         raise EvaluationError(
-            f"{what} at real z={z.real} has non-negligible imaginary part {val.imag}"
+            f"transform returned shape {vals.shape} at z={z}, expected ({model.n + 1},)"
         )
-    return val
-
-
-def eval_aggregate(model, z: complex) -> complex:
-    """L_S(z) for Re z > 0, with finiteness and pure-real checks."""
-    z = complex(z)
-    if not (z.real > 0.0):
-        raise DomainError(f"aggregate transform needs Re z > 0, got Re z = {z.real}")
-    val = complex(model.aggregate_transform(z))
-    _check_value(val, "aggregate transform", z)
-    if z.imag == 0.0:
-        _check_pure_real(val, "aggregate transform", z)
-    return val
-
-
-def eval_allocation(model, i: int, z: complex) -> complex:
-    """L_i(z) = E[X_i exp(-zS)] for risk index i (0-based), Re z > 0."""
-    z = complex(z)
-    if not (z.real > 0.0):
-        raise DomainError(f"allocation transform needs Re z > 0, got Re z = {z.real}")
-    if not (0 <= i < model.n):
-        raise IndexError(f"risk index {i} out of range for n={model.n}")
-    val = complex(model.allocation_transform(i, z))
-    _check_value(val, f"allocation transform {i}", z)
-    if z.imag == 0.0:
-        _check_pure_real(val, f"allocation transform {i}", z)
-    return val
+    finite = np.isfinite(vals)
+    if not finite.all():
+        k = int(np.flatnonzero(~finite)[0])
+        raise EvaluationError(f"transform entry {k} returned non-finite value {vals[k]} at z={z}")
+    # an all-zero imaginary part passes at once; the tolerance test is the
+    # costlier part of a diagnostic's per-t work at small n
+    if z.imag == 0.0 and vals.imag.any():
+        bad = np.abs(vals.imag) > _PURE_REAL_RTOL * np.abs(vals.real) + _PURE_REAL_ATOL
+        if bad.any():
+            k = int(np.flatnonzero(bad)[0])
+            raise EvaluationError(
+                f"transform entry {k} at real z={z.real} has non-negligible "
+                f"imaginary part {vals[k].imag}"
+            )
+    return vals
 
 
 def numerical_aggregate_derivative(model, t: float, h_rel: float = 1e-6) -> float:
@@ -279,8 +169,8 @@ def numerical_aggregate_derivative(model, t: float, h_rel: float = 1e-6) -> floa
     h = h_rel * t
     if t - h <= 0.0:
         raise DomainError(f"step {h} leaves the positive axis at t={t}")
-    hi = eval_aggregate(model, t + h).real
-    lo = eval_aggregate(model, t - h).real
+    hi = eval_transform(model, t + h)[0].real
+    lo = eval_transform(model, t - h)[0].real
     return (hi - lo) / (2.0 * h)
 
 
@@ -307,12 +197,13 @@ def diagonal_diagnostic(model, t_grid: Sequence[float], tol: float = 1e-5) -> Di
 
     The residual is normalized by max(|L_S'(t)|, 1e-300); the derivative is a
     central difference with h_rel = 1e-6, so the residual bundles both any
-    model inconsistency and the differencing error.
+    model inconsistency and the differencing error.  Each t costs three
+    model evaluations: at t - h, t + h and t.
     """
     ts, res, ok = [], [], []
     for t in t_grid:
         d = numerical_aggregate_derivative(model, float(t), 1e-6)
-        total = math.fsum(eval_allocation(model, i, float(t)).real for i in range(model.n))
+        total = math.fsum(eval_transform(model, float(t))[1:].real.tolist())
         r = abs(total + d) / max(abs(d), _RESIDUAL_FLOOR)
         ts.append(float(t))
         res.append(r)

@@ -43,7 +43,7 @@ from cmrs.oracles import (
     mc_conditional_mean,
     me_example_oracle,
 )
-from cmrs.transforms import diagonal_diagnostic, eval_aggregate
+from cmrs.transforms import diagonal_diagnostic, eval_transform
 
 CSCP_PARAMS = dict(
     lambda0=1.5,
@@ -142,7 +142,7 @@ def test_c02_inversion_reference_fixtures(two_risk_model):
         ),
         (
             "two_risk_f",
-            lambda z: eval_aggregate(two_risk_model, z),
+            lambda z: eval_transform(two_risk_model, z)[0],
             lambda z: (2 / (2 + z)) ** 2 / (1 + z),
             oracle.f_S,
         ),
@@ -332,5 +332,5 @@ def test_c10_origin_atom_separation(cscp_model):
         weights=(0.2, 0.3, 0.5),
     )
     slow_remainder = strip_atoms(build_common_shock_cp(slow))
-    assert abs(slow_remainder.aggregate(1e4)) <= 1e-6
+    assert abs(slow_remainder.values_at(1e4)[0]) <= 1e-6
     assert time.perf_counter() - t0 < 1.0

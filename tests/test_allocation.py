@@ -19,7 +19,7 @@ from cmrs.allocation import (
     strip_atoms,
     tail_contribution,
 )
-from cmrs.errors import DomainError, InversionError
+from cmrs.errors import DomainError, EvaluationError, InversionError, SingularMatrixError
 from cmrs.inversion import EulerScheme, GsScheme
 from cmrs.models import (
     CommonShockCPSpec,
@@ -97,10 +97,6 @@ class TestRequestValidation:
             AllocationRequest(
                 model=self._model(), s_grid=(1.0,), scheme=EulerScheme(), density_floor=0.0
             )
-        with pytest.raises(DomainError, match="threads"):
-            AllocationRequest(
-                model=self._model(), s_grid=(1.0,), scheme=EulerScheme(), threads=0
-            )
 
     def test_negative_tilt_rejected(self):
         with pytest.raises(DomainError, match="tilt"):
@@ -165,18 +161,6 @@ class TestAllocateAccuracy:
         )
         assert gap < 1e-8
 
-    def test_threads_do_not_change_bits(self, me_result):
-        req = AllocationRequest(
-            model=me_result.request.model,
-            s_grid=me_result.request.s_grid,
-            scheme=EulerScheme(),
-            threads=4,
-        )
-        res4 = allocate(req)
-        assert np.array_equal(me_result.density, res4.density)
-        assert np.array_equal(me_result.raw_xi, res4.raw_xi)
-        assert me_result.status == res4.status
-
     def test_proportions_sum_to_one_on_ok_rows(self, me_result):
         P = proportions(me_result)
         ok = [k for k, st in enumerate(me_result.status) if st == STATUS_OK]
@@ -214,27 +198,24 @@ class TestStatusPolicy:
         res = allocate(req)
         assert res.status[0] in (STATUS_DEGRADED, STATUS_FAILED)
 
-    def test_unevaluable_transform_fails(self):
-        # a declared transform domain smaller than the contour abscissa makes
-        # the point impossible to evaluate; it must fail, not crash
-        from cmrs.mixing import gamma_mixing
-        from cmrs.models import EdfFrailtySpec, build_edf_frailty
+    @pytest.mark.parametrize("error", [DomainError, EvaluationError, SingularMatrixError])
+    def test_unevaluable_transform_fails(self, error):
+        # Exp(1) + Exp(2) that refuses Re z < 5: the Euler contour abscissa is
+        # A / (2s), so only s = 2 reaches such a node; that point must fail
+        # and the others must not notice
+        base = build_matrix_exp([exponential_me_spec(1.0), exponential_me_spec(2.0)])
 
-        model = build_edf_frailty(
-            EdfFrailtySpec(
-                cumulants=(lambda e: -np.log(-e),),
-                cumulant_derivs=(lambda e: -1.0 / e,),
-                canonical_maps=(lambda t: -t,),
-                dispersions=(1.0,),
-                mixing=gamma_mixing(2.0),
-                t_max=0.5,
-            )
-        )
-        req = AllocationRequest(model=model, s_grid=(1.0,), scheme=EulerScheme())
+        def transform(z):
+            if complex(z).real < 5.0:
+                raise error(f"no value at z = {z}")
+            return base.transform(z)
+
+        model = JointTransformModel(n=2, transform=transform)
+        req = AllocationRequest(model=model, s_grid=(0.5, 1.0, 2.0), scheme=EulerScheme())
         res = allocate(req)
-        assert res.status == [STATUS_FAILED]
-        assert math.isnan(res.sum_h[0])
-        assert (res.h[0] == 0.0).all()
+        assert res.status == [STATUS_OK, STATUS_OK, STATUS_FAILED]
+        assert math.isnan(res.sum_h[2])
+        assert (res.h[2] == 0.0).all()
 
     def test_density_floor_is_enforced(self):
         model = build_matrix_exp([erlang_me_spec(2, 1.0), exponential_me_spec(1.0)])
@@ -324,41 +305,39 @@ class TestAtomHandling:
         model = build_matrix_exp([exponential_me_spec(1.0), exponential_me_spec(2.0)])
         rem = strip_atoms(model)
         for z in (0.5, 1.0 + 3.0j):
-            assert rem.aggregate(z) == complex(model.aggregate_transform(z))
-            assert rem.allocation(0, z) == complex(model.allocation_transform(0, z))
+            assert np.array_equal(rem.values_at(z), model.transform(z).real)
 
     def test_remainder_subtracts_the_atom(self):
         model = build_common_shock_cp(CS_REF)
         rem = strip_atoms(model)
         # at large real t the continuous part dies but the atom term does not
-        assert abs(complex(model.aggregate_transform(1.0e4)) - math.exp(-4.0)) < 1e-4
-        assert abs(rem.aggregate(1.0e4)) < 1e-4
-        assert abs(rem.aggregate(1.0e4)) < abs(rem.aggregate(1.0e2))
+        assert abs(complex(model.transform(1.0e4)[0]) - math.exp(-4.0)) < 1e-4
+        assert abs(rem.values_at(1.0e4)[0]) < 1e-4
+        assert abs(rem.values_at(1.0e4)[0]) < abs(rem.values_at(1.0e2)[0])
 
     def test_values_at_stacks_aggregate_and_allocations(self):
         model = build_common_shock_cp(CS_REF)
         rem = strip_atoms(model)
         z = 0.8 + 2.0j
         row = rem.values_at(z)
+        vals = model.transform(z)
         assert row.shape == (4,)
-        assert row[0] == pytest.approx(rem.aggregate(z).real, rel=1e-14)
-        for i in range(3):
-            assert row[1 + i] == pytest.approx(rem.allocation(i, z).real, rel=1e-14)
+        # the origin atom carries mass e^{-4} and no allocation mass
+        assert row[0] == pytest.approx((vals[0] - math.exp(-4.0)).real, rel=1e-14)
+        assert np.array_equal(row[1:], vals[1:].real)
 
     def test_pure_point_mass_remainder_vanishes(self):
         # S identically 2, all of it on the single risk
         atoms = AtomSet((AtomEntry(2.0, 1.0, (2.0,)),))
         model = JointTransformModel(
             n=1,
-            aggregate_transform=lambda z: cmath.exp(-2.0 * z),
-            allocation_transform=lambda i, z: 2.0 * cmath.exp(-2.0 * z),
+            transform=lambda z: np.array([1.0, 2.0]) * cmath.exp(-2.0 * z),
             atoms=atoms,
             label="point",
         )
         rem = strip_atoms(model)
         for z in (0.1, 1.0, 3.0 + 5.0j):
-            assert rem.aggregate(z) == 0.0
-            assert rem.allocation(0, z) == 0.0
+            assert np.array_equal(rem.values_at(z), [0.0, 0.0])
 
 
 class TestTwoRiskProperty:

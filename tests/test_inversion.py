@@ -6,20 +6,19 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cmrs.allocation import STATUS_FAILED, AllocationRequest, allocate
 from cmrs.errors import DomainError, InversionError
 from cmrs.inversion import (
     GS_ORDER_CAP,
     EulerScheme,
     GsScheme,
-    euler_invert,
-    gs_invert,
     gs_weights,
     gs_weights_exact,
     invert,
-    invert_batch,
     invert_values,
     scheme_nodes,
 )
+from cmrs.models import build_matrix_exp, exponential_me_spec
 
 # classical order-5 weight table (10 nodes)
 _M5_WEIGHTS = (
@@ -111,69 +110,70 @@ def gamma2_lst(z):
 class TestRecovery:
     @pytest.mark.parametrize("s", [0.3, 1.0, 2.5, 6.0])
     def test_euler_exponential(self, s):
-        got = euler_invert(exp_lst, s, EulerScheme())
+        got = invert(exp_lst, s, EulerScheme())
         assert abs(got - math.exp(-s)) < 1e-8
 
     @pytest.mark.parametrize("s", [0.3, 1.0, 2.5, 6.0])
     def test_euler_gamma2(self, s):
-        got = euler_invert(gamma2_lst, s, EulerScheme())
+        got = invert(gamma2_lst, s, EulerScheme())
         assert abs(got - s * math.exp(-s)) < 1e-8
 
     @pytest.mark.parametrize("s", [0.5, 1.0, 1.5])
     def test_gs_exponential_near_origin(self, s):
-        got = gs_invert(exp_lst, s, GsScheme(M=8))
+        got = invert(exp_lst, s, GsScheme(M=8))
         assert abs(got - math.exp(-s)) < 1e-6
 
     def test_gs_known_error_envelope(self):
         # the order-8 approximant has inherent truncation error away from the
         # origin; the envelope below is the measured behavior, not a target
         worst = max(
-            abs(gs_invert(exp_lst, s, GsScheme(M=8)) - math.exp(-s))
+            abs(invert(exp_lst, s, GsScheme(M=8)) - math.exp(-s))
             for s in np.arange(0.1, 10.05, 0.1)
         )
         assert worst < 2e-4
-        assert abs(gs_invert(exp_lst, 5.0, GsScheme(M=8)) - math.exp(-5.0)) > 1e-6
+        assert abs(invert(exp_lst, 5.0, GsScheme(M=8)) - math.exp(-5.0)) > 1e-6
 
     @pytest.mark.parametrize("M", range(1, 6))
     def test_gs_constant_identity_low_orders(self, M):
         # f(t) = 1/t inverts to the constant 1; exact up to weight-rounding
         # noise, which stays under 1e-10 only while max|weight| is moderate
         for s in (0.4, 1.0, 7.0):
-            assert abs(gs_invert(lambda z: 1.0 / z, s, GsScheme(M=M)) - 1.0) < 1e-10
+            assert abs(invert(lambda z: 1.0 / z, s, GsScheme(M=M)) - 1.0) < 1e-10
 
     def test_gs_constant_identity_m8_envelope(self):
-        err = abs(gs_invert(lambda z: 1.0 / z, 1.0, GsScheme(M=8)) - 1.0)
+        err = abs(invert(lambda z: 1.0 / z, 1.0, GsScheme(M=8)) - 1.0)
         assert err < 1e-6
 
     def test_euler_tilt_matches_untilted(self):
         for s in (0.5, 2.0, 5.0):
-            a = euler_invert(exp_lst, s, EulerScheme())
-            b = euler_invert(exp_lst, s, EulerScheme(theta=0.3))
+            a = invert(exp_lst, s, EulerScheme())
+            b = invert(exp_lst, s, EulerScheme(theta=0.3))
             assert abs(a - b) < 1e-9
 
     def test_invert_dispatch(self):
+        # the scheme's type picks the rule: Gaver-Stehfest is
+        # ln2/s * sum_k zeta_k L(k ln2/s), exactly as written
         s = 1.7
-        assert invert(exp_lst, s, GsScheme(M=6)) == gs_invert(exp_lst, s, GsScheme(M=6))
-        assert invert(exp_lst, s, EulerScheme()) == euler_invert(exp_lst, s, EulerScheme())
-
-    def test_gs_refuses_tilt(self):
-        with pytest.raises(InversionError, match="cannot be combined with positive tilting"):
-            gs_invert(exp_lst, 1.0, GsScheme(M=8), tilt=0.1)
+        c = math.log(2.0) / s
+        weights = gs_weights(6)
+        want = c * math.fsum(w * exp_lst(k * c) for k, w in enumerate(weights, start=1))
+        assert invert(exp_lst, s, GsScheme(M=6)) == want
+        assert abs(invert(exp_lst, s, EulerScheme()) - math.exp(-s)) < 1e-8
 
     def test_nonfinite_transform_value(self):
         def bad(z):
             return complex("inf")
 
         with pytest.raises(InversionError, match="non-finite"):
-            euler_invert(bad, 1.0, EulerScheme())
+            invert(bad, 1.0, EulerScheme())
 
 
 class TestVectorKernel:
     @pytest.mark.parametrize("scheme", [GsScheme(M=8), EulerScheme(), EulerScheme(theta=0.4)])
     def test_bit_for_bit_with_scalar(self, scheme):
-        # the kernel consumes the real part of each node value, one row per
-        # node, with nodes coerced to python complex exactly as the scalar
-        # path does (numpy complex division rounds differently)
+        # ``invert`` is the one-column call of the kernel: it passes the real
+        # part of each node value, one row per node, with nodes coerced to
+        # python complex (numpy complex division rounds differently)
         s = 2.3
         nodes = [complex(z) for z in scheme_nodes(scheme, s)]
         values = np.array(
@@ -185,26 +185,36 @@ class TestVectorKernel:
         assert vector[0] == scalar
 
     def test_batch_matches_scalar_and_marks_failures(self):
-        def failing(z):
-            raise ValueError("no value here")
-
-        grid = [0.5, 1.5, 4.0]
-        out = invert_batch([exp_lst, gamma2_lst, failing], grid, EulerScheme())
-        assert out.shape == (3, 3)
-        for k, s in enumerate(grid):
-            assert out[k, 0] == euler_invert(exp_lst, s, EulerScheme())
-            assert out[k, 1] == euler_invert(gamma2_lst, s, EulerScheme())
-            assert np.isnan(out[k, 2])
+        # columns are independent: several columns give each column's
+        # one-column result bit for bit, and a non-finite column stays NaN
+        # without touching the others
+        s = 1.5
+        for scheme in (GsScheme(M=8), EulerScheme(), EulerScheme(theta=0.4)):
+            nodes = [complex(z) for z in scheme_nodes(scheme, s)]
+            args = [z.real if z.imag == 0.0 else z for z in nodes]
+            values = np.array(
+                [[complex(exp_lst(z)).real, complex(gamma2_lst(z)).real, math.nan] for z in args]
+            )
+            out = invert_values(values, s, scheme)
+            assert out[0] == invert(exp_lst, s, scheme)
+            assert out[1] == invert(gamma2_lst, s, scheme)
+            assert np.isnan(out[2])
 
     def test_batch_skips_rows_outside_contour(self):
-        out = invert_batch([exp_lst], [1.0, 75.0], EulerScheme(A=18.4, theta=0.2))
-        assert not np.isnan(out[0, 0])
-        assert np.isnan(out[1, 0])
+        # A = 18.4 with theta = 0.2 leaves the right half-plane beyond s = 46:
+        # a grid run fails that gridpoint and keeps the others
+        model = build_matrix_exp([exponential_me_spec(1.0)])
+        req = AllocationRequest(
+            model=model, s_grid=(1.0, 75.0), scheme=EulerScheme(A=18.4, theta=0.2)
+        )
+        res = allocate(req)
+        assert res.status[1] == STATUS_FAILED
+        assert np.isfinite(res.density[0]) and np.isnan(res.density[1])
 
 
 @given(rate=st.floats(0.2, 4.0), s=st.floats(0.2, 10.0))
 def test_euler_exponential_family_property(rate, s):
-    got = euler_invert(lambda z: rate / (rate + z), s, EulerScheme())
+    got = invert(lambda z: rate / (rate + z), s, EulerScheme())
     assert abs(got - rate * math.exp(-rate * s)) < 1e-7 * max(1.0, rate)
 
 

@@ -15,13 +15,11 @@ from cmrs.errors import (
 from cmrs.mixing import gamma_mixing, point_mass_mixing
 from cmrs.models import (
     CommonShockCPSpec,
-    EdfFrailtySpec,
     KatzCompoundSpec,
     LognormalPortfolioSpec,
     MatrixExpSpec,
     MixedExpFrailtySpec,
     build_common_shock_cp,
-    build_edf_frailty,
     build_katz_compound,
     build_lognormal_portfolio,
     build_matrix_exp,
@@ -34,7 +32,8 @@ from cmrs.models import (
     lognormal_lst,
     lognormal_lst_deriv,
 )
-from cmrs.transforms import diagonal_diagnostic, eval_aggregate
+from cmrs.allocation import strip_atoms
+from cmrs.transforms import diagonal_diagnostic, eval_transform
 
 
 class TestComplexSolve:
@@ -61,14 +60,15 @@ class TestMixedExpFrailty:
     def test_aggregate_frozen_value(self):
         # independent quadrature of the Gamma(2) mixture gives 0.4619670665254553
         model = build_mixed_exp_frailty(MixedExpFrailtySpec((1.0, 0.5), gamma_mixing(2.0)))
-        assert eval_aggregate(model, 1.0) == pytest.approx(0.4619670665254551, abs=1e-12)
+        assert eval_transform(model, 1.0)[0] == pytest.approx(0.4619670665254551, abs=1e-12)
 
     def test_batch_matches_scalar_exactly(self):
+        # the engine's row at a node (``values_at``) and the checked
+        # evaluation the diagnostics use (``eval_transform``) agree exactly
         model = build_mixed_exp_frailty(MixedExpFrailtySpec((1.0, 0.5, 2.0), gamma_mixing(1.3)))
-        for z in (0.4, 1.0, 2.0 + 3.0j):
-            batch = model.batch_allocation_transform(z)
-            for i in range(3):
-                assert model.allocation_transform(i, z) == complex(batch[i])
+        rem = strip_atoms(model)
+        for z in (0.4 + 0.0j, 1.0 + 0.0j, 2.0 + 3.0j):
+            assert np.array_equal(rem.values_at(z), eval_transform(model, z).real)
 
     def test_degenerate_mixing_reduces_to_independent_exponentials(self):
         # point mass at theta0 means risk j is Exp(theta0 / lambda_j)
@@ -76,10 +76,10 @@ class TestMixedExpFrailty:
         r = (3.0 / 2.0, 3.0 / 0.5)
         for z in (0.3, 1.7, 4.0):
             want = r[0] / (r[0] + z) * r[1] / (r[1] + z)
-            assert model.aggregate_transform(z) == pytest.approx(want, rel=1e-14)
-            batch = model.batch_allocation_transform(z)
-            assert complex(batch[0]) == pytest.approx(want / (r[0] + z), rel=1e-13)
-            assert complex(batch[1]) == pytest.approx(want / (r[1] + z), rel=1e-13)
+            vals = model.transform(z)
+            assert vals[0] == pytest.approx(want, rel=1e-14)
+            assert vals[1] == pytest.approx(want / (r[0] + z), rel=1e-13)
+            assert vals[2] == pytest.approx(want / (r[1] + z), rel=1e-13)
 
     def test_diagonal_identity_holds(self):
         model = build_mixed_exp_frailty(MixedExpFrailtySpec((1.0, 2.0), gamma_mixing(2.5)))
@@ -93,76 +93,26 @@ class TestMixedExpFrailty:
             MixedExpFrailtySpec((), gamma_mixing(2.0))
 
 
-def _exponential_edf_spec(lams, mixing, t_max=50.0):
-    # exponential family in canonical form: kappa(eta) = -log(-eta),
-    # canonical parameter eta_j = -theta / lambda_j, unit dispersion
-    n = len(lams)
-    return EdfFrailtySpec(
-        cumulants=tuple((lambda e: -np.log(-e),) * n),
-        cumulant_derivs=tuple((lambda e: -1.0 / e,) * n),
-        canonical_maps=tuple((lambda t, l=l: -t / l) for l in lams),
-        dispersions=(1.0,) * n,
-        mixing=mixing,
-        t_max=t_max,
-    )
-
-
-class TestEdfFrailty:
-    def test_exponential_family_reduces_to_mixed_exp(self):
-        mix = gamma_mixing(2.0)
-        lams = (1.0, 0.5)
-        edf = build_edf_frailty(_exponential_edf_spec(lams, mix))
-        ref = build_mixed_exp_frailty(MixedExpFrailtySpec(lams, mix))
-        for z in (0.3, 1.0, 2.0 + 1.5j, 5.0):
-            assert abs(edf.aggregate_transform(z) - ref.aggregate_transform(z)) < 1e-14
-            gap = np.abs(
-                edf.batch_allocation_transform(z) - ref.batch_allocation_transform(z)
-            ).max()
-            assert gap < 1e-14
-
-    def test_declared_domain_enforced(self):
-        edf = build_edf_frailty(_exponential_edf_spec((1.0,), gamma_mixing(2.0), t_max=10.0))
-        edf.aggregate_transform(9.5)
-        with pytest.raises(DomainError, match="t_max"):
-            edf.aggregate_transform(10.5)
-        with pytest.raises(DomainError):
-            edf.batch_allocation_transform(11.0 + 3.0j)
-
-    def test_field_lengths_must_align(self):
-        with pytest.raises(ModelSpecError, match="align"):
-            EdfFrailtySpec(
-                cumulants=(lambda e: e,),
-                cumulant_derivs=(lambda e: 1.0, lambda e: 1.0),
-                canonical_maps=(lambda t: t,),
-                dispersions=(1.0,),
-                mixing=gamma_mixing(2.0),
-                t_max=1.0,
-            )
-
-    def test_t_max_must_be_positive(self):
-        with pytest.raises(ModelSpecError, match="t_max"):
-            _exponential_edf_spec((1.0,), gamma_mixing(2.0), t_max=0.0)
-
-
 class TestMatrixExp:
     def test_erlang_plus_exponential_aggregate(self):
         # Erlang(2, 3) + Exp(3): L_S(1) = (3/4)^2 * (3/4) = 27/64
         model = build_matrix_exp([erlang_me_spec(2, 3.0), exponential_me_spec(3.0)])
-        assert eval_aggregate(model, 1.0) == pytest.approx(27.0 / 64.0, rel=1e-14)
+        assert eval_transform(model, 1.0)[0] == pytest.approx(27.0 / 64.0, rel=1e-14)
 
     def test_erlang_plus_exponential_allocations(self):
         model = build_matrix_exp([erlang_me_spec(2, 3.0), exponential_me_spec(3.0)])
-        batch = model.batch_allocation_transform(1.0)
+        vals = model.transform(1.0)
         # E[X1 e^{-S}] = 2 * 3^2 / 4^3 * 3/4, E[X2 e^{-S}] = (3/4)^2 * 3 / 4^2
-        assert complex(batch[0]) == pytest.approx(0.2109375, rel=1e-14)
-        assert complex(batch[1]) == pytest.approx(0.10546875, rel=1e-14)
+        assert vals[1] == pytest.approx(0.2109375, rel=1e-14)
+        assert vals[2] == pytest.approx(0.10546875, rel=1e-14)
 
     def test_erlang_one_stage_equals_exponential(self):
         e1 = erlang_me_spec(1, 2.5)
         ex = exponential_me_spec(2.5)
         for z in (0.5, 1.0 + 2.0j, 7.0):
             assert abs(e1.lst(z) - ex.lst(z)) < 1e-15
-            assert abs(e1.mean_lst(z) - ex.mean_lst(z)) < 1e-15
+            for a, b in zip(e1.lst_pair(z), ex.lst_pair(z)):
+                assert abs(a - b) < 1e-15
 
     def test_phase_type_recognized(self):
         assert is_phase_type(erlang_me_spec(3, 2.0))
@@ -253,7 +203,7 @@ class TestKatzCompound:
                 severities=(exponential_severity(2.0), exponential_severity(1.0)),
             )
         )
-        assert eval_aggregate(model, 1.0) == pytest.approx(0.3819551676324455, rel=1e-14)
+        assert eval_transform(model, 1.0)[0] == pytest.approx(0.3819551676324455, rel=1e-14)
 
     def test_atom_mass_is_probability_of_no_claims(self):
         model = build_katz_compound(
@@ -285,14 +235,11 @@ class TestKatzCompound:
                 severities=(exponential_severity(1.0),) * 2,
             )
         )
-        batch = model.batch_allocation_transform(1.0)
-        assert batch[1] == 0.0
+        assert model.transform(1.0)[2] == 0.0
         only = build_katz_compound(
             KatzCompoundSpec(a=(0.0,), b=(2.0,), severities=(exponential_severity(1.0),))
         )
-        assert model.aggregate_transform(1.3) == pytest.approx(
-            only.aggregate_transform(1.3), rel=1e-15
-        )
+        assert model.transform(1.3)[0] == pytest.approx(only.transform(1.3)[0], rel=1e-15)
 
     def test_pgf_pole_guarded(self):
         from cmrs.models import _katz_pgf
@@ -319,7 +266,7 @@ CS_531 = dict(
 class TestCommonShockCP:
     def test_aggregate_frozen_value(self):
         model = build_common_shock_cp(CommonShockCPSpec(**CS_531))
-        assert eval_aggregate(model, 1.0) == pytest.approx(0.1385169756774438, rel=1e-14)
+        assert eval_transform(model, 1.0)[0] == pytest.approx(0.1385169756774438, rel=1e-14)
 
     def test_atom_mass_equals_total_rate_exponential(self):
         model = build_common_shock_cp(CommonShockCPSpec(**CS_531))
@@ -327,11 +274,13 @@ class TestCommonShockCP:
         assert abs(model.atoms.masses[0] - math.exp(-4.0)) < 1e-15
 
     def test_batch_matches_scalar_exactly(self):
+        # the engine's row at a node (``values_at``) and the checked
+        # evaluation the diagnostics use (``eval_transform``) agree exactly on
+        # the allocations; the origin atom only shifts L_S
         model = build_common_shock_cp(CommonShockCPSpec(**CS_531))
-        for z in (0.2, 1.0, 3.0 + 2.0j):
-            batch = model.batch_allocation_transform(z)
-            for i in range(3):
-                assert model.allocation_transform(i, z) == complex(batch[i])
+        rem = strip_atoms(model)
+        for z in (0.2 + 0.0j, 1.0 + 0.0j, 3.0 + 2.0j):
+            assert np.array_equal(rem.values_at(z)[1:], eval_transform(model, z)[1:].real)
 
     def test_means(self):
         model = build_common_shock_cp(CommonShockCPSpec(**CS_531))
@@ -345,7 +294,7 @@ class TestCommonShockCP:
         # with all atomic mass removed the transform must decay; at the
         # reference parameter scale the t = 1e4 remainder sits near 8e-6
         model = build_common_shock_cp(CommonShockCPSpec(**CS_531))
-        rem = eval_aggregate(model, 1.0e4) - model.atoms.aggregate_term(1.0e4).real
+        rem = strip_atoms(model).values_at(1.0e4)[0]
         assert abs(rem) < 1e-5
 
     def test_small_severity_scale_tightens_tail_remainder(self):
@@ -357,7 +306,7 @@ class TestCommonShockCP:
             weights=(0.2, 0.3, 0.5),
         )
         model = build_common_shock_cp(spec)
-        rem = eval_aggregate(model, 1.0e4) - model.atoms.aggregate_term(1.0e4).real
+        rem = strip_atoms(model).values_at(1.0e4)[0]
         assert abs(rem) < 1e-6
 
     def test_split_weights_must_sum_to_one(self):
@@ -465,11 +414,11 @@ class TestLognormalTransform:
 
     def test_portfolio_aggregate_frozen_value(self):
         model = build_lognormal_portfolio(LognormalPortfolioSpec((0.0, 0.3), (0.4, 0.25)))
-        assert eval_aggregate(model, 1.0) == pytest.approx(0.0970280019329332, rel=1e-12)
+        assert eval_transform(model, 1.0)[0] == pytest.approx(0.0970280019329332, rel=1e-12)
 
     def test_underflow_suppression_is_counted(self):
         model = build_lognormal_portfolio(LognormalPortfolioSpec((0.0,), (0.5,), gh_order=256))
-        eval_aggregate(model, 30.0)
+        eval_transform(model, 30.0)
         assert model.stats.get("suppressed_terms", 0) > 0
 
 
@@ -490,11 +439,7 @@ class TestCrossFamilyReductions:
             )
         )
         z = 0.7 + 1j * z_im
-        assert abs(katz.aggregate_transform(z) - cscp.aggregate_transform(z)) < 1e-10
-        gap = np.abs(
-            katz.batch_allocation_transform(z) - cscp.batch_allocation_transform(z)
-        ).max()
-        assert gap < 1e-10
+        assert np.abs(katz.transform(z) - cscp.transform(z)).max() < 1e-10
 
     @given(k=st.integers(1, 6), rate=st.floats(0.3, 4.0), t=st.floats(0.05, 8.0))
     def test_erlang_chain_equals_exponential_convolution(self, k, rate, t):
@@ -511,4 +456,4 @@ class TestCrossFamilyReductions:
         mix = gamma_mixing(alpha)
         model = build_mixed_exp_frailty(MixedExpFrailtySpec((1.0,), mix))
         direct = float(np.dot(mix.weights, mix.nodes / (mix.nodes + t)))
-        assert eval_aggregate(model, t) == pytest.approx(direct, rel=1e-12)
+        assert eval_transform(model, t)[0] == pytest.approx(direct, rel=1e-12)

@@ -1,11 +1,11 @@
 import cmath
-import math
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cmrs.allocation import strip_atoms
 from cmrs.errors import DomainError, EvaluationError, ModelSpecError
 from cmrs.models import build_matrix_exp, erlang_me_spec, exponential_me_spec
 from cmrs.transforms import (
@@ -13,10 +13,8 @@ from cmrs.transforms import (
     AtomSet,
     JointTransformModel,
     diagonal_diagnostic,
-    eval_aggregate,
-    eval_allocation,
+    eval_transform,
     numerical_aggregate_derivative,
-    tilt_view,
 )
 
 
@@ -55,63 +53,61 @@ class TestAtomSet:
             AtomSet((AtomEntry(1.0, 0.1, (0.1,)), AtomEntry(1.0, 0.2, (0.2,))))
 
     def test_transform_terms(self):
+        # a model that is nothing but its two atoms: stripping them subtracts
+        # sum_j mass_j exp(-z s_j) from L_S and nu_ij exp(-z s_j) from L_i
         atoms = AtomSet((AtomEntry(0.0, 0.3, (0.0, 0.0)), AtomEntry(2.0, 0.1, (0.12, 0.08))))
-        z = 0.7 + 0.3j
-        want = 0.3 + 0.1 * cmath.exp(-2 * z)
-        assert atoms.aggregate_term(z) == pytest.approx(want, rel=1e-15)
-        assert atoms.allocation_term(0, z) == pytest.approx(0.12 * cmath.exp(-2 * z), rel=1e-15)
-
-    def test_scaled_masses_may_exceed_one(self):
-        atoms = AtomSet((AtomEntry(3.0, 0.6, (1.8,)),))
-        scaled = atoms.scaled(0.5)
-        assert scaled.tilted
-        assert scaled.masses[0] == pytest.approx(0.6 * math.exp(1.5), rel=1e-15)
-        assert scaled.entries[0].allocation[0] == pytest.approx(1.8 * math.exp(1.5), rel=1e-15)
-        assert atoms.scaled(0.0) is atoms
+        origin, at_two = np.array([0.3, 0.0, 0.0]), np.array([0.1, 0.12, 0.08])
+        model = JointTransformModel(
+            n=2, transform=lambda z: origin + at_two * cmath.exp(-2 * z), atoms=atoms
+        )
+        row = strip_atoms(model).values_at(0.7 + 0.3j)
+        assert np.abs(row).max() < 1e-15
 
 
 class TestEvaluation:
     def test_right_half_plane_only(self):
         model = two_exp_model()
         with pytest.raises(DomainError):
-            eval_aggregate(model, -0.1)
+            eval_transform(model, -0.1)
         with pytest.raises(DomainError):
-            eval_allocation(model, 0, 0.0)
+            eval_transform(model, 0.0)
 
     def test_index_is_zero_based(self):
-        model = two_exp_model()
-        eval_allocation(model, 0, 1.0)
-        eval_allocation(model, 1, 1.0)
-        with pytest.raises(IndexError):
-            eval_allocation(model, 2, 1.0)
-        with pytest.raises(IndexError):
-            eval_allocation(model, -1, 1.0)
+        # entry 0 is L_S, entry 1 + i is risk i (0-based)
+        model = two_exp_model(1.0, 2.0)
+        t = 1.0
+        vals = eval_transform(model, t)
+        assert vals.shape == (3,)
+        ls = (1.0 / (1.0 + t)) * (2.0 / (2.0 + t))
+        assert vals[1].real == pytest.approx(ls / (1.0 + t), rel=1e-14)
+        assert vals[2].real == pytest.approx(ls / (2.0 + t), rel=1e-14)
 
     def test_nonfinite_value_rejected(self):
-        model = JointTransformModel(
-            n=1,
-            aggregate_transform=lambda z: complex("nan"),
-            allocation_transform=lambda i, z: 0.1 + 0j,
-        )
-        with pytest.raises(EvaluationError, match="non-finite"):
-            eval_aggregate(model, 1.0)
+        # every entry is checked, the allocation entries as well as L_S
+        for bad in (0, 1):
+            vals = np.array([0.5, 0.1], dtype=complex)
+            vals[bad] = complex("nan")
+            model = JointTransformModel(n=1, transform=lambda z, vals=vals: vals)
+            with pytest.raises(EvaluationError, match=f"entry {bad} returned non-finite"):
+                eval_transform(model, 1.0)
+
+    def test_wrong_length_rejected(self):
+        model = JointTransformModel(n=2, transform=lambda z: np.array([0.5, 0.1], dtype=complex))
+        with pytest.raises(EvaluationError, match="shape"):
+            eval_transform(model, 1.0)
 
     def test_pure_real_contract_on_real_axis(self):
-        model = JointTransformModel(
-            n=1,
-            aggregate_transform=lambda z: 0.5 + 1e-3j,
-            allocation_transform=lambda i, z: 0.1 + 0j,
-        )
+        model = JointTransformModel(n=1, transform=lambda z: np.array([0.5 + 1e-3j, 0.1]))
         with pytest.raises(EvaluationError, match="imaginary"):
-            eval_aggregate(model, 2.0)
+            eval_transform(model, 2.0)
         # off the real axis the same value is fine
-        assert eval_aggregate(model, 2.0 + 1.0j) == 0.5 + 1e-3j
+        assert eval_transform(model, 2.0 + 1.0j)[0] == 0.5 + 1e-3j
 
     def test_exponential_values(self):
         model = two_exp_model(1.0, 2.0)
         t = 1.5
         want = (1.0 / (1.0 + t)) * (2.0 / (2.0 + t))
-        assert eval_aggregate(model, t).real == pytest.approx(want, rel=1e-14)
+        assert eval_transform(model, t)[0].real == pytest.approx(want, rel=1e-14)
 
 
 class TestDerivativeAndDiagonal:
@@ -139,57 +135,27 @@ class TestDerivativeAndDiagonal:
     def test_diagonal_catches_miswired_allocation(self):
         base = two_exp_model()
         broken = JointTransformModel(
-            n=2,
-            aggregate_transform=base.aggregate_transform,
-            allocation_transform=lambda i, z: 1.1 * base.allocation_transform(i, z),
+            n=2, transform=lambda z: base.transform(z) * np.array([1.0, 1.1, 1.1])
         )
         report = diagonal_diagnostic(broken, [0.5, 1.0, 2.0])
         assert not report.all_passed
         assert report.max_residual > 0.05
 
-
-class TestTiltView:
-    def test_shift_and_guard(self):
-        model = two_exp_model()
-        view = tilt_view(model, 0.4)
-        z = 1.3 + 0.2j
-        assert view.aggregate_transform(z) == model.aggregate_transform(z - 0.4)
-        assert view.allocation_transform(1, z) == model.allocation_transform(1, z - 0.4)
-        with pytest.raises(DomainError, match="Re z > theta"):
-            view.aggregate_transform(0.4)
-
-    def test_zero_tilt_is_identity_bitwise(self):
-        model = two_exp_model()
-        view = tilt_view(model, 0.0)
-        for z in (0.3, 1.0 + 2.0j, 7.0 - 1.0j):
-            assert view.aggregate_transform(z) == model.aggregate_transform(z)
-
-    def test_negative_tilt_rejected(self):
-        with pytest.raises(DomainError):
-            tilt_view(two_exp_model(), -0.1)
-
-    def test_atoms_scaled_and_means_dropped(self):
-        atoms = AtomSet((AtomEntry(1.0, 0.2, (0.2,)),))
-        model = JointTransformModel(
-            n=1,
-            aggregate_transform=lambda z: 0.8 * cmath.exp(-z) * 0 + (0.8 + 0.2 * cmath.exp(-z)),
-            allocation_transform=lambda i, z: 0.2 * cmath.exp(-z),
-            atoms=atoms,
-            means=(1.0,),
+    def test_diagonal_evaluates_three_times_per_t(self):
+        base = build_matrix_exp(
+            (erlang_me_spec(2, 2.0), exponential_me_spec(1.0), exponential_me_spec(3.0))
         )
-        view = tilt_view(model, 0.3)
-        assert view.atoms.tilted
-        assert view.atoms.masses[0] == pytest.approx(0.2 * math.exp(0.3), rel=1e-15)
-        assert view.means is None
-        assert view.n == 1
+        calls = []
 
-    def test_batch_view_shifts(self):
-        model = two_exp_model()
-        view = tilt_view(model, 0.25)
-        z = 0.9 + 1.1j
-        got = view.batch_allocation_transform(z)
-        want = model.batch_allocation_transform(z - 0.25)
-        assert np.array_equal(got, want)
+        def counted(z):
+            calls.append(z)
+            return base.transform(z)
+
+        model = JointTransformModel(n=base.n, transform=counted)
+        t_grid = np.logspace(-2, 2, 7)
+        report = diagonal_diagnostic(model, t_grid)
+        assert report.all_passed
+        assert len(calls) == 3 * len(t_grid)
 
 
 @given(
@@ -201,17 +167,3 @@ def test_diagonal_identity_property(lam, mu, t):
     model = two_exp_model(lam, mu)
     report = diagonal_diagnostic(model, [t], tol=1e-6)
     assert report.all_passed
-
-
-@given(theta=st.floats(0.0, 2.0), t=st.floats(0.05, 10.0))
-def test_tilt_ratio_invariance_property(theta, t):
-    # the transform-level ratio L_i / (sum_j L_j) is tilt invariant because a
-    # tilt only re-centers the evaluation point
-    model = two_exp_model(0.7, 1.9)
-    view = tilt_view(model, theta)
-    z = t + theta
-    base_vals = [eval_allocation(model, i, t).real for i in range(2)]
-    view_vals = [view.allocation_transform(i, z).real for i in range(2)]
-    r_base = base_vals[0] / (base_vals[0] + base_vals[1])
-    r_view = view_vals[0] / (view_vals[0] + view_vals[1])
-    assert r_view == pytest.approx(r_base, rel=1e-12)
