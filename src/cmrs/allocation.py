@@ -22,15 +22,15 @@ from __future__ import annotations
 import cmath
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 _trapz = getattr(np, "trapezoid", None) or np.trapz
 
-from .errors import CmrsError, DomainError, InversionError
-from .inversion import TILT_INCOMPATIBLE_MSG, GsScheme, Scheme, invert_values, scheme_nodes
+from .errors import CmrsError, DomainError
+from .inversion import Scheme, invert_values, scheme_nodes
 from .transforms import AtomSet, JointTransformModel
 
 STATUS_OK = "ok"
@@ -43,17 +43,12 @@ _XI_CLAMP = -1e-8
 
 @dataclass(frozen=True)
 class AllocationRequest:
-    """Evaluation request: model, grid, inversion scheme, tolerances.
-
-    ``tilt`` is merged into the scheme: None keeps the scheme's own theta, a
-    value must either match it or replace a zero theta.  Any positive tilt
-    with a Gaver-Stehfest scheme is refused outright.
-    """
+    """Evaluation request: model, grid, inversion scheme, tolerances.  The
+    scheme carries the tilt (``EulerScheme.theta``)."""
 
     model: JointTransformModel
     s_grid: tuple[float, ...]
     scheme: Scheme
-    tilt: Optional[float] = None
     balance_tol: float = 1e-3
     density_floor: float = 1e-300
 
@@ -69,24 +64,7 @@ class AllocationRequest:
             raise DomainError(f"balance_tol must be positive, got {self.balance_tol}")
         if not (self.density_floor > 0.0):
             raise DomainError(f"density_floor must be positive, got {self.density_floor}")
-        if self.tilt is not None and self.tilt < 0.0:
-            raise DomainError(f"tilt must be >= 0, got {self.tilt}")
         object.__setattr__(self, "s_grid", grid)
-        object.__setattr__(self, "scheme", self._merged_scheme())
-
-    def _merged_scheme(self) -> Scheme:
-        scheme, tilt = self.scheme, self.tilt
-        if isinstance(scheme, GsScheme):
-            if tilt is not None and tilt > 0.0:
-                raise InversionError(TILT_INCOMPATIBLE_MSG)
-            return scheme
-        if tilt is None or tilt == scheme.theta:
-            return scheme
-        if scheme.theta != 0.0:
-            raise InversionError(
-                f"conflicting tilts: request asks {tilt}, scheme carries {scheme.theta}"
-            )
-        return replace(scheme, theta=tilt)
 
 
 @dataclass(frozen=True)
@@ -96,6 +74,12 @@ class AtomicTransformRemainder:
 
     model: JointTransformModel
     atoms: AtomSet
+    # (location, mass, allocation masses as an array) per atom, built once
+    _terms: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        terms = tuple((e.location, e.mass, np.array(e.allocation)) for e in self.atoms.entries)
+        object.__setattr__(self, "_terms", terms)
 
     def values_at(self, z: complex) -> np.ndarray:
         """Real parts of the continuous parts of (L_S, L_1 .. L_n) at z."""
@@ -103,17 +87,13 @@ class AtomicTransformRemainder:
         row = np.empty(self.model.n + 1)
         agg = complex(vals[0])
         alloc = vals[1:]
-        for e in self.atoms.entries:
-            damp = _cexp(-z * e.location)
-            agg -= e.mass * damp
-            alloc = alloc - np.array(e.allocation) * damp
+        for location, mass, allocation in self._terms:
+            damp = cmath.exp(-z * location)
+            agg -= mass * damp
+            alloc = alloc - allocation * damp
         row[0] = agg.real
         row[1:] = alloc.real
         return row
-
-
-def _cexp(z) -> complex:
-    return cmath.exp(complex(z))
 
 
 def strip_atoms(model: JointTransformModel) -> AtomicTransformRemainder:

@@ -357,7 +357,8 @@ def run_bench(cfg: RunConfig) -> list[BenchRow]:
     claim rate held fixed.  Tilted and untilted share the same contour
     scheme.  Each cell is the median call of its leg.  One untimed call
     warms up and sets the number of timed calls, timeit-style: ``reps`` times
-    as many as fill ``_BENCH_SAMPLE_S`` per leg.  The host's speed varies
+    as many as fill ``_BENCH_SAMPLE_S`` per leg, and at least two, so no cell
+    rests on a single call per rep.  The host's speed varies
     from call to call and in spells of seconds, so the two legs are
     interleaved call by call, the leading leg alternating from one pair of
     calls to the next, and neither leg can take all the calm or slow calls.
@@ -384,7 +385,7 @@ def run_bench(cfg: RunConfig) -> list[BenchRow]:
         }
         t0 = time.perf_counter()
         allocate(reqs[0.0])
-        per_rep = max(1, math.ceil(_BENCH_SAMPLE_S / (time.perf_counter() - t0)))
+        per_rep = max(2, math.ceil(_BENCH_SAMPLE_S / (time.perf_counter() - t0)))
         legs = list(reqs)
         calls = {theta: [] for theta in legs}
         for _ in range(cfg.bench.reps * per_rep):

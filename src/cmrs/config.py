@@ -221,6 +221,7 @@ def parse_config(data: dict) -> RunConfig:
         tolerance=_parse_block(ToleranceSpec, data.get("tolerance", {}), "tolerance"),
         bench=_parse_block(BenchSpec, data["bench"], "bench") if "bench" in data else None,
     )
+    cfg.scheme.build()  # a scheme the engine refuses fails here too
     return cfg
 
 

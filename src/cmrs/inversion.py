@@ -1,13 +1,22 @@
 """One-dimensional numerical Laplace inversion.
 
-Two rules are provided: the Gaver-Stehfest rule, which samples the transform
-on the positive real axis with alternating combinatorial weights, and the
-Euler (binomial-accelerated Fourier series) rule on a Bromwich contour.  The
-Euler rule optionally applies an exponential tilt theta > 0: the transform is
-then sampled at z_k - theta and the recovered value multiplied by
+Both rules have the node/weight form of Abate and Whitt's unified framework
+(INFORMS J. Computing 18, 2006), f(s) ~ c(s) sum_k w_k Re L(alpha_k): a scheme
+carries s-free weights w_k and gives its nodes alpha_k and scale factor c(s)
+at each s, and ``invert_values`` is the one kernel for both rules.
+Gaver-Stehfest samples the positive real axis at alpha_k = k ln2/s
+(k = 1..2M), with the alternating combinatorial weights zeta_k and
+c = ln2/s.  Euler (binomial-accelerated Fourier series) samples a Bromwich
+contour at alpha_k = A/(2s) - theta + i pi k/s (k = 0..N+m), with
+c = e^{A/2}/s e^{-theta s}; its weight eta_k = (-1)^k 2^-m
+sum_{r=max(0,k-N)}^m C(m, r), halved at k = 0, folds the alternating series
+and the binomial average of its partial sums S_N..S_{N+m} into one number.
+
+The Euler tilt theta > 0 is set only on the scheme.  It samples the
+transform at nodes shifted left by theta and multiplies the result by
 exp(-theta*s), which damps the oscillatory error at large s.  Tilting is
-meaningless for Gaver-Stehfest (its nodes would leave the transform's domain),
-so any positive tilt there is refused.
+meaningless for Gaver-Stehfest (its nodes would leave the transform's
+domain), so any positive tilt there is refused.
 
 At the default order M = 8 the Gaver-Stehfest error is the rule's own
 truncation, not rounding: evaluated in exact rational arithmetic the order-8
@@ -73,6 +82,25 @@ def gs_weights(M: int) -> tuple[float, ...]:
     return tuple(float(w) for w in gs_weights_exact(M))
 
 
+def _whole(name: str, value) -> int:
+    """``value`` as an int; a scheme order that is not a whole number >= 0 is refused."""
+    if isinstance(value, bool) or not float(value).is_integer() or value < 0:
+        raise InversionError(f"{name} must be a whole number >= 0, got {value!r}")
+    return int(value)
+
+
+@lru_cache(maxsize=None)
+def euler_weights(N: int, m: int) -> tuple[float, ...]:
+    """Euler weights eta_0..eta_{N+m}: the weight of node k in the binomial
+    average 2^-m sum_r C(m, r) S_{N+r} of the partial sums of the alternating
+    series a_0/2 - a_1 + a_2 - ...  Each is one correctly rounded quotient of
+    integers, so exact in binary for m <= 52."""
+    tails = [sum(comb(m, r) for r in range(j, m + 1)) for j in range(m + 1)]
+    eta = [(-1) ** k * tails[max(0, k - N)] / 2**m for k in range(N + m + 1)]
+    eta[0] /= 2.0
+    return tuple(eta)
+
+
 @dataclass(frozen=True)
 class GsScheme:
     """Real-axis rule of order M (2M transform evaluations per point)."""
@@ -81,11 +109,16 @@ class GsScheme:
     weights: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "M", _whole("gaver-stehfest order M", self.M))
         object.__setattr__(self, "weights", gs_weights(self.M))
 
-    @property
-    def nodes_per_point(self) -> int:
-        return 2 * self.M
+    def nodes(self, s: float) -> np.ndarray:
+        c = _LN2 / s
+        ks = np.arange(1, 2 * self.M + 1, dtype=float)
+        return (ks * c).astype(complex)
+
+    def scale(self, s: float) -> float:
+        return _LN2 / s
 
     def describe(self) -> str:
         return f"gs(M={self.M})"
@@ -104,18 +137,30 @@ class EulerScheme:
     N: int = 25
     m: int = 15
     theta: float = 0.0
+    weights: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not (self.A > 0.0 and math.isfinite(self.A)):
             raise InversionError(f"contour parameter A must be positive, got {self.A}")
-        if self.N < 0 or self.m < 0:
-            raise InversionError(f"need N >= 0 and m >= 0, got N={self.N}, m={self.m}")
+        object.__setattr__(self, "N", _whole("euler order N", self.N))
+        object.__setattr__(self, "m", _whole("euler order m", self.m))
         if not (self.theta >= 0.0) or not math.isfinite(self.theta):
             raise InversionError(f"tilt must be finite and >= 0, got {self.theta}")
+        object.__setattr__(self, "weights", euler_weights(self.N, self.m))
 
-    @property
-    def nodes_per_point(self) -> int:
-        return self.N + self.m + 1
+    def nodes(self, s: float) -> np.ndarray:
+        re = self.A / (2.0 * s) - self.theta
+        if not (re > 0.0):
+            raise InversionError(
+                f"contour violation at s={s}: A={self.A} requires A > 2*theta*s = "
+                f"{2.0 * self.theta * s}"
+            )
+        c = math.pi / s
+        ks = np.arange(self.N + self.m + 1, dtype=float)
+        return re + 1j * (ks * c)
+
+    def scale(self, s: float) -> float:
+        return math.exp(self.A / 2.0) / s * math.exp(-self.theta * s)
 
     def describe(self) -> str:
         if self.theta > 0.0:
@@ -130,60 +175,24 @@ def scheme_nodes(scheme: Scheme, s: float) -> np.ndarray:
     """Transform evaluation nodes for one gridpoint, as a complex array."""
     if not (s > 0.0):
         raise DomainError(f"inversion target must satisfy s > 0, got {s}")
-    if isinstance(scheme, GsScheme):
-        c = _LN2 / s
-        ks = np.arange(1, 2 * scheme.M + 1, dtype=float)
-        return (ks * c).astype(complex)
-    re = scheme.A / (2.0 * s) - scheme.theta
-    if not (re > 0.0):
-        raise InversionError(
-            f"contour violation at s={s}: A={scheme.A} requires A > 2*theta*s = "
-            f"{2.0 * scheme.theta * s}"
-        )
-    c = math.pi / s
-    ks = np.arange(scheme.N + scheme.m + 1, dtype=float)
-    return re + 1j * (ks * c)
+    return scheme.nodes(s)
 
 
 def invert_values(values: np.ndarray, s: float, scheme: Scheme) -> np.ndarray:
     """Invert many transforms at one s from their pre-evaluated node values.
 
     ``values`` has one row per node (in ``scheme_nodes`` order, real parts)
-    and one column per target transform.  Gaver-Stehfest sums each column
-    with ``math.fsum``; Euler forms Neumaier-compensated running sums of the
-    alternating series 0.5*a_0 - a_1 + a_2 - ..., elementwise across columns,
-    and takes the binomial average of the partial sums S_N..S_{N+m}.
+    and one column per target transform.  Each column's result is the
+    scheme's scale factor times sum_k w_k values[k].  The sum runs node by
+    node, elementwise across columns, so a column's result does not depend on
+    the columns that come with it (a matrix product or a pairwise sum along
+    the node axis would not promise that).
     """
     values = np.asarray(values, dtype=float)
-    if isinstance(scheme, GsScheme):
-        c = _LN2 / s
-        return np.array(
-            [
-                c * math.fsum(w * v for w, v in zip(scheme.weights, values[:, j]))
-                for j in range(values.shape[1])
-            ]
-        )
-    ncols = values.shape[1]
-    acc = np.zeros(ncols)
-    comp = np.zeros(ncols)
-    csums = np.empty((values.shape[0], ncols))
-    for k in range(values.shape[0]):
-        v = values[k]
-        t = 0.5 * v if k == 0 else (v if k % 2 == 0 else -v)
-        tnew = acc + t
-        comp = comp + np.where(np.abs(acc) >= np.abs(t), (acc - tnew) + t, (t - tnew) + acc)
-        acc = tnew
-        csums[k] = acc + comp
-    pref = math.exp(scheme.A / 2.0) / s
-    sel = csums[scheme.N : scheme.N + scheme.m + 1]
-    coef = [comb(scheme.m, r) * pref for r in range(scheme.m + 1)]
-    out = np.array(
-        [math.fsum(coef[r] * sel[r, j] for r in range(scheme.m + 1)) for j in range(ncols)]
-    )
-    out /= 2.0**scheme.m
-    if scheme.theta > 0.0:
-        out *= math.exp(-scheme.theta * s)
-    return out
+    acc = np.zeros(values.shape[1:])
+    for w, row in zip(scheme.weights, values, strict=True):
+        acc += w * row
+    return scheme.scale(s) * acc
 
 
 def invert(transform: Callable, s: float, scheme: Scheme) -> float:

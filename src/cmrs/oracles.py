@@ -211,7 +211,8 @@ class CscpSeriesOracle:
     partial fractions; summing over all count vectors with at most K total
     claims gives f_S, and bumping the relevant rate's multiplicity by two
     gives each xi_i.  K is the smallest count with Poisson tail mass at most
-    ``mass_tol``.
+    ``mass_tol``, which must lie in (0, 1) and above the tail masses scipy
+    resolves (near 1e-16).
     """
 
     def __init__(self, spec: CommonShockCPSpec, mass_tol: float = 1e-8):
@@ -222,7 +223,12 @@ class CscpSeriesOracle:
         rate_all = (spec.beta0,) + spec.betas
         lam_total = spec.total_rate
 
-        K = int(poisson.isf(self.mass_tol, lam_total))
+        K = poisson.isf(self.mass_tol, lam_total) if 0.0 < self.mass_tol < 1.0 else math.nan
+        if not math.isfinite(K):
+            raise OracleError(
+                f"mass_tol must be in (0, 1) and resolvable by scipy, got {mass_tol}"
+            )
+        K = int(K)
         while K > 0 and poisson.sf(K - 1, lam_total) <= self.mass_tol:
             K -= 1
         while K <= _K_CAP and poisson.sf(K, lam_total) > self.mass_tol:

@@ -108,8 +108,9 @@ class JointTransformModel:
     """A portfolio model given purely at transform level.
 
     ``transform`` maps z (Re z > 0) to the complex array
-    [L_S(z), L_1(z), ..., L_n(z)] with L_i(z) = E[X_i exp(-zS)].  It receives
-    a float on the real axis and a complex number off it.
+    [L_S(z), L_1(z), ..., L_n(z)] with L_i(z) = E[X_i exp(-zS)].  On the real
+    axis it receives a float from the inversion rules and a complex number
+    from ``eval_transform``, so it must accept both; off the axis z is complex.
 
     ``means`` is optional metadata (absent when unknown or infinite).  ``stats``
     is a mutable scratch dict for evaluation counters (e.g. underflow guards).

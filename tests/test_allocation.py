@@ -19,8 +19,8 @@ from cmrs.allocation import (
     strip_atoms,
     tail_contribution,
 )
-from cmrs.errors import DomainError, EvaluationError, InversionError, SingularMatrixError
-from cmrs.inversion import EulerScheme, GsScheme
+from cmrs.errors import DomainError, EvaluationError, SingularMatrixError
+from cmrs.inversion import EulerScheme
 from cmrs.models import (
     CommonShockCPSpec,
     build_common_shock_cp,
@@ -97,49 +97,6 @@ class TestRequestValidation:
             AllocationRequest(
                 model=self._model(), s_grid=(1.0,), scheme=EulerScheme(), density_floor=0.0
             )
-
-    def test_negative_tilt_rejected(self):
-        with pytest.raises(DomainError, match="tilt"):
-            AllocationRequest(
-                model=self._model(), s_grid=(1.0,), scheme=EulerScheme(), tilt=-0.1
-            )
-
-
-class TestTiltMerging:
-    def _model(self):
-        return build_matrix_exp([exponential_me_spec(1.0)])
-
-    def test_request_tilt_fills_untilted_scheme(self):
-        req = AllocationRequest(
-            model=self._model(), s_grid=(1.0,), scheme=EulerScheme(theta=0.0), tilt=0.3
-        )
-        assert req.scheme.theta == 0.3
-
-    def test_matching_tilt_is_a_no_op(self):
-        req = AllocationRequest(
-            model=self._model(), s_grid=(1.0,), scheme=EulerScheme(theta=0.2), tilt=0.2
-        )
-        assert req.scheme.theta == 0.2
-
-    def test_conflicting_tilts_rejected(self):
-        with pytest.raises(InversionError, match="conflicting tilts"):
-            AllocationRequest(
-                model=self._model(), s_grid=(1.0,), scheme=EulerScheme(theta=0.1), tilt=0.2
-            )
-
-    def test_gaver_stehfest_refuses_positive_tilt(self):
-        with pytest.raises(
-            InversionError,
-            match="gaver-stehfest cannot be combined with positive tilting; "
-            "use the euler scheme",
-        ):
-            AllocationRequest(model=self._model(), s_grid=(1.0,), scheme=GsScheme(), tilt=0.2)
-
-    def test_gaver_stehfest_accepts_zero_tilt(self):
-        req = AllocationRequest(
-            model=self._model(), s_grid=(1.0,), scheme=GsScheme(), tilt=0.0
-        )
-        assert isinstance(req.scheme, GsScheme)
 
 
 class TestAllocateAccuracy:

@@ -28,7 +28,7 @@ from cmrs.config import (
     load_config,
     parse_config,
 )
-from cmrs.errors import ConfigError, ModelSpecError
+from cmrs.errors import ConfigError, InversionError, ModelSpecError
 from cmrs.inversion import EulerScheme, GsScheme
 
 ERLANG_YAML = textwrap.dedent(
@@ -160,6 +160,24 @@ class TestConfigParsing:
         }
         with pytest.raises(ModelSpecError, match="sum to 1"):
             parse_config(data)
+
+    @pytest.mark.parametrize(
+        "scheme",
+        [
+            {"rule": "euler", "N": 25.5},
+            {"rule": "euler", "m": 8.5},
+            {"rule": "gaver-stehfest", "M": 8.5},
+        ],
+    )
+    def test_scheme_errors_surface_at_parse_time(self, tmp_path, capsys, scheme):
+        data = yaml.safe_load(ERLANG_YAML)
+        data["scheme"] = scheme
+        with pytest.raises(InversionError, match="must be a whole number"):
+            parse_config(data)
+        cfg = _write(tmp_path, "cfg.yaml", yaml.safe_dump(data))
+        assert main(["allocate", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "whole number" in err
 
     def test_scientific_notation_strings_coerced(self, tmp_path):
         # yaml reads dot-less exponents as strings; the loader must not
@@ -392,6 +410,28 @@ class TestCliVerify:
         cfg = _write(tmp_path, "cfg.yaml", text)
         assert main(["verify", "--config", cfg]) == 0
         assert "series reference" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("mass_tol", ["0.0", "1.0e-17"])
+    def test_bad_series_mass_tol_exits_one(self, tmp_path, capsys, mass_tol):
+        text = textwrap.dedent(
+            f"""
+            model:
+              family: common_shock_cp
+              lambda0: 1.5
+              lambdas: [0.8, 1.1, 0.6]
+              beta0: 0.9
+              betas: [1.4, 0.7, 1.9]
+              weights: [0.2, 0.3, 0.5]
+            grid:
+              points: [1.0, 2.0]
+            verify:
+              method: series
+              mass_tol: {mass_tol}
+            """
+        )
+        cfg = _write(tmp_path, "cfg.yaml", text)
+        assert main(["verify", "--config", cfg]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_mc_pass_is_seed_stable(self, tmp_path, capsys):
         text = textwrap.dedent(

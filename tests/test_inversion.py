@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -98,6 +99,46 @@ class TestSchemes:
         with pytest.raises(InversionError):
             GsScheme(M=40)
 
+    @pytest.mark.parametrize(
+        "make, name",
+        [
+            (lambda: EulerScheme(N=25.5), "N"),
+            (lambda: EulerScheme(m=8.5), "m"),
+            (lambda: EulerScheme(N=True), "N"),
+            (lambda: GsScheme(M=8.5), "M"),
+            (lambda: GsScheme(M=float("nan")), "M"),
+        ],
+        ids=["N=25.5", "m=8.5", "N=True", "M=8.5", "M=nan"],
+    )
+    def test_non_whole_orders_refused(self, make, name):
+        with pytest.raises(InversionError, match=f"order {name} must be a whole number"):
+            make()
+
+    def test_whole_float_orders_become_ints(self):
+        sch = EulerScheme(N=25.0, m=15.0)
+        assert (type(sch.N), type(sch.m)) == (int, int)
+        assert sch.describe() == "euler(A=18.4,N=25,m=15)"
+        assert type(GsScheme(M=8.0).M) is int
+
+
+def _euler_weights_two_stage(N, m):
+    """The weight of each a_k in 2^-m sum_r C(m, r) S_{N+r}, where S_j are the
+    partial sums of a_0/2 - a_1 + a_2 - ..., in exact arithmetic."""
+    out = []
+    for k in range(N + m + 1):
+        a = [Fraction(int(j == k)) for j in range(N + m + 1)]
+        terms = [a[0] / 2] + [(-1) ** j * a[j] for j in range(1, N + m + 1)]
+        partial = list(itertools.accumulate(terms))
+        out.append(sum(math.comb(m, r) * partial[N + r] for r in range(m + 1)) / 2**m)
+    return out
+
+
+@pytest.mark.parametrize("N, m", [(25, 15), (0, 0), (3, 0), (0, 4), (10, 52)])
+def test_euler_weights_are_the_two_stage_average(N, m):
+    weights = EulerScheme(N=N, m=m).weights
+    assert len(weights) == N + m + 1
+    assert [Fraction(w) for w in weights] == _euler_weights_two_stage(N, m)
+
 
 def exp_lst(z):
     return 1.0 / (1.0 + z)
@@ -151,14 +192,19 @@ class TestRecovery:
             assert abs(a - b) < 1e-9
 
     def test_invert_dispatch(self):
-        # the scheme's type picks the rule: Gaver-Stehfest is
-        # ln2/s * sum_k zeta_k L(k ln2/s), exactly as written
+        # both rules are one weighted sum: the scale factor times the
+        # node-order sum of w_k L(alpha_k), exactly as written
         s = 1.7
-        c = math.log(2.0) / s
-        weights = gs_weights(6)
-        want = c * math.fsum(w * exp_lst(k * c) for k, w in enumerate(weights, start=1))
-        assert invert(exp_lst, s, GsScheme(M=6)) == want
-        assert abs(invert(exp_lst, s, EulerScheme()) - math.exp(-s)) < 1e-8
+        for scheme in (GsScheme(M=6), EulerScheme(), EulerScheme(theta=0.3)):
+            if isinstance(scheme, GsScheme):
+                scale = math.log(2.0) / s
+            else:
+                scale = math.exp(scheme.A / 2.0) / s * math.exp(-scheme.theta * s)
+            acc = 0.0
+            for w, z in zip(scheme.weights, scheme_nodes(scheme, s)):
+                z = complex(z)
+                acc += w * complex(exp_lst(z.real if z.imag == 0.0 else z)).real
+            assert invert(exp_lst, s, scheme) == scale * acc
 
     def test_nonfinite_transform_value(self):
         def bad(z):

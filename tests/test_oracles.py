@@ -228,6 +228,11 @@ class TestCscpSeriesOracle:
         with pytest.raises(OracleError, match="claim terms"):
             cscp_series_oracle(heavy)
 
+    @pytest.mark.parametrize("mass_tol", [0.0, -1e-3, 1.0, 1e-17])
+    def test_bad_mass_tol_refused(self, mass_tol):
+        with pytest.raises(OracleError, match="mass_tol"):
+            cscp_series_oracle(CommonShockCPSpec(**CS_REF), mass_tol)
+
 
 class TestPhiloxStreams:
     def test_substream_is_reproducible(self):
