@@ -19,7 +19,6 @@ clamped to zero without penalty.
 
 from __future__ import annotations
 
-import cmath
 import math
 import time
 from dataclasses import dataclass, field
@@ -31,7 +30,7 @@ _trapz = getattr(np, "trapezoid", None) or np.trapz
 
 from .errors import CmrsError, DomainError
 from .inversion import Scheme, invert_values, scheme_nodes
-from .transforms import AtomSet, JointTransformModel
+from .transforms import AtomSet, JointTransformModel, node_values
 
 STATUS_OK = "ok"
 STATUS_DEGRADED = "degraded"
@@ -74,26 +73,21 @@ class AtomicTransformRemainder:
 
     model: JointTransformModel
     atoms: AtomSet
-    # (location, mass, allocation masses as an array) per atom, built once
+    # (location, [mass, allocation masses]) per atom, built once
     _terms: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        terms = tuple((e.location, e.mass, np.array(e.allocation)) for e in self.atoms.entries)
+        terms = tuple((e.location, np.array((e.mass, *e.allocation))) for e in self.atoms.entries)
         object.__setattr__(self, "_terms", terms)
 
-    def values_at(self, z: complex) -> np.ndarray:
-        """Real parts of the continuous parts of (L_S, L_1 .. L_n) at z."""
-        vals = np.asarray(self.model.transform(z), dtype=complex)
-        row = np.empty(self.model.n + 1)
-        agg = complex(vals[0])
-        alloc = vals[1:]
-        for location, mass, allocation in self._terms:
-            damp = cmath.exp(-z * location)
-            agg -= mass * damp
-            alloc = alloc - allocation * damp
-        row[0] = agg.real
-        row[1:] = alloc.real
-        return row
+    def values_at(self, z) -> np.ndarray:
+        """Real parts of the continuous parts of (L_S, L_1 .. L_n) at an array
+        of nodes z, shape z.shape + (n+1,)."""
+        z = np.asarray(z)
+        vals = node_values(self.model, z)
+        for location, masses in self._terms:
+            vals = vals - masses * np.exp(-z * location)[..., None]
+        return vals.real
 
 
 def strip_atoms(model: JointTransformModel) -> AtomicTransformRemainder:
@@ -197,29 +191,22 @@ def _derive_statuses(
 
 
 def allocate(request: AllocationRequest) -> AllocationResult:
-    """Run the inversion over the request grid and derive shares."""
+    """Run the inversion over the request grid and derive shares: one model
+    call per gridpoint, with that point's whole array of nodes."""
     model = request.model
     scheme = request.scheme
     remainder = strip_atoms(model)
-    n = model.n
-    npts = len(request.s_grid)
     s_grid = np.array(request.s_grid)
-    values = np.full((npts, n + 1), np.nan)
+    values = np.full((len(s_grid), model.n + 1), np.nan)
 
     start = time.perf_counter()
-    for k in range(npts):
-        s = s_grid[k]
+    for k, s in enumerate(s_grid):
         try:
-            nodes = scheme_nodes(scheme, s)
-            V = np.empty((len(nodes), n + 1))
-            for row, z in enumerate(nodes):
-                zc = complex(z)
-                arg = zc.real if zc.imag == 0.0 else zc
-                V[row] = remainder.values_at(arg)
+            V = remainder.values_at(scheme_nodes(scheme, s))
             if np.isfinite(V).all():
                 values[k] = invert_values(V, s, scheme)
         except (ArithmeticError, ValueError, CmrsError):
-            pass  # one bad node fails its gridpoint, never the whole run
+            pass  # one bad node (or a wrong shape) fails its gridpoint, never the whole run
     elapsed = time.perf_counter() - start
 
     density = values[:, 0].copy()

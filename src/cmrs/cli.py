@@ -13,7 +13,6 @@ degraded/failed points (or a failed verification).
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 import statistics
 import sys
@@ -48,69 +47,9 @@ from .oracles import (
 from .transforms import diagonal_diagnostic
 
 
-def _fmt(v: float) -> str:
-    return format(float(v), ".12g")
-
-
-@dataclass(frozen=True)
-class CsvRow:
-    s: float
-    f_S: float
-    xi: tuple[float, ...]
-    h: tuple[float, ...]
-    pi: tuple[float, ...]
-    sum_h: float
-    balance_residual: float
-    status: str
-
-    def fields(self) -> list[str]:
-        return (
-            [_fmt(self.s), _fmt(self.f_S)]
-            + [_fmt(v) for v in self.xi]
-            + [_fmt(v) for v in self.h]
-            + [_fmt(v) for v in self.pi]
-            + [_fmt(self.sum_h), _fmt(self.balance_residual), self.status]
-        )
-
-
-def result_rows(result: AllocationResult) -> list[CsvRow]:
-    """Atom rows first (mass in the density column, allocation masses in the
-    xi columns), then one row per gridpoint."""
-    n = result.n
-    rows: list[CsvRow] = []
-    for e in result.atoms.entries:
-        share = tuple(v / e.mass for v in e.allocation)
-        pi = tuple((v / e.location if e.location > 0.0 else 0.0) for v in share)
-        rows.append(
-            CsvRow(
-                s=e.location,
-                f_S=e.mass,
-                xi=e.allocation,
-                h=share,
-                pi=pi,
-                sum_h=math.fsum(share),
-                balance_residual=0.0,
-                status=STATUS_ATOM,
-            )
-        )
-    for k, s in enumerate(result.s_grid):
-        h = tuple(result.h[k])
-        rows.append(
-            CsvRow(
-                s=float(s),
-                f_S=float(result.density[k]),
-                xi=tuple(result.xi[k]),
-                h=h,
-                pi=tuple(v / s for v in h),
-                sum_h=float(result.sum_h[k]),
-                balance_residual=float(result.balance_residual[k]),
-                status=result.status[k],
-            )
-        )
-    return rows
-
-
 def write_csv(result: AllocationResult, fh: TextIO) -> int:
+    """Atom rows first (mass in the density column, allocation masses in the
+    xi columns), then one row per gridpoint; every number as ``%.12g``."""
     n = result.n
     header = (
         ["s", "f_S"]
@@ -119,12 +58,27 @@ def write_csv(result: AllocationResult, fh: TextIO) -> int:
         + [f"pi_{i}" for i in range(1, n + 1)]
         + ["sum_h", "balance_residual", "status"]
     )
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(header)
-    rows = result_rows(result)
-    for row in rows:
-        writer.writerow(row.fields())
-    return len(rows)
+    fh.write(",".join(header) + "\n")
+    line = ",".join(["%.12g"] * (3 * n + 4)) + ",%s\n"
+    for e in result.atoms.entries:
+        share = [v / e.mass for v in e.allocation]
+        pi = [v / e.location if e.location > 0.0 else 0.0 for v in share]
+        fh.write(
+            line % (e.location, e.mass, *e.allocation, *share, *pi, math.fsum(share), 0.0, STATUS_ATOM)
+        )
+    table = np.column_stack(
+        [
+            result.s_grid,
+            result.density,
+            result.xi,
+            result.h,
+            result.h / result.s_grid[:, None],
+            result.sum_h,
+            result.balance_residual,
+        ]
+    )
+    fh.writelines(line % (*row, status) for row, status in zip(table.tolist(), result.status))
+    return len(result.atoms) + len(result.status)
 
 
 def _build_request(cfg: RunConfig) -> AllocationRequest:
@@ -163,7 +117,7 @@ def cmd_allocate(cfg: RunConfig, out: Optional[str]) -> int:
     return _status_exit(result)
 
 
-def cmd_diagnose(cfg: RunConfig, sweep: Optional[str], diag_tol: float) -> int:
+def cmd_diagnose(cfg: RunConfig, sweep: Sequence[float], diag_tol: float) -> int:
     model, _ = build_model_from_config(cfg.model)
     t_grid = np.logspace(-2, 2, 25)
     report = diagonal_diagnostic(model, t_grid, tol=diag_tol)
@@ -189,7 +143,7 @@ def cmd_diagnose(cfg: RunConfig, sweep: Optional[str], diag_tol: float) -> int:
         base = cfg.scheme.build()
         if isinstance(base, GsScheme):
             raise ConfigError("tilt sweep needs the euler scheme")
-        for tilt in (float(tok) for tok in sweep.split(",")):
+        for tilt in sweep:
             sch = replace(base, theta=tilt)
             req = AllocationRequest(
                 model=model,
@@ -419,7 +373,7 @@ def cmd_weights(order: int) -> int:
     exact = gs_weights_exact(order)
     print(f"gaver-stehfest weights, order M = {order} ({2 * order} nodes)")
     for k, w in enumerate(exact, start=1):
-        print(f"{k:>3} {_fmt(float(w)):>24} = {w.numerator}/{w.denominator}")
+        print(f"{k:>3} {float(w):>24.12g} = {w.numerator}/{w.denominator}")
     total = sum(exact)
     harmonic = sum(w / k for k, w in enumerate(exact, start=1))
     print(f"sum zeta_k = {total} (exact), sum zeta_k / k = {harmonic} (exact)")
@@ -432,6 +386,15 @@ def cmd_weights(order: int) -> int:
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # exit code 1 for usage errors, not argparse's 2
         raise ConfigError(message)
+
+
+def _tilt_list(text: str) -> tuple[float, ...]:
+    try:
+        return tuple(float(tok) for tok in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated numbers, got {text!r}"
+        ) from None
 
 
 def _add_config(sub):
@@ -448,7 +411,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("diagnose", help="transform diagonal check and breakdown scan")
     _add_config(p)
-    p.add_argument("--sweep", help="comma-separated tilt values to scan, e.g. 0,0.2,0.5")
+    p.add_argument(
+        "--sweep", type=_tilt_list, default=(), help="comma-separated tilt values to scan, e.g. 0,0.2,0.5"
+    )
     p.add_argument("--tol", type=float, default=1e-5, help="diagonal residual tolerance")
 
     p = sub.add_parser("verify", help="compare against the configured reference")

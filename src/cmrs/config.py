@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 import yaml
 
-from .errors import ConfigError
+from .errors import CmrsError, ConfigError
 from .inversion import TILT_INCOMPATIBLE_MSG, EulerScheme, GsScheme, Scheme
 from .mixing import gamma_mixing, levy_mixing, point_mass_mixing
 from .models import (
@@ -176,13 +176,24 @@ class RunConfig:
     bench: Optional[BenchSpec] = None
 
 
+def _checked(where: str, build):
+    """``build()``, with a TypeError or ValueError that is not already one of
+    the package's errors (a value of the wrong type) raised as ConfigError."""
+    try:
+        return build()
+    except CmrsError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
 def _parse_block(cls, block: dict, where: str):
     fields = {f for f in cls.__dataclass_fields__ if not f.startswith("_")}
     _require_keys(block, fields, where)
     coerced = dict(block)
     for key in ("points", "n_sweep"):
         if key in coerced and coerced[key] is not None:
-            coerced[key] = tuple(coerced[key])
+            coerced[key] = _checked(f"{where}.{key}", lambda: tuple(coerced[key]))
     # yaml treats dot-less scientific notation ("1e-300") as a string; pull
     # scalars back to the field's declared type
     for key, val in coerced.items():
@@ -194,10 +205,7 @@ def _parse_block(cls, block: dict, where: str):
                 coerced[key] = int(val)
         except ValueError as exc:
             raise ConfigError(f"{where}.{key}: {exc}") from exc
-    try:
-        return cls(**coerced)
-    except TypeError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+    return _checked(where, lambda: cls(**coerced))
 
 
 def parse_config(data: dict) -> RunConfig:
@@ -206,12 +214,15 @@ def parse_config(data: dict) -> RunConfig:
     )
     if "model" not in data or "grid" not in data:
         raise ConfigError("config needs at least model and grid blocks")
-    mblock = dict(data["model"])
+    mblock = data["model"]
+    if not isinstance(mblock, dict):
+        raise ConfigError(f"model must be a mapping, got {type(mblock).__name__}")
     if "family" not in mblock:
         raise ConfigError("model block needs a family key")
-    family = mblock.pop("family")
-    model = ModelConfig(family=family, params=mblock)
-    build_model_from_config(model)  # fail at parse time, not at run time
+    model = ModelConfig(
+        family=mblock["family"], params={k: v for k, v in mblock.items() if k != "family"}
+    )
+    _checked("model", lambda: build_model_from_config(model))  # fail at parse time
     cfg = RunConfig(
         model=model,
         grid=_parse_block(GridSpec, data["grid"], "grid"),
@@ -221,7 +232,7 @@ def parse_config(data: dict) -> RunConfig:
         tolerance=_parse_block(ToleranceSpec, data.get("tolerance", {}), "tolerance"),
         bench=_parse_block(BenchSpec, data["bench"], "bench") if "bench" in data else None,
     )
-    cfg.scheme.build()  # a scheme the engine refuses fails here too
+    _checked("scheme", cfg.scheme.build)  # a scheme the engine refuses fails here too
     return cfg
 
 

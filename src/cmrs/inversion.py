@@ -115,7 +115,7 @@ class GsScheme:
     def nodes(self, s: float) -> np.ndarray:
         c = _LN2 / s
         ks = np.arange(1, 2 * self.M + 1, dtype=float)
-        return (ks * c).astype(complex)
+        return ks * c
 
     def scale(self, s: float) -> float:
         return _LN2 / s
@@ -172,7 +172,8 @@ Scheme = GsScheme | EulerScheme
 
 
 def scheme_nodes(scheme: Scheme, s: float) -> np.ndarray:
-    """Transform evaluation nodes for one gridpoint, as a complex array."""
+    """Transform evaluation nodes for one gridpoint: a real array for
+    Gaver-Stehfest, a complex one for Euler."""
     if not (s > 0.0):
         raise DomainError(f"inversion target must satisfy s > 0, got {s}")
     return scheme.nodes(s)
@@ -196,18 +197,19 @@ def invert_values(values: np.ndarray, s: float, scheme: Scheme) -> np.ndarray:
 
 
 def invert(transform: Callable, s: float, scheme: Scheme) -> float:
-    """Invert one transform at s > 0: sample it at the scheme's nodes (a float
-    on the real axis, a complex number on the contour) and invert that single
-    column with ``invert_values``."""
+    """Invert one transform at s > 0.  ``transform`` maps the array of the
+    scheme's nodes to an array of values of the same shape (it is called
+    once); ``invert_values`` inverts that single column."""
     nodes = scheme_nodes(scheme, s)
-    vals = np.empty((len(nodes), 1))
-    for k, z in enumerate(nodes):
-        zc = complex(z)
-        raw = transform(zc.real if zc.imag == 0.0 else zc)
-        v = complex(raw).real
-        if not math.isfinite(v):
-            raise InversionError(
-                f"transform returned non-finite value {raw!r} at node {k} (z={zc}, s={s})"
-            )
-        vals[k, 0] = v
-    return float(invert_values(vals, s, scheme)[0])
+    raw = np.asarray(transform(nodes))
+    if raw.shape != nodes.shape:
+        raise InversionError(
+            f"transform returned shape {raw.shape} for nodes of shape {nodes.shape} (s={s})"
+        )
+    bad = np.flatnonzero(~np.isfinite(raw))
+    if bad.size:
+        k = int(bad[0])
+        raise InversionError(
+            f"transform returned non-finite value {raw[k]!r} at node {k} (z={nodes[k]}, s={s})"
+        )
+    return float(invert_values(raw.real[:, None], s, scheme)[0])

@@ -2,9 +2,10 @@
 
 Every builder returns a JointTransformModel whose one evaluator ``transform``
 gives the aggregate transform L_S(z) = E[exp(-zS)] and all allocation
-transforms L_i(z) = E[X_i exp(-zS)] for Re z > 0 in one array, together with
-any atoms of S (point masses split across risks).  Each evaluation computes
-every per-risk factor once and shares it between L_S and the L_i.
+transforms L_i(z) = E[X_i exp(-zS)] for an array of nodes with Re z > 0, as
+an array of shape z.shape + (n+1,), together with any atoms of S (point
+masses split across risks).  Each family broadcasts over the node axes and
+computes every per-risk factor once, sharing it between L_S and the L_i.
 
 Each builder probes its aggregate transform near the origin at construction
 time: L_S(1e-8) must sit within 1e-6 of 1, which catches unnormalized weights,
@@ -21,6 +22,7 @@ from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+import scipy.linalg
 from scipy.special import lambertw, roots_hermite
 
 from .errors import (
@@ -51,29 +53,15 @@ def _check_unit_mass(label: str, v: complex) -> None:
         )
 
 
-def _joint(agg: complex, alloc) -> np.ndarray:
-    """The evaluator's output [L_S, L_1, ..., L_n]."""
-    out = np.empty(len(alloc) + 1, dtype=complex)
-    out[0] = agg
-    out[1:] = alloc
-    return out
-
-
-def _product_rule(lsts: Sequence[complex], mean_lsts: Sequence[complex]) -> np.ndarray:
+def _product_rule(lsts: np.ndarray, mean_lsts: np.ndarray) -> np.ndarray:
     """[prod_j L_j, (M_i prod_{j != i} L_j)_i] for independent risks with
-    transforms L_j and mean transforms M_j = E[X_j exp(-z X_j)]; the products
-    over j != i come from prefix and suffix products."""
-    n = len(lsts)
-    agg = 1.0 + 0.0j
-    for v in lsts:
-        agg *= v
-    pre = np.ones(n + 1, dtype=complex)
-    for j in range(n):
-        pre[j + 1] = pre[j] * lsts[j]
-    suf = np.ones(n + 1, dtype=complex)
-    for j in range(n - 1, -1, -1):
-        suf[j] = suf[j + 1] * lsts[j]
-    return _joint(agg, [mean_lsts[i] * pre[i] * suf[i + 1] for i in range(n)])
+    transforms L_j and mean transforms M_j = E[X_j exp(-z X_j)], the risks
+    along the last axis; the products over j != i come from cumulative
+    prefix and suffix products."""
+    one = np.ones_like(lsts[..., :1])
+    pre = np.cumprod(np.concatenate([one, lsts], axis=-1), axis=-1)  # prod_{j < i}
+    suf = np.cumprod(np.concatenate([one, lsts[..., ::-1]], axis=-1), axis=-1)[..., ::-1]
+    return np.concatenate([pre[..., -1:], mean_lsts * pre[..., :-1] * suf[..., 1:]], axis=-1)
 
 
 def _positive_tuple(values: Sequence[float], what: str) -> tuple[float, ...]:
@@ -89,46 +77,41 @@ def _positive_tuple(values: Sequence[float], what: str) -> tuple[float, ...]:
 # linear solves
 
 
-def complex_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve A x = b for complex A by LU with partial pivoting.
+def checked_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve A x = b for each matrix along the leading axes of A (b is one
+    vector or one per matrix), by LAPACK's LU with partial pivoting.
 
-    Raises SingularMatrixError when a pivot falls below 1e-14 * max|A| or when
-    the residual fails |Ax - b| <= 1e-10 (|A| |x| + |b|) in the max norm.
+    Raises SingularMatrixError when A has a non-finite entry, when any pivot
+    falls below 1e-14 * max|A| (a zero matrix included) or when a residual
+    fails |Ax - b| <= 1e-10 (|A| |x| + |b|) in the max norm.
     """
-    A = np.asarray(A, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    n = A.shape[0]
-    if A.shape != (n, n) or b.shape[0] != n:
+    A = np.asarray(A)
+    b = np.asarray(b)
+    d = A.shape[-1]
+    if A.ndim < 2 or A.shape[-2] != d or b.shape[-1:] != (d,):
         raise ModelSpecError(f"shape mismatch: A {A.shape}, b {b.shape}")
-    scale = np.abs(A).max()
-    if not (scale > 0.0 and np.isfinite(scale)):
-        raise SingularMatrixError(f"matrix has no finite nonzero entries (max |A| = {scale})")
-    lu = A.copy()
-    x = b.astype(complex).copy()
-    for col in range(n):
-        p = col + int(np.argmax(np.abs(lu[col:, col])))
-        if abs(lu[p, col]) < 1e-14 * scale:
-            raise SingularMatrixError(
-                f"pivot {abs(lu[p, col]):.3e} below 1e-14 * max|A| at column {col}"
-            )
-        if p != col:
-            lu[[col, p]] = lu[[p, col]]
-            x[[col, p]] = x[[p, col]]
-        piv = lu[col, col]
-        for r in range(col + 1, n):
-            m = lu[r, col] / piv
-            lu[r, col] = m
-            if m != 0.0:
-                lu[r, col + 1 :] -= m * lu[col, col + 1 :]
-                x[r] = x[r] - m * x[col]
-    for r in range(n - 1, -1, -1):
-        if r + 1 < n:
-            x[r] = x[r] - np.dot(lu[r, r + 1 :], x[r + 1 :])
-        x[r] = x[r] / lu[r, r]
-    resid = np.abs(A @ x - b).max()
-    bound = 1e-10 * (scale * np.abs(x).max() + np.abs(b).max())
-    if not (resid <= bound):
-        raise SingularMatrixError(f"solve residual {resid:.3e} exceeds bound {bound:.3e}")
+    scale = np.abs(A).max(axis=(-2, -1))
+    if not np.isfinite(scale).all():
+        raise SingularMatrixError(f"matrix has a non-finite entry (max |A| = {scale.max()})")
+    try:
+        x = np.linalg.solve(A, b[..., None])[..., 0]
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrixError(f"zero pivot: {exc}") from exc
+    # |det A| is the product of the pivots, and partial pivoting keeps the
+    # k-th one below 2^(k-1) max|A|; so a determinant at least
+    # 1e-14 2^(d(d-1)/2) max|A|^d leaves no pivot below 1e-14 max|A|, and
+    # only the other matrices are factored to read their pivots
+    suspect = np.linalg.slogdet(A)[1] < math.log(1e-14 * 2.0 ** (d * (d - 1) / 2)) + d * np.log(scale)
+    if suspect.any():
+        lu, _ = scipy.linalg.lu_factor(A[suspect], check_finite=False)
+        ratio = np.abs(np.diagonal(lu, axis1=-2, axis2=-1)).min(axis=-1) / scale[suspect]
+        if (ratio < 1e-14).any():
+            raise SingularMatrixError(f"pivot {ratio.min():.3e} max|A|, below 1e-14 max|A|")
+    resid = np.abs((A @ x[..., None])[..., 0] - b).max(axis=-1)
+    if not (resid <= 1e-10 * (scale * np.abs(x).max(axis=-1) + np.abs(b).max(axis=-1))).all():
+        raise SingularMatrixError(
+            f"solve residual {resid.max():.3e} exceeds its bound 1e-10 (|A| |x| + |b|)"
+        )
     return x
 
 
@@ -163,8 +146,10 @@ def build_mixed_exp_frailty(spec: MixedExpFrailtySpec) -> JointTransformModel:
     r = theta[:, None] / lam[None, :]  # (nodes, risks)
 
     def transform(z):
-        fk = np.prod(r / (r + z), axis=1)
-        return _joint(complex(np.dot(w, fk)), (w * fk) @ (1.0 / (r + z)))
+        rz = r + np.asarray(z)[..., None, None]  # (..., nodes, risks)
+        wfk = w * np.prod(r / rz, axis=-1)
+        alloc = (wfk[..., None, :] @ (1.0 / rz))[..., 0, :]
+        return np.concatenate([wfk.sum(axis=-1, keepdims=True), alloc], axis=-1)
 
     model = JointTransformModel(
         n=n,
@@ -213,17 +198,17 @@ class MatrixExpSpec:
     def dim(self) -> int:
         return self.alpha.shape[0]
 
-    def lst(self, z: complex) -> complex:
-        M = z * np.eye(self.dim) - self.T
-        return self.p0 + complex(np.dot(self.alpha, complex_solve(M, self.u)))
+    def lst(self, z):
+        """E[exp(-zX)] for an array of nodes z."""
+        return self.lst_pair(z)[0]
 
-    def lst_pair(self, z: complex) -> tuple[complex, complex]:
+    def lst_pair(self, z) -> tuple[np.ndarray, np.ndarray]:
         """(E[exp(-zX)], E[X exp(-zX)]) = (p0 + alpha y, alpha (zI - T)^{-1} y)
-        with y = (zI - T)^{-1} u: two solves for both."""
-        M = z * np.eye(self.dim) - self.T
-        y = complex_solve(M, self.u)
-        mean = complex(np.dot(self.alpha, complex_solve(M, y)))
-        return self.p0 + complex(np.dot(self.alpha, y)), mean
+        with y = (zI - T)^{-1} u, for an array of nodes z: two batched solves
+        for both."""
+        M = np.asarray(z)[..., None, None] * np.eye(self.dim) - self.T
+        y = checked_solve(M, self.u)
+        return self.p0 + y @ self.alpha, checked_solve(M, y) @ self.alpha
 
 
 def is_phase_type(spec: MatrixExpSpec, tol: float = 1e-9) -> bool:
@@ -269,17 +254,16 @@ def build_matrix_exp(specs: Sequence[MatrixExpSpec]) -> JointTransformModel:
     # the per-risk probes at t = 1e-8 multiply to L_S(1e-8), the unit-mass probe
     agg_at_probe = 1.0 + 0.0j
     for k, sp in enumerate(specs):
-        v = complex(sp.lst(1e-6))
-        if not (abs(v.imag) <= 1e-12 and 0.0 < v.real <= 1.0 + 1e-9):
-            raise ModelSpecError(f"risk {k}: transform probe at z=1e-6 gave {v}, not in (0, 1]")
-        v = sp.lst(_PROBE_T)
+        near, v = sp.lst(np.array([1e-6, _PROBE_T]))
+        if not (0.0 < near <= 1.0 + 1e-9):
+            raise ModelSpecError(f"risk {k}: transform probe at z=1e-6 gave {near}, not in (0, 1]")
         if abs(v - 1.0) > _PROBE_TOL:
             raise ModelSpecError(f"risk {k}: transform at t={_PROBE_T} not within {_PROBE_TOL} of 1")
         agg_at_probe *= v
 
     def transform(z):
-        pairs = [sp.lst_pair(z) for sp in specs]
-        return _product_rule([p[0] for p in pairs], [p[1] for p in pairs])
+        lsts, means = zip(*(sp.lst_pair(z) for sp in specs))
+        return _product_rule(np.stack(lsts, axis=-1), np.stack(means, axis=-1))
 
     atom_mass = math.prod(sp.p0 for sp in specs)
     atoms = AtomSet(
@@ -374,13 +358,12 @@ class KatzCompoundSpec:
         return (self.a[i] + self.b[i]) / (1.0 - self.a[i])
 
 
-def _katz_pgf(kind: str, a: float, b: float, w: complex) -> complex:
+def _katz_pgf(kind: str, a: float, b: float, w):
     if kind == "degenerate":
-        return 1.0 + 0.0j
+        return np.ones_like(w)
     if kind == "poisson":
-        return cmath.exp(b * (w - 1.0))
-    if (a * w).real >= 1.0 - 1e-15:
-        raise EvaluationError(f"frequency pgf evaluated at aw = {a * w}, too close to 1")
+        return np.exp(b * (w - 1.0))
+    _check_katz_pole(a, w)
     if kind == "binomial":
         m = round(-(a + b) / a)
         p = a / (a - 1.0)
@@ -388,24 +371,29 @@ def _katz_pgf(kind: str, a: float, b: float, w: complex) -> complex:
     return ((1.0 - a) / (1.0 - a * w)) ** ((a + b) / a)
 
 
+def _check_katz_pole(a: float, w) -> None:
+    aw = np.asarray(a * w)
+    if (aw.real >= 1.0 - 1e-15).any():
+        worst = aw.flat[np.argmax(aw.real)]
+        raise EvaluationError(f"frequency pgf evaluated at aw = {worst}, too close to 1")
+
+
 def build_katz_compound(spec: KatzCompoundSpec) -> JointTransformModel:
     n = spec.n
 
     def transform(z):
+        z = np.asarray(z)
         phis = [sev.lst(z) for sev in spec.severities]
-        ls = 1.0 + 0.0j
+        out = np.zeros(z.shape + (n + 1,), dtype=complex)
+        ls = out[..., 0]
+        ls[...] = 1.0
         for i in range(n):
             ls *= _katz_pgf(spec.kinds[i], spec.a[i], spec.b[i], phis[i])
-        out = np.empty(n + 1, dtype=complex)
-        out[0] = ls
         for i in range(n):
             a, b, phi = spec.a[i], spec.b[i], phis[i]
-            if spec.kinds[i] == "degenerate":
-                out[i + 1] = 0.0
-                continue
-            if (a * phi).real >= 1.0 - 1e-15:
-                raise EvaluationError(f"frequency pgf evaluated at aw = {a * phi}, too close to 1")
-            out[i + 1] = (a + b) / (1.0 - a * phi) * spec.severities[i].mean_lst(z) * ls
+            if spec.kinds[i] != "degenerate":
+                _check_katz_pole(a, phi)
+                out[..., i + 1] = (a + b) / (1.0 - a * phi) * spec.severities[i].mean_lst(z) * ls
         return out
 
     atom_mass = 1.0
@@ -481,12 +469,28 @@ def build_common_shock_cp(spec: CommonShockCPSpec) -> JointTransformModel:
     bet = np.array(spec.betas)
     p = np.array(spec.weights)
 
+    lam_bet = lam * bet
+    shock = lam0 * b0 * p
+
     def transform(z):
-        acc = lam0 * (b0 / (b0 + z) - 1.0)
-        acc += np.sum(lam * (bet / (bet + z) - 1.0))
-        ls = cmath.exp(acc)
-        alloc = ls * (lam0 * p * b0 / (b0 + z) ** 2 + lam * bet / (bet + z) ** 2)
-        return _joint(ls, alloc)
+        # q = 1/(beta_i + z) is formed once per risk and node and then reused
+        # in place, which keeps large pools (n ~ 1e4) inside the cache
+        z = np.asarray(z)[..., None]
+        out = np.empty(z.shape[:-1] + (n + 1,), dtype=complex)
+        q = out[..., 1:]
+        np.add(bet, z, out=q)
+        np.reciprocal(q, out=q)
+        q0 = 1.0 / (b0 + z)
+        t = bet * q
+        t -= 1.0
+        t *= lam
+        ls = np.exp(lam0 * (b0 * q0 - 1.0) + t.sum(axis=-1, keepdims=True))
+        q *= q
+        q *= lam_bet
+        q += shock * (q0 * q0)
+        q *= ls
+        out[..., :1] = ls
+        return out
 
     atoms = AtomSet((AtomEntry(0.0, math.exp(-spec.total_rate), (0.0,) * n),))
     means = tuple(float(lam0 * p[i] / b0 + lam[i] / bet[i]) for i in range(n))
@@ -632,7 +636,11 @@ def build_lognormal_portfolio(spec: LognormalPortfolioSpec) -> JointTransformMod
         ]
 
     def transform(z):
-        return _product_rule(_sums(z, False), _sums(z, True))
+        z = np.asarray(z)
+        out = np.empty(z.shape + (n + 1,), dtype=complex)
+        for k in np.ndindex(z.shape):
+            out[k] = _product_rule(np.array(_sums(z[k], False)), np.array(_sums(z[k], True)))
+        return out
 
     means = tuple(math.exp(m + s**2 / 2.0) for m, s in zip(spec.mu, spec.sigma))
     model = JointTransformModel(

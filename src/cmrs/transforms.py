@@ -4,8 +4,9 @@ The central object couples the aggregate transform L_S(z) = E[exp(-zS)] of
 S = X_1 + ... + X_n with the allocation transforms L_i(z) = E[X_i exp(-zS)]
 and a declared set of atoms of S.  Each L_i is the partial derivative of the
 joint transform in t_i, taken on the diagonal t_1 = ... = t_n = z, so a model
-evaluates L_S and all L_i together, once per node.  Inversion, allocation and
-diagnostics all consume this interface and nothing else.
+evaluates L_S and all L_i together, for a whole array of nodes at once: the
+values at every node of one inversion come from one call.  Inversion,
+allocation and diagnostics all consume this interface and nothing else.
 
 Conventions: risks are indexed 0..n-1 in code (reports and CSV columns are
 labelled 1..n); transforms are only ever evaluated at Re z > 0 (never at 0,
@@ -107,17 +108,18 @@ _EMPTY_ATOMS = AtomSet()
 class JointTransformModel:
     """A portfolio model given purely at transform level.
 
-    ``transform`` maps z (Re z > 0) to the complex array
-    [L_S(z), L_1(z), ..., L_n(z)] with L_i(z) = E[X_i exp(-zS)].  On the real
-    axis it receives a float from the inversion rules and a complex number
-    from ``eval_transform``, so it must accept both; off the axis z is complex.
+    ``transform`` maps an array z of nodes (any shape, Re z > 0) to the
+    values [L_S(z), L_1(z), ..., L_n(z)] with L_i(z) = E[X_i exp(-zS)] along a
+    new last axis, shape z.shape + (n+1,).  The nodes are a real array on the
+    real axis and a complex one on the contour; a scalar z is a 0-d array, so
+    ``transform(1.0)`` gives the n+1 values at one point.
 
     ``means`` is optional metadata (absent when unknown or infinite).  ``stats``
     is a mutable scratch dict for evaluation counters (e.g. underflow guards).
     """
 
     n: int
-    transform: Callable[[complex], np.ndarray]
+    transform: Callable[[np.ndarray], np.ndarray]
     atoms: AtomSet = _EMPTY_ATOMS
     means: Optional[tuple[float, ...]] = None
     label: str = ""
@@ -133,45 +135,60 @@ class JointTransformModel:
                 raise ModelSpecError("atom allocation row length must equal n")
 
 
-def eval_transform(model, z: complex) -> np.ndarray:
-    """[L_S(z), L_1(z), ..., L_n(z)] for Re z > 0, with shape, finiteness and
-    (on the real axis) pure-real checks on every entry."""
-    z = complex(z)
-    if not (z.real > 0.0):
-        raise DomainError(f"transform needs Re z > 0, got Re z = {z.real}")
-    vals = np.asarray(model.transform(z), dtype=complex)
-    if vals.shape != (model.n + 1,):
+def node_values(model, z: np.ndarray) -> np.ndarray:
+    """``model.transform(z)``, refused with EvaluationError unless it has the
+    shape z.shape + (n+1,) (a transform that stacks its n+1 values first
+    would otherwise broadcast into wrong numbers)."""
+    vals = np.asarray(model.transform(z))
+    want = z.shape + (model.n + 1,)
+    if vals.shape != want:
         raise EvaluationError(
-            f"transform returned shape {vals.shape} at z={z}, expected ({model.n + 1},)"
+            f"transform returned shape {vals.shape} for nodes of shape {z.shape}, expected {want}"
         )
+    return vals
+
+
+def eval_transform(model, z) -> np.ndarray:
+    """[L_S(z), L_1(z), ..., L_n(z)] along a new last axis for an array of
+    nodes with Re z > 0, with shape, finiteness and (at real nodes) pure-real
+    checks on every entry."""
+    z = np.asarray(z)
+    if not (np.real(z) > 0.0).all():
+        raise DomainError(f"transform needs Re z > 0, got Re z = {np.real(z).min()}")
+    vals = node_values(model, z).astype(complex, copy=False)
     finite = np.isfinite(vals)
     if not finite.all():
-        k = int(np.flatnonzero(~finite)[0])
-        raise EvaluationError(f"transform entry {k} returned non-finite value {vals[k]} at z={z}")
+        at = np.argwhere(~finite)[0]
+        raise EvaluationError(
+            f"transform entry {at[-1]} returned non-finite value {vals[tuple(at)]} "
+            f"at z={z[tuple(at[:-1])]}"
+        )
     # an all-zero imaginary part passes at once; the tolerance test is the
-    # costlier part of a diagnostic's per-t work at small n
-    if z.imag == 0.0 and vals.imag.any():
+    # costlier part of a diagnostic's work at small n
+    if vals.imag.any():
         bad = np.abs(vals.imag) > _PURE_REAL_RTOL * np.abs(vals.real) + _PURE_REAL_ATOL
+        bad &= (np.imag(z) == 0.0)[..., None]
         if bad.any():
-            k = int(np.flatnonzero(bad)[0])
+            at = np.argwhere(bad)[0]
             raise EvaluationError(
-                f"transform entry {k} at real z={z.real} has non-negligible "
-                f"imaginary part {vals[k].imag}"
+                f"transform entry {at[-1]} at real z={np.real(z[tuple(at[:-1])])} has "
+                f"non-negligible imaginary part {vals[tuple(at)].imag}"
             )
     return vals
 
 
-def numerical_aggregate_derivative(model, t: float, h_rel: float = 1e-6) -> float:
-    """Central-difference d/dt L_S(t) on the real axis with step h = h_rel*t."""
-    if not (t > 0.0):
-        raise DomainError(f"need t > 0, got {t}")
+def numerical_aggregate_derivative(model, t, h_rel: float = 1e-6):
+    """Central-difference d/dt L_S(t) on the real axis with step h = h_rel*t,
+    for one t or an array of them (one model call for all t - h and t + h)."""
+    t = np.asarray(t, dtype=float)
+    if not (t > 0.0).all():
+        raise DomainError(f"need t > 0, got {t.min()}")
     if not (0.0 < h_rel < 0.1):
         raise DomainError(f"need 0 < h_rel < 0.1, got {h_rel}")
     h = h_rel * t
-    if t - h <= 0.0:
-        raise DomainError(f"step {h} leaves the positive axis at t={t}")
-    hi = eval_transform(model, t + h)[0].real
-    lo = eval_transform(model, t - h)[0].real
+    if not (t - h > 0.0).all():
+        raise DomainError(f"step h = {h_rel} * t leaves the positive axis at t = {t.min()}")
+    hi, lo = eval_transform(model, np.stack([t + h, t - h]))[..., 0].real
     return (hi - lo) / (2.0 * h)
 
 
@@ -198,15 +215,16 @@ def diagonal_diagnostic(model, t_grid: Sequence[float], tol: float = 1e-5) -> Di
 
     The residual is normalized by max(|L_S'(t)|, 1e-300); the derivative is a
     central difference with h_rel = 1e-6, so the residual bundles both any
-    model inconsistency and the differencing error.  Each t costs three
-    model evaluations: at t - h, t + h and t.
+    model inconsistency and the differencing error.  The whole grid costs two
+    model calls: one at every t - h and t + h, one at every t.
     """
-    ts, res, ok = [], [], []
-    for t in t_grid:
-        d = numerical_aggregate_derivative(model, float(t), 1e-6)
-        total = math.fsum(eval_transform(model, float(t))[1:].real.tolist())
-        r = abs(total + d) / max(abs(d), _RESIDUAL_FLOOR)
-        ts.append(float(t))
-        res.append(r)
-        ok.append(r <= tol)
-    return DiagonalReport(tuple(ts), tuple(res), tuple(ok), tol)
+    ts = tuple(float(t) for t in t_grid)
+    if not ts:
+        return DiagonalReport((), (), (), tol)
+    d = numerical_aggregate_derivative(model, ts, 1e-6)
+    vals = eval_transform(model, np.array(ts))[:, 1:].real
+    res = tuple(
+        abs(math.fsum(row) + dk) / max(abs(dk), _RESIDUAL_FLOOR)
+        for row, dk in zip(vals.tolist(), d.tolist())
+    )
+    return DiagonalReport(ts, res, tuple(r <= tol for r in res), tol)

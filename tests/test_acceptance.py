@@ -142,7 +142,7 @@ def test_c02_inversion_reference_fixtures(two_risk_model):
         ),
         (
             "two_risk_f",
-            lambda z: eval_transform(two_risk_model, z)[0],
+            lambda z: eval_transform(two_risk_model, z)[..., 0],
             lambda z: (2 / (2 + z)) ** 2 / (1 + z),
             oracle.f_S,
         ),

@@ -19,8 +19,8 @@ from cmrs.allocation import (
     strip_atoms,
     tail_contribution,
 )
-from cmrs.errors import DomainError, EvaluationError, SingularMatrixError
-from cmrs.inversion import EulerScheme
+from cmrs.errors import DomainError, EvaluationError, InversionError, SingularMatrixError
+from cmrs.inversion import EulerScheme, GsScheme, invert
 from cmrs.models import (
     CommonShockCPSpec,
     build_common_shock_cp,
@@ -29,7 +29,7 @@ from cmrs.models import (
     exponential_me_spec,
 )
 from cmrs.oracles import me_example_oracle
-from cmrs.transforms import AtomEntry, AtomSet, JointTransformModel
+from cmrs.transforms import AtomEntry, AtomSet, JointTransformModel, eval_transform
 
 CS_REF = CommonShockCPSpec(
     lambda0=1.5,
@@ -163,7 +163,7 @@ class TestStatusPolicy:
         base = build_matrix_exp([exponential_me_spec(1.0), exponential_me_spec(2.0)])
 
         def transform(z):
-            if complex(z).real < 5.0:
+            if (np.real(z) < 5.0).any():
                 raise error(f"no value at z = {z}")
             return base.transform(z)
 
@@ -173,6 +173,24 @@ class TestStatusPolicy:
         assert res.status == [STATUS_OK, STATUS_OK, STATUS_FAILED]
         assert math.isnan(res.sum_h[2])
         assert (res.h[2] == 0.0).all()
+
+    def test_values_first_transform_fails_every_point(self):
+        # a transform that stacks its n+1 values first, np.array([L_S, L_1,
+        # L_2]), returns shape (3, K) at K nodes instead of (K, 3): every
+        # point fails, and nothing raises out of the run
+        def transform(z):
+            l1, l2 = 1 / (1 + z), 2 / (2 + z)
+            return np.array([l1 * l2, l1 / (1 + z) * l2, l1 * l2 / (2 + z)])
+
+        model = JointTransformModel(n=2, transform=transform)
+        for scheme in (EulerScheme(), GsScheme()):
+            req = AllocationRequest(model=model, s_grid=(0.5, 1.0, 2.0), scheme=scheme)
+            assert allocate(req).status == [STATUS_FAILED] * 3
+        assert eval_transform(model, 1.0).shape == (3,)  # at one node the shapes agree
+        with pytest.raises(EvaluationError, match=r"shape \(3, 2\) for nodes of shape \(2,\)"):
+            eval_transform(model, np.array([1.0, 2.0]))
+        with pytest.raises(InversionError, match=r"shape \(2, 41\) for nodes of shape \(41,\)"):
+            invert(lambda z: np.array([1 / (1 + z), 1 / (2 + z)]), 1.0, EulerScheme())
 
     def test_density_floor_is_enforced(self):
         model = build_matrix_exp([erlang_me_spec(2, 1.0), exponential_me_spec(1.0)])

@@ -14,6 +14,7 @@ import pytest
 import yaml
 
 import cmrs
+from cmrs.allocation import AllocationRequest, allocate
 from cmrs.cli import main, run_bench, run_verify, write_csv
 from cmrs.config import (
     BenchSpec,
@@ -30,6 +31,7 @@ from cmrs.config import (
 )
 from cmrs.errors import ConfigError, InversionError, ModelSpecError
 from cmrs.inversion import EulerScheme, GsScheme
+from cmrs.models import CommonShockCPSpec, build_common_shock_cp
 
 ERLANG_YAML = textwrap.dedent(
     """
@@ -317,6 +319,29 @@ class TestCliAllocate:
             for cell in row[:-1]:
                 assert format(float(cell), ".12g") == cell
 
+    def test_csv_bytes_pinned(self):
+        # an origin atom row, then gridpoint rows holding -0, nan, +-inf and a
+        # subnormal: each number is its %.12g text, comma-joined, "\n" ended
+        model = build_common_shock_cp(
+            CommonShockCPSpec(1.0, (0.5, 0.25), 2.0, (1.0, 3.0), (0.25, 0.75))
+        )
+        res = allocate(AllocationRequest(model=model, s_grid=(0.5, 2.0), scheme=EulerScheme()))
+        res.density = np.array([-0.0, np.nan])
+        res.xi = np.array([[1.0 / 3.0, 5e-324], [np.inf, -np.inf]])
+        res.h = np.array([[0.125, 2.0 / 3.0], [0.0, 1e300]])
+        res.sum_h = np.array([0.5, np.nan])
+        res.balance_residual = np.array([1.2345678901234567e-5, np.inf])
+        res.status = ["ok", "failed"]
+        buf = io.StringIO()
+        assert write_csv(res, buf) == 3
+        assert buf.getvalue() == (
+            "s,f_S,xi_1,xi_2,h_1,h_2,pi_1,pi_2,sum_h,balance_residual,status\n"
+            "0,0.17377394345,0,0,0,0,0,0,0,0,atom\n"
+            "0.5,-0,0.333333333333,4.94065645841e-324,0.125,0.666666666667,"
+            "0.25,1.33333333333,0.5,1.23456789012e-05,ok\n"
+            "2,nan,inf,-inf,0,1e+300,0,5e+299,nan,inf,failed\n"
+        )
+
     def test_stdout_when_no_out_path(self, tmp_path, capsys):
         cfg = _write(tmp_path, "cfg.yaml", ERLANG_YAML)
         assert main(["allocate", "--config", cfg]) == 0
@@ -375,6 +400,43 @@ class TestCliDiagnose:
         cfg = _write(tmp_path, "cfg.yaml", text)
         assert main(["diagnose", "--config", cfg, "--sweep", "0,0.2"]) == 1
         assert "tilt sweep needs the euler scheme" in capsys.readouterr().err
+
+
+_CS_MODEL = {
+    "family": "common_shock_cp",
+    "lambda0": 1.0,
+    "lambdas": [0.8],
+    "beta0": 1.0,
+    "betas": [1.0],
+    "weights": [1.0],
+}
+
+
+@pytest.mark.parametrize(
+    "change, argv_tail, message",
+    [
+        ({"model": 5}, [], "model must be a mapping"),
+        ({"model": {**_CS_MODEL, "lambdas": 0.8}}, [], "model: "),
+        ({"scheme": {"A": [1]}}, [], "scheme: "),
+        ({"grid": {"points": 5}}, [], "grid.points: "),
+        ({}, ["--sweep", "0,abc"], "argument --sweep"),
+    ],
+    ids=[
+        "model-not-a-mapping",
+        "lambdas-not-a-list",
+        "scheme-A-not-a-number",
+        "grid-points-not-a-list",
+        "sweep-not-numbers",
+    ],
+)
+def test_bad_input_exits_one_without_traceback(tmp_path, capsys, change, argv_tail, message):
+    data = yaml.safe_load(ERLANG_YAML)
+    data.update(change)
+    cfg = _write(tmp_path, "cfg.yaml", yaml.safe_dump(data))
+    assert main(["diagnose", "--config", cfg, *argv_tail]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and message in captured.err
+    assert captured.out == ""  # refused before any work is done
 
 
 class TestCliVerify:

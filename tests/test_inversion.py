@@ -193,7 +193,8 @@ class TestRecovery:
 
     def test_invert_dispatch(self):
         # both rules are one weighted sum: the scale factor times the
-        # node-order sum of w_k L(alpha_k), exactly as written
+        # node-order sum of w_k L(alpha_k), exactly as written, with the
+        # transform evaluated once on the array of nodes
         s = 1.7
         for scheme in (GsScheme(M=6), EulerScheme(), EulerScheme(theta=0.3)):
             if isinstance(scheme, GsScheme):
@@ -201,14 +202,13 @@ class TestRecovery:
             else:
                 scale = math.exp(scheme.A / 2.0) / s * math.exp(-scheme.theta * s)
             acc = 0.0
-            for w, z in zip(scheme.weights, scheme_nodes(scheme, s)):
-                z = complex(z)
-                acc += w * complex(exp_lst(z.real if z.imag == 0.0 else z)).real
+            for w, v in zip(scheme.weights, exp_lst(scheme_nodes(scheme, s)).real):
+                acc += w * v
             assert invert(exp_lst, s, scheme) == scale * acc
 
     def test_nonfinite_transform_value(self):
         def bad(z):
-            return complex("inf")
+            return np.full(np.shape(z), complex("inf"))
 
         with pytest.raises(InversionError, match="non-finite"):
             invert(bad, 1.0, EulerScheme())
@@ -218,13 +218,10 @@ class TestVectorKernel:
     @pytest.mark.parametrize("scheme", [GsScheme(M=8), EulerScheme(), EulerScheme(theta=0.4)])
     def test_bit_for_bit_with_scalar(self, scheme):
         # ``invert`` is the one-column call of the kernel: it passes the real
-        # part of each node value, one row per node, with nodes coerced to
-        # python complex (numpy complex division rounds differently)
+        # part of each node value, one row per node, from one call of the
+        # transform on the array of nodes
         s = 2.3
-        nodes = [complex(z) for z in scheme_nodes(scheme, s)]
-        values = np.array(
-            [complex(exp_lst(z.real if z.imag == 0.0 else z)).real for z in nodes]
-        )
+        values = exp_lst(scheme_nodes(scheme, s)).real
         scalar = invert(exp_lst, s, scheme)
         vector = invert_values(values.reshape(-1, 1), s, scheme)
         assert vector.shape == (1,)
@@ -236,10 +233,10 @@ class TestVectorKernel:
         # without touching the others
         s = 1.5
         for scheme in (GsScheme(M=8), EulerScheme(), EulerScheme(theta=0.4)):
-            nodes = [complex(z) for z in scheme_nodes(scheme, s)]
-            args = [z.real if z.imag == 0.0 else z for z in nodes]
-            values = np.array(
-                [[complex(exp_lst(z)).real, complex(gamma2_lst(z)).real, math.nan] for z in args]
+            nodes = scheme_nodes(scheme, s)
+            values = np.stack(
+                [exp_lst(nodes).real, gamma2_lst(nodes).real, np.full(nodes.shape, math.nan)],
+                axis=-1,
             )
             out = invert_values(values, s, scheme)
             assert out[0] == invert(exp_lst, s, scheme)

@@ -24,7 +24,7 @@ from cmrs.models import (
     build_lognormal_portfolio,
     build_matrix_exp,
     build_mixed_exp_frailty,
-    complex_solve,
+    checked_solve,
     erlang_me_spec,
     exponential_me_spec,
     exponential_severity,
@@ -40,20 +40,46 @@ class TestComplexSolve:
     def test_recovers_known_solution(self):
         A = np.array([[2.0, 1.0], [1.0, 3.0 + 1.0j]], dtype=complex)
         x_true = np.array([1.5, -0.5j])
-        x = complex_solve(A, A @ x_true)
+        x = checked_solve(A, A @ x_true)
         assert np.abs(x - x_true).max() < 1e-13
+
+    def test_solves_a_stack_of_systems(self):
+        # one matrix per node along the leading axes, one shared right-hand side
+        z = np.array([[0.5, 1.0 + 2.0j], [3.0 - 1.0j, 7.0]])
+        T = np.array([[-2.0, 2.0], [0.0, -2.0]])
+        A = z[..., None, None] * np.eye(2) - T
+        b = np.array([0.0, 2.0])
+        x = checked_solve(A, b)
+        assert x.shape == (2, 2, 2)
+        assert np.abs(np.einsum("...ij,...j->...i", A, x) - b).max() < 1e-14
 
     def test_singular_matrix_rejected(self):
         with pytest.raises(SingularMatrixError, match="pivot"):
-            complex_solve(np.array([[1.0, 2.0], [2.0, 4.0]]), np.array([1.0, 1.0]))
+            checked_solve(np.array([[1.0, 2.0], [2.0, 4.0]]), np.array([1.0, 1.0]))
+
+    def test_near_singular_matrix_rejected(self):
+        # LAPACK solves this one (its second pivot, ~4.4e-16 = 1.1e-16 max|A|,
+        # is not zero), but a pivot that small leaves the solution meaningless
+        A = np.array([[1.0, 2.0], [2.0, 4.0 * (1.0 + 2.0**-51)]])
+        assert np.isfinite(np.linalg.solve(A, np.ones(2))).all()
+        with pytest.raises(SingularMatrixError, match="pivot"):
+            checked_solve(A, np.ones(2))
+        # one such matrix in a stack refuses the whole stack
+        stack = np.stack([np.eye(2), A])
+        with pytest.raises(SingularMatrixError, match="pivot"):
+            checked_solve(stack, np.ones(2))
+        # a pivot just above the bound passes, although the determinant
+        # (here the pivot itself) is small enough to have the pivots read
+        x = checked_solve(np.stack([np.eye(2), np.diag([1.0, 1.5e-14])]), np.ones(2))
+        assert x[1, 1] == pytest.approx(1.0 / 1.5e-14, rel=1e-15)
 
     def test_zero_matrix_rejected(self):
         with pytest.raises(SingularMatrixError):
-            complex_solve(np.zeros((2, 2)), np.ones(2))
+            checked_solve(np.zeros((2, 2)), np.ones(2))
 
     def test_shape_mismatch(self):
         with pytest.raises(ModelSpecError, match="shape"):
-            complex_solve(np.eye(3), np.ones(2))
+            checked_solve(np.eye(3), np.ones(2))
 
 
 class TestMixedExpFrailty:
