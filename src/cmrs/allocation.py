@@ -121,12 +121,9 @@ class AllocationResult:
 
     @property
     def worst_status(self) -> str:
-        order = {STATUS_OK: 0, STATUS_DEGRADED: 1, STATUS_FAILED: 2}
-        worst = STATUS_OK
-        for st in self.status:
-            if order[st] > order[worst]:
-                worst = st
-        return worst
+        if STATUS_FAILED in self.status:
+            return STATUS_FAILED
+        return STATUS_DEGRADED if STATUS_DEGRADED in self.status else STATUS_OK
 
 
 def _derive_statuses(
@@ -140,53 +137,36 @@ def _derive_statuses(
 
     Returns (status list, xi clamped, h clipped, sum_h, residual, clipped).
     """
-    npts, n = raw_xi.shape
-    status = []
-    xi = raw_xi.copy()
+    unusable = (
+        ~np.isfinite(density) | ~np.isfinite(raw_xi).all(axis=1) | (raw_xi < _XI_CLAMP).any(axis=1)
+    )
+    xi = np.where(~unusable[:, None] & (raw_xi > _XI_CLAMP) & (raw_xi < 0.0), 0.0, raw_xi)
+    # the floor governs f outright: a zero, subnormal or negative density
+    # cannot support a ratio, even though xi-level roundoff is forgiven
+    failed = unusable | (density <= density_floor)
+    good = ~failed
+    s, f = s_grid[good], density[good]
+    hrow = xi[good] / f[:, None]
+    sh = np.array([math.fsum(row) for row in hrow.tolist()])
+    target = s * f
+    r = np.abs(np.array([math.fsum(row) for row in xi[good].tolist()]) - target) / target
+    over = (hrow > s[:, None]).any(axis=1)
     h = np.zeros_like(raw_xi)
-    sum_h = np.full(npts, np.nan)
-    resid = np.full(npts, np.nan)
-    clipped = np.zeros(npts, dtype=bool)
-    violated = False
-    for k in range(npts):
-        s = s_grid[k]
-        f = density[k]
-        row = raw_xi[k]
-        bad = not math.isfinite(f) or not np.isfinite(row).all()
-        if not bad and (row < _XI_CLAMP).any():
-            bad = True
-        if not bad:
-            xi[k] = np.where((row > _XI_CLAMP) & (row < 0.0), 0.0, row)
-        # the floor governs f outright: a zero, subnormal or negative density
-        # cannot support a ratio, even though xi-level roundoff is forgiven
-        if not bad and f <= density_floor:
-            bad = True
-        if bad:
-            status.append(STATUS_FAILED)
-            violated = True
-            continue
-        hrow = xi[k] / f
-        sh = math.fsum(hrow.tolist())
-        sum_h[k] = sh
-        target = s * f
-        r = abs(math.fsum(xi[k].tolist()) - target) / target
-        resid[k] = r
-        over = (hrow > s).any()
-        h[k] = np.clip(hrow, 0.0, s)
-        clipped[k] = bool(over)
-        point_bad = (
-            not math.isfinite(sh)
-            or r > balance_tol
-            or abs(sh - s) > balance_tol * s
-            or over
-        )
-        if point_bad:
-            status.append(STATUS_DEGRADED)
-            violated = True
-        elif violated:
-            status.append(STATUS_DEGRADED)
-        else:
-            status.append(STATUS_OK)
+    h[good] = np.clip(hrow, 0.0, s[:, None])
+    sum_h = np.full(len(s_grid), np.nan)
+    sum_h[good] = sh
+    resid = np.full(len(s_grid), np.nan)
+    resid[good] = r
+    clipped = np.zeros(len(s_grid), dtype=bool)
+    clipped[good] = over
+    violated = failed.copy()
+    violated[good] = (
+        ~np.isfinite(sh) | (r > balance_tol) | (np.abs(sh - s) > balance_tol * s) | over
+    )
+    # once any point has violated, every later one is at best degraded
+    after_break = np.concatenate([[False], np.logical_or.accumulate(violated)[:-1]])
+    code = np.where(failed, 2, violated | after_break)
+    status = np.array([STATUS_OK, STATUS_DEGRADED, STATUS_FAILED])[code].tolist()
     return status, xi, h, sum_h, resid, clipped
 
 
@@ -260,11 +240,8 @@ def breakdown_scan(result: AllocationResult, tol: Optional[float] = None) -> Bre
     status, _, _, _, _, _ = _derive_statuses(
         result.s_grid, result.density, result.raw_xi, tol, result.request.density_floor
     )
-    first = None
-    for k, st in enumerate(status):
-        if st != STATUS_OK:
-            first = k
-            break
+    violations = np.flatnonzero(np.array(status) != STATUS_OK)
+    first = int(violations[0]) if violations.size else None
     return BreakdownReport(
         tol=tol,
         status=tuple(status),

@@ -3,13 +3,12 @@
 A config file has blocks ``model``, ``grid``, ``scheme`` and optionally
 ``output``, ``verify``, ``tolerance``, ``bench``.  Loading is strict: unknown
 keys are errors, not warnings, since a typo in a tolerance name should not
-silently run with defaults.  ``dump_config`` writes the normalized form and
-load(dump(cfg)) reproduces cfg exactly.
+silently run with defaults.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -242,30 +241,6 @@ def load_config(path: str) -> RunConfig:
     if not isinstance(data, dict):
         raise ConfigError(f"{path} does not contain a mapping")
     return parse_config(data)
-
-
-def config_to_dict(cfg: RunConfig) -> dict:
-    out: dict = {
-        "model": {"family": cfg.model.family, **cfg.model.params},
-        "grid": {k: v for k, v in asdict(cfg.grid).items() if v is not None},
-        "scheme": asdict(cfg.scheme),
-        "output": asdict(cfg.output),
-        "verify": asdict(cfg.verify),
-        "tolerance": asdict(cfg.tolerance),
-    }
-    if cfg.bench is not None:
-        out["bench"] = asdict(cfg.bench)
-    for block in ("grid", "verify", "bench"):
-        if block in out:
-            for key in ("points", "n_sweep"):
-                if key in out[block] and out[block][key] is not None:
-                    out[block][key] = list(out[block][key])
-    return out
-
-
-def dump_config(cfg: RunConfig, path: str) -> None:
-    with open(path, "w") as fh:
-        yaml.safe_dump(config_to_dict(cfg), fh, sort_keys=False)
 
 
 # ---------------------------------------------------------------------------

@@ -14,9 +14,13 @@ and the binomial average of its partial sums S_N..S_{N+m} into one number.
 
 The Euler tilt theta > 0 is set only on the scheme.  It samples the
 transform at nodes shifted left by theta and multiplies the result by
-exp(-theta*s), which damps the oscillatory error at large s.  Tilting is
-meaningless for Gaver-Stehfest (its nodes would leave the transform's
-domain), so any positive tilt there is refused.
+exp(-theta*s).  At a given s that is exactly the untilted rule with contour
+parameter A' = A - 2 theta s: the same nodes A'/(2s) + i pi k/s and the same
+scale factor e^{A'/2}/s.  The tilt reaches further into the tail because the
+weighted sum's rounding error is amplified by e^{A'/2} rather than e^{A/2};
+it damps no oscillatory error, and untilted Euler with a fixed smaller A
+reaches almost as far.  Tilting is meaningless for Gaver-Stehfest (its nodes
+would leave the transform's domain), so any positive tilt there is refused.
 
 At the default order M = 8 the Gaver-Stehfest error is the rule's own
 truncation, not rounding: evaluated in exact rational arithmetic the order-8
@@ -129,8 +133,11 @@ class EulerScheme:
     """Bromwich-contour rule: N retained terms, binomial average of order m,
     contour parameter A, optional tilt theta >= 0.
 
-    A tilted call at s needs A > 2*theta*s, otherwise the shifted contour
-    leaves the right half-plane and the call is refused.
+    At s the tilted rule is the untilted one with A' = A - 2*theta*s (same
+    nodes, same scale factor), so its reach comes from the smaller rounding
+    amplification e^{A'/2}.  A tilted call at s needs A > 2*theta*s,
+    otherwise the shifted contour leaves the right half-plane and the call
+    is refused.
     """
 
     A: float = 18.4

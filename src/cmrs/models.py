@@ -14,7 +14,6 @@ wrong signs and similar wiring mistakes before any inversion is attempted.
 
 from __future__ import annotations
 
-import cmath
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -198,10 +197,6 @@ class MatrixExpSpec:
     def dim(self) -> int:
         return self.alpha.shape[0]
 
-    def lst(self, z):
-        """E[exp(-zX)] for an array of nodes z."""
-        return self.lst_pair(z)[0]
-
     def lst_pair(self, z) -> tuple[np.ndarray, np.ndarray]:
         """(E[exp(-zX)], E[X exp(-zX)]) = (p0 + alpha y, alpha (zI - T)^{-1} y)
         with y = (zI - T)^{-1} u, for an array of nodes z: two batched solves
@@ -254,7 +249,7 @@ def build_matrix_exp(specs: Sequence[MatrixExpSpec]) -> JointTransformModel:
     # the per-risk probes at t = 1e-8 multiply to L_S(1e-8), the unit-mass probe
     agg_at_probe = 1.0 + 0.0j
     for k, sp in enumerate(specs):
-        near, v = sp.lst(np.array([1e-6, _PROBE_T]))
+        near, v = sp.lst_pair(np.array([1e-6, _PROBE_T]))[0]
         if not (0.0 < near <= 1.0 + 1e-9):
             raise ModelSpecError(f"risk {k}: transform probe at z=1e-6 gave {near}, not in (0, 1]")
         if abs(v - 1.0) > _PROBE_TOL:
@@ -517,8 +512,9 @@ def _gh_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
 _EXP_UNDERFLOW = -700.0
 
 
-def _lognormal_sum(mu: float, sigma: float, z: complex, order: int, factor: bool, stats=None):
-    """E[Y^factor exp(-z Y)] for Y lognormal(mu, sigma), Re z >= 0.
+def _lognormal_sums(z, mu: np.ndarray, sigma: np.ndarray, order: int, stats: dict):
+    """(E[exp(-z Y_j)], E[Y_j exp(-z Y_j)]) for independent Y_j lognormal(mu_j,
+    sigma_j) at an array of nodes with Re z >= 0, each of shape z.shape + (n,).
 
     Plain quadrature in the normal variable loses all digits once |Im z| is
     large, because exp(-z e^(mu + sigma x)) oscillates with unbounded local
@@ -526,58 +522,42 @@ def _lognormal_sum(mu: float, sigma: float, z: complex, order: int, factor: bool
     turns the kernel into exp(-|z| t) on the ray and leaves a bounded
     oscillation exp(i psi x / sigma); a Gauss-Hermite rule centered on the
     Lambert-W saddle of the rotated exponent then converges uniformly in
-    |Im z|.  Terms whose total exponent has real part below -700 are dropped
-    (they underflow anyway); drops are counted in ``stats['suppressed_terms']``
-    when a stats dict is supplied."""
-    zc = complex(z)
-    if zc.real < 0.0 or (zc.real == 0.0 and zc.imag != 0.0):
-        raise DomainError(f"lognormal transform needs Re z >= 0, got {zc}")
-    radius = abs(zc)
-    psi = math.atan2(zc.imag, zc.real)
+    |Im z|.  Where psi^2 / (2 sigma^2) > 600 (a near-degenerate risk) the
+    rotated representation is ill-conditioned, with terms ~ exp(psi^2 /
+    (2 sigma^2)), but the kernel barely oscillates: there the direct rule
+    (no rotation, no shift) is the accurate one, chosen per node and risk.
+    Terms whose total exponent has real part below -700 are zeroed (they
+    underflow anyway) and counted in ``stats['suppressed_terms']``.  The
+    arrays run over (nodes..., risks, Gauss-Hermite nodes)."""
+    z = np.asarray(z)[..., None]
+    refused = (z.real < 0.0) | ((z.real == 0.0) & (z.imag != 0.0))
+    if refused.any():
+        raise DomainError(f"lognormal transform needs Re z >= 0, got {z[refused][0]}")
     v, logw = _gh_rule(order)
-    if psi * psi / (2.0 * sigma * sigma) > 600.0:
-        # near-degenerate margin: the rotated representation is
-        # ill-conditioned (terms ~ exp(psi^2/(2 sigma^2))), but the kernel
-        # barely oscillates, so the direct rule is the accurate one here
-        x = math.sqrt(2.0) * sigma * v
-        expo = logw - v * v - zc * np.exp(mu + x)
-        if factor:
-            expo = expo + (mu + x)
-        lam = 1.0
-        phase = 1.0 + 0.0j
-    else:
-        sad = float(lambertw(radius * sigma * sigma * math.exp(mu)).real)
-        x0 = -sad / sigma
-        lam = 1.0 / math.sqrt(1.0 + sad)
-        x = x0 + math.sqrt(2.0) * lam * v
-        expo = (
-            logw
-            - 0.5 * x * x
-            + (1j * psi / sigma) * x
-            - radius * np.exp(mu + sigma * x)
-            + psi * psi / (2.0 * sigma * sigma)
-        )
-        if factor:
-            expo = expo + (mu + sigma * x)
-        phase = cmath.exp(-1j * psi) if factor else 1.0 + 0.0j
-    keep = expo.real >= _EXP_UNDERFLOW
-    dropped = int((~keep).sum())
-    if dropped and stats is not None:
+    radius = np.abs(z)
+    psi = np.arctan2(z.imag, z.real)
+    direct = psi * psi / (2.0 * sigma * sigma) > 600.0
+    psi = np.where(direct, 0.0, psi)
+    sad = np.where(direct, 0.0, lambertw(radius * sigma * sigma * np.exp(mu)).real)
+    lam = 1.0 / np.sqrt(1.0 + sad)
+    x = (-sad / sigma)[..., None] + (math.sqrt(2.0) * lam)[..., None] * v
+    log_y = mu[:, None] + sigma[:, None] * x
+    expo = (
+        logw
+        - 0.5 * x * x
+        + (1j * psi / sigma)[..., None] * x
+        - np.where(direct, z, radius)[..., None] * np.exp(log_y)
+        + (psi * psi / (2.0 * sigma * sigma))[..., None]
+    )
+
+    def total(e):
+        keep = e.real >= _EXP_UNDERFLOW
+        dropped = keep.size - np.count_nonzero(keep)
         stats["suppressed_terms"] = stats.get("suppressed_terms", 0) + dropped
-    if not keep.any():
-        return 0.0 + 0.0j
-    return (lam / math.sqrt(math.pi)) * phase * complex(np.exp(expo[keep]).sum())
+        return np.exp(e, out=np.zeros_like(e), where=keep).sum(axis=-1)
 
-
-def lognormal_lst(mu: float, sigma: float, z: complex, gh_order: int = 64) -> complex:
-    """Saddle-centered quadrature approximation of E[exp(-z Y)] for Y
-    lognormal(mu, sigma)."""
-    return _lognormal_sum(mu, sigma, z, gh_order, factor=False)
-
-
-def lognormal_lst_deriv(mu: float, sigma: float, z: complex, gh_order: int = 64) -> complex:
-    """d/dz of the same approximation: -E[Y exp(-z Y)]."""
-    return -_lognormal_sum(mu, sigma, z, gh_order, factor=True)
+    scale = lam / math.sqrt(math.pi)
+    return scale * total(expo), scale * np.exp(-1j * psi) * total(expo + log_y)
 
 
 @dataclass(frozen=True)
@@ -627,20 +607,12 @@ class LognormalPortfolioSpec:
 
 def build_lognormal_portfolio(spec: LognormalPortfolioSpec) -> JointTransformModel:
     n = spec.n
+    mu = np.array(spec.mu)
+    sigma = np.array(spec.sigma)
     stats: dict = {}
 
-    def _sums(z, factor):
-        return [
-            _lognormal_sum(spec.mu[j], spec.sigma[j], z, spec.gh_order, factor, stats)
-            for j in range(n)
-        ]
-
     def transform(z):
-        z = np.asarray(z)
-        out = np.empty(z.shape + (n + 1,), dtype=complex)
-        for k in np.ndindex(z.shape):
-            out[k] = _product_rule(np.array(_sums(z[k], False)), np.array(_sums(z[k], True)))
-        return out
+        return _product_rule(*_lognormal_sums(z, mu, sigma, spec.gh_order, stats))
 
     means = tuple(math.exp(m + s**2 / 2.0) for m, s in zip(spec.mu, spec.sigma))
     model = JointTransformModel(

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.special import gammainc
 from scipy.stats import poisson
 
 from .errors import OracleError, SamplingError
@@ -382,19 +381,6 @@ class CscpSeriesOracle:
 
     def h(self, i: int, s: float) -> float:
         return self.xi(i, s) / self.f_S(s)
-
-    def cdf(self, s: float) -> float:
-        """P(S <= s) for the truncated expansion (atom included)."""
-        if s < 0.0:
-            return 0.0
-        acc = self.atom_mass
-        for j, rho_j in enumerate(self._rho):
-            for d, coef in enumerate(self._poly_f[j]):
-                if coef != 0.0:
-                    acc += coef * math.factorial(d) / rho_j ** (d + 1) * float(
-                        gammainc(d + 1, rho_j * s)
-                    )
-        return acc
 
 
 def cscp_series_oracle(spec: CommonShockCPSpec, mass_tol: float = 1e-8) -> CscpSeriesOracle:

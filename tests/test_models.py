@@ -29,8 +29,6 @@ from cmrs.models import (
     exponential_me_spec,
     exponential_severity,
     is_phase_type,
-    lognormal_lst,
-    lognormal_lst_deriv,
 )
 from cmrs.allocation import strip_atoms
 from cmrs.transforms import diagonal_diagnostic, eval_transform
@@ -136,7 +134,6 @@ class TestMatrixExp:
         e1 = erlang_me_spec(1, 2.5)
         ex = exponential_me_spec(2.5)
         for z in (0.5, 1.0 + 2.0j, 7.0):
-            assert abs(e1.lst(z) - ex.lst(z)) < 1e-15
             for a, b in zip(e1.lst_pair(z), ex.lst_pair(z)):
                 assert abs(a - b) < 1e-15
 
@@ -358,6 +355,12 @@ class TestCommonShockCP:
             )
 
 
+def _lognormal_risk(mu, sigma, gh_order=64):
+    """Transform of a one-risk lognormal portfolio: its values at z are
+    [E[exp(-zY)], E[Y exp(-zY)]], so d/dz E[exp(-zY)] is -values[..., 1]."""
+    return build_lognormal_portfolio(LognormalPortfolioSpec((mu,), (sigma,), gh_order)).transform
+
+
 class TestLognormalTransform:
     def test_matches_adaptive_quadrature_on_real_axis(self):
         from scipy import integrate
@@ -370,33 +373,31 @@ class TestLognormalTransform:
             )
 
         want, _ = integrate.quad(integrand, -12.0, 12.0)
-        assert lognormal_lst(0.0, 0.5, 1.3) == pytest.approx(want, rel=1e-12)
+        assert _lognormal_risk(0.0, 0.5)(1.3)[0] == pytest.approx(want, rel=1e-12)
 
     def test_order_invariance_at_oscillatory_node(self):
         # far up the contour the kernel oscillates hard; doubling the rule
-        # must leave the value unchanged well below inversion error
+        # must leave the value and the derivative unchanged well below
+        # inversion error
         z = 0.2 + 85.0j
-        v64 = lognormal_lst(0.0, 0.5, z, 64)
-        v128 = lognormal_lst(0.0, 0.5, z, 128)
-        assert abs(v64 - v128) < 1e-12
-        d64 = lognormal_lst_deriv(0.0, 0.5, z, 64)
-        d128 = lognormal_lst_deriv(0.0, 0.5, z, 128)
-        assert abs(d64 - d128) < 1e-12
+        v64 = _lognormal_risk(0.0, 0.5, 64)(z)
+        v128 = _lognormal_risk(0.0, 0.5, 128)(z)
+        assert abs(v64[0] - v128[0]) < 1e-12
+        assert abs(v64[1] - v128[1]) < 1e-12
 
     def test_oscillatory_node_frozen_value(self):
-        v = lognormal_lst(0.0, 0.5, 0.2 + 85.0j, 64)
+        v = _lognormal_risk(0.0, 0.5, 64)(0.2 + 85.0j)[0]
         assert v.real == pytest.approx(3.5697411354655694e-09, rel=1e-9)
         assert v.imag == pytest.approx(-8.661815158881136e-08, rel=1e-9)
 
     def test_near_degenerate_sigma_collapses_to_point_mass(self):
         # sigma -> 0 gives L(z) -> exp(-z e^mu); the complex case exercises
         # the direct-rule fallback branch
-        assert lognormal_lst(0.3, 1e-8, 2.0) == pytest.approx(
-            math.exp(-2.0 * math.exp(0.3)), rel=1e-10
-        )
+        transform = _lognormal_risk(0.3, 1e-8)
+        assert transform(2.0)[0] == pytest.approx(math.exp(-2.0 * math.exp(0.3)), rel=1e-10)
         z = 1.0 + 40.0j
         want = cmath.exp(-z * math.exp(0.3))
-        assert abs(lognormal_lst(0.3, 1e-8, z) - want) < 1e-10
+        assert abs(transform(z)[0] - want) < 1e-10
 
     def test_deriv_is_negated_mean_transform(self):
         from scipy import integrate
@@ -406,13 +407,30 @@ class TestLognormalTransform:
             return math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi) * y * math.exp(-0.8 * y)
 
         want, _ = integrate.quad(integrand, -12.0, 12.0)
-        assert lognormal_lst_deriv(0.2, 0.6, 0.8) == pytest.approx(-want, rel=1e-11)
+        assert _lognormal_risk(0.2, 0.6)(0.8)[1] == pytest.approx(want, rel=1e-11)
 
     def test_left_half_plane_refused(self):
+        transform = _lognormal_risk(0.0, 0.5)
         with pytest.raises(DomainError, match="Re z >= 0"):
-            lognormal_lst(0.0, 0.5, -0.1)
+            transform(-0.1)
         with pytest.raises(DomainError):
-            lognormal_lst(0.0, 0.5, 0.0 + 1.0j)
+            transform(0.0 + 1.0j)
+
+    def test_mixed_branch_node_array(self):
+        # a near-degenerate risk takes the direct rule at every complex node
+        # and the rotated rule on the real axis; the other risk always takes
+        # the rotated rule, so one call mixes both branches per node and risk
+        model = build_lognormal_portfolio(LognormalPortfolioSpec((0.3, 0.0), (1e-8, 0.5)))
+        z = np.array([2.0, 1.0 + 40.0j, 0.2 + 85.0j, 0.7 + 0.0j])
+        vals = model.transform(z)
+        for k, zk in enumerate(z):
+            one = model.transform(zk)
+            assert np.abs(vals[k] - one).max() <= 1e-14 * np.abs(one).max()
+        # L_S = L_1 L_2, with L_2 from the second risk alone
+        degenerate = vals[:, 0] / _lognormal_risk(0.0, 0.5)(z)[:, 0]
+        assert np.abs(degenerate - np.exp(-z * math.exp(0.3))).max() < 1e-10
+        with pytest.raises(DomainError, match="Re z >= 0"):
+            model.transform(np.array([2.0, -0.1 + 1.0j, 0.2 + 85.0j]))
 
     def test_spec_validation(self):
         with pytest.raises(ModelSpecError, match="even"):
@@ -471,8 +489,8 @@ class TestCrossFamilyReductions:
     def test_erlang_chain_equals_exponential_convolution(self, k, rate, t):
         chain = erlang_me_spec(k, rate)
         single = exponential_me_spec(rate)
-        want = single.lst(t) ** k
-        assert abs(chain.lst(t) - want) < 1e-12
+        want = single.lst_pair(t)[0] ** k
+        assert abs(chain.lst_pair(t)[0] - want) < 1e-12
 
     @given(alpha=st.floats(0.6, 5.0), t=st.floats(0.1, 10.0))
     def test_frailty_aggregate_equals_mixing_functional(self, alpha, t):

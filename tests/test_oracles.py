@@ -179,14 +179,6 @@ class TestCscpSeriesOracle:
         total = math.fsum(oracle.xi(i, s) for i in range(3))
         assert abs(total - s * oracle.f_S(s)) < 1e-8
 
-    def test_cdf_starts_at_atom_and_fills_up(self, oracle):
-        assert oracle.cdf(-1.0) == 0.0
-        assert oracle.cdf(0.0) == pytest.approx(oracle.atom_mass, rel=1e-14)
-        grid = np.linspace(0.0, 60.0, 121)
-        vals = [oracle.cdf(s) for s in grid]
-        assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
-        assert vals[-1] == pytest.approx(1.0, abs=1e-7)
-
     def test_single_stream_matches_bessel_closed_form(self):
         # one compound Poisson/Exp risk has the classical Bessel density
         lam, bet = 2.0, 1.5
