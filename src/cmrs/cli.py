@@ -118,15 +118,19 @@ def cmd_allocate(cfg: RunConfig, out: Optional[str]) -> int:
 
 
 def cmd_diagnose(cfg: RunConfig, sweep: Sequence[float], diag_tol: float) -> int:
-    model, _ = build_model_from_config(cfg.model)
+    request = _build_request(cfg)
+    # the sweep's requests are built first, so bad tilts are refused before any output
+    if sweep and isinstance(request.scheme, GsScheme):
+        raise ConfigError("tilt sweep needs the euler scheme")
+    sweeps = [replace(request, scheme=replace(request.scheme, theta=tilt)) for tilt in sweep]
     t_grid = np.logspace(-2, 2, 25)
-    report = diagonal_diagnostic(model, t_grid, tol=diag_tol)
+    report = diagonal_diagnostic(request.model, t_grid, tol=diag_tol)
     print(
         f"transform diagonal: max residual {report.max_residual:.3e} over "
         f"t in [{t_grid[0]:g}, {t_grid[-1]:g}] "
         f"({'pass' if report.all_passed else 'FAIL'} at {diag_tol:g})"
     )
-    result = allocate(_build_request(cfg))
+    result = allocate(request)
     scan = breakdown_scan(result)
     if scan.clean:
         print(
@@ -139,22 +143,10 @@ def cmd_diagnose(cfg: RunConfig, sweep: Sequence[float], diag_tol: float) -> int
             f"({scan.n_ok} ok, {scan.n_degraded} degraded, {scan.n_failed} failed)"
         )
     code = 0 if (report.all_passed and scan.clean) else 2
-    if sweep:
-        base = cfg.scheme.build()
-        if isinstance(base, GsScheme):
-            raise ConfigError("tilt sweep needs the euler scheme")
-        for tilt in sweep:
-            sch = replace(base, theta=tilt)
-            req = AllocationRequest(
-                model=model,
-                s_grid=cfg.grid.build(),
-                scheme=sch,
-                balance_tol=cfg.tolerance.balance,
-                density_floor=cfg.tolerance.density_floor,
-            )
-            sc = breakdown_scan(allocate(req))
-            where = "clean" if sc.clean else f"breaks at s = {sc.breakdown_s:g}"
-            print(f"  theta = {tilt:g}: {where} ({sc.n_ok} ok / {len(sc.status)})")
+    for req in sweeps:
+        sc = breakdown_scan(allocate(req))
+        where = "clean" if sc.clean else f"breaks at s = {sc.breakdown_s:g}"
+        print(f"  theta = {req.scheme.theta:g}: {where} ({sc.n_ok} ok / {len(sc.status)})")
     return code
 
 
@@ -280,8 +272,8 @@ def _scaled_cscp(base: CommonShockCPSpec, n: int) -> CommonShockCPSpec:
     k = len(base.lambdas)
     # the claim rates are rescaled so the portfolio total stays at the base
     # level: per-point cost is O(n) either way, but letting the total rate
-    # grow with n pushes the origin atom and the unit-mass probe out of the
-    # representable range near n ~ 1e3
+    # grow with n would underflow the origin atom's mass e^{-rate} to 0
+    # beyond a rate of ~745, so larger sizes would run a different model
     cycled = [base.lambdas[j % k] for j in range(n)]
     scale = math.fsum(base.lambdas) / math.fsum(cycled)
     lams = tuple(v * scale for v in cycled)

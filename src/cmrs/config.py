@@ -8,6 +8,7 @@ silently run with defaults.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -141,6 +142,8 @@ class BenchSpec:
             raise ConfigError(f"bench n_sweep must be positive integers, got {self.n_sweep}")
         if self.reps < 1:
             raise ConfigError(f"bench reps must be >= 1, got {self.reps}")
+        if not (math.isfinite(self.tilt) and self.tilt > 0.0):
+            raise ConfigError(f"bench tilt must be finite and > 0, got {self.tilt}")
         object.__setattr__(self, "n_sweep", ns)
 
 

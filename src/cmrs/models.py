@@ -7,9 +7,13 @@ an array of shape z.shape + (n+1,), together with any atoms of S (point
 masses split across risks).  Each family broadcasts over the node axes and
 computes every per-risk factor once, sharing it between L_S and the L_i.
 
-Each builder probes its aggregate transform near the origin at construction
-time: L_S(1e-8) must sit within 1e-6 of 1, which catches unnormalized weights,
-wrong signs and similar wiring mistakes before any inversion is attempted.
+Every builder returns through one constructor, which probes each factor of
+L_S at construction time: each risk's transform for independent risks, L_S
+itself otherwise.  A factor must equal 1 within 1e-6 at z = 0 and lie in
+(0, 1] at z = 1e-6, which catches unnormalized weights, wrong signs and
+similar wiring mistakes before any inversion is attempted.  The probe sits
+at z = 0 itself, where the shipped families' transforms are finite, so it
+holds for any aggregate mean (at z > 0, L_S falls off like 1 - z E[S]).
 """
 
 from __future__ import annotations
@@ -33,23 +37,56 @@ from .errors import (
 from .mixing import MixingLawHandle
 from .transforms import AtomEntry, AtomSet, JointTransformModel
 
-_PROBE_T = 1e-8
 _PROBE_TOL = 1e-6
 
 
-def _probe_unit_mass(model: JointTransformModel) -> None:
+def _joint_model(
+    label: str,
+    n: int,
+    transform: Optional[Callable] = None,
+    *,
+    risks: Optional[Callable] = None,
+    atom_mass: float = 0.0,
+    stats: Optional[dict] = None,
+) -> JointTransformModel:
+    """The one constructor behind every builder.
+
+    Independent families pass ``risks``, mapping nodes z to the per-risk
+    transforms and mean transforms of ``_product_rule``; the others pass
+    ``transform`` itself.  The origin atom is formed exactly when
+    ``atom_mass`` > 0.  Each factor of L_S (each risk's transform, else L_S
+    itself) is then probed: it must equal 1 within 1e-6 at z = 0 and lie in
+    (0, 1] at z = 1e-6.
+    """
+    if risks is not None:
+
+        def transform(z):
+            return _product_rule(*risks(z))
+
+        def factors(z):
+            return risks(z)[0]
+
+    else:
+
+        def factors(z):
+            return transform(z)[..., :1]
+
+    atoms = AtomSet((AtomEntry(0.0, atom_mass, (0.0,) * n),) if atom_mass > 0.0 else ())
+    model = JointTransformModel(
+        n=n, transform=transform, atoms=atoms, label=label, stats={} if stats is None else stats
+    )
     try:
-        v = complex(model.transform(_PROBE_T)[0])
+        at0, near = factors(np.array([0.0, 1e-6]))
     except Exception as exc:
-        raise ModelSpecError(f"{model.label}: aggregate transform failed near 0: {exc}") from exc
-    _check_unit_mass(model.label, v)
-
-
-def _check_unit_mass(label: str, v: complex) -> None:
-    if not (abs(v - 1.0) <= _PROBE_TOL):
+        raise ModelSpecError(f"{label}: transform probe failed: {exc}") from exc
+    good = (np.abs(at0 - 1.0) <= _PROBE_TOL) & (near.real > 0.0) & (near.real <= 1.0 + 1e-9)
+    if not good.all():
+        k = int(np.argmin(good))
         raise ModelSpecError(
-            f"{label}: aggregate transform at t={_PROBE_T} is {v}, expected 1 within {_PROBE_TOL}"
+            f"{label}: factor {k} of L_S is {at0[k]} at z=0 and {near[k]} at z=1e-6, "
+            f"not in 1 +- {_PROBE_TOL} and (0, 1]"
         )
+    return model
 
 
 def _product_rule(lsts: np.ndarray, mean_lsts: np.ndarray) -> np.ndarray:
@@ -150,13 +187,7 @@ def build_mixed_exp_frailty(spec: MixedExpFrailtySpec) -> JointTransformModel:
         alloc = (wfk[..., None, :] @ (1.0 / rz))[..., 0, :]
         return np.concatenate([wfk.sum(axis=-1, keepdims=True), alloc], axis=-1)
 
-    model = JointTransformModel(
-        n=n,
-        transform=transform,
-        label=f"mixed_exp_frailty(n={n},{spec.mixing.label})",
-    )
-    _probe_unit_mass(model)
-    return model
+    return _joint_model(f"mixed_exp_frailty(n={n},{spec.mixing.label})", n, transform)
 
 
 # ---------------------------------------------------------------------------
@@ -246,27 +277,14 @@ def build_matrix_exp(specs: Sequence[MatrixExpSpec]) -> JointTransformModel:
     if not specs:
         raise ModelSpecError("need at least one risk")
     n = len(specs)
-    # the per-risk probes at t = 1e-8 multiply to L_S(1e-8), the unit-mass probe
-    agg_at_probe = 1.0 + 0.0j
-    for k, sp in enumerate(specs):
-        near, v = sp.lst_pair(np.array([1e-6, _PROBE_T]))[0]
-        if not (0.0 < near <= 1.0 + 1e-9):
-            raise ModelSpecError(f"risk {k}: transform probe at z=1e-6 gave {near}, not in (0, 1]")
-        if abs(v - 1.0) > _PROBE_TOL:
-            raise ModelSpecError(f"risk {k}: transform at t={_PROBE_T} not within {_PROBE_TOL} of 1")
-        agg_at_probe *= v
 
-    def transform(z):
+    def risks(z):
         lsts, means = zip(*(sp.lst_pair(z) for sp in specs))
-        return _product_rule(np.stack(lsts, axis=-1), np.stack(means, axis=-1))
+        return np.stack(lsts, axis=-1), np.stack(means, axis=-1)
 
-    atom_mass = math.prod(sp.p0 for sp in specs)
-    atoms = AtomSet(
-        (AtomEntry(0.0, atom_mass, (0.0,) * n),) if atom_mass > 0.0 else ()
+    return _joint_model(
+        f"matrix_exp(n={n})", n, risks=risks, atom_mass=math.prod(sp.p0 for sp in specs)
     )
-    model = JointTransformModel(n=n, transform=transform, atoms=atoms, label=f"matrix_exp(n={n})")
-    _check_unit_mass(model.label, agg_at_probe)
-    return model
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +298,6 @@ class SeverityHandle:
 
     lst: Callable[[complex], complex]
     mean_lst: Callable[[complex], complex]
-    mean: Optional[float] = None
     zero_mass: float = 0.0
     sampler: Optional[Callable] = None
     label: str = ""
@@ -296,13 +313,9 @@ def exponential_severity(rate: float) -> SeverityHandle:
     return SeverityHandle(
         lst=lambda z: rate / (rate + z),
         mean_lst=lambda z: rate / (rate + z) ** 2,
-        mean=1.0 / rate,
         sampler=sampler,
         label=f"exp(rate={rate:g})",
     )
-
-
-_KATZ_KINDS = ("degenerate", "poisson", "binomial", "negbin")
 
 
 def _katz_kind(a: float, b: float) -> str:
@@ -349,9 +362,6 @@ class KatzCompoundSpec:
     def n(self) -> int:
         return len(self.a)
 
-    def count_mean(self, i: int) -> float:
-        return (self.a[i] + self.b[i]) / (1.0 - self.a[i])
-
 
 def _katz_pgf(kind: str, a: float, b: float, w):
     if kind == "degenerate":
@@ -375,38 +385,20 @@ def _check_katz_pole(a: float, w) -> None:
 
 def build_katz_compound(spec: KatzCompoundSpec) -> JointTransformModel:
     n = spec.n
+    freqs = tuple(zip(spec.kinds, spec.a, spec.b, spec.severities))
 
-    def transform(z):
-        z = np.asarray(z)
-        phis = [sev.lst(z) for sev in spec.severities]
-        out = np.zeros(z.shape + (n + 1,), dtype=complex)
-        ls = out[..., 0]
-        ls[...] = 1.0
-        for i in range(n):
-            ls *= _katz_pgf(spec.kinds[i], spec.a[i], spec.b[i], phis[i])
-        for i in range(n):
-            a, b, phi = spec.a[i], spec.b[i], phis[i]
-            if spec.kinds[i] != "degenerate":
-                _check_katz_pole(a, phi)
-                out[..., i + 1] = (a + b) / (1.0 - a * phi) * spec.severities[i].mean_lst(z) * ls
-        return out
+    def risk(kind, a, b, sev, z):
+        # P(phi) and -d/dz P(phi(z)) = P'(phi) E[Y e^{-zY}], P'(w) = (a+b)/(1-aw) P(w)
+        phi = sev.lst(z)
+        p = _katz_pgf(kind, a, b, phi)
+        return p, (a + b) / (1.0 - a * phi) * p * sev.mean_lst(z)
 
-    atom_mass = 1.0
-    for i in range(n):
-        atom_mass *= abs(
-            _katz_pgf(spec.kinds[i], spec.a[i], spec.b[i], spec.severities[i].zero_mass)
-        )
-    atoms = AtomSet(
-        (AtomEntry(0.0, atom_mass, (0.0,) * n),) if atom_mass > 0.0 else ()
-    )
-    means = None
-    if all(sev.mean is not None for sev in spec.severities):
-        means = tuple(spec.count_mean(i) * spec.severities[i].mean for i in range(n))
-    model = JointTransformModel(
-        n=n, transform=transform, atoms=atoms, means=means, label=f"katz_compound(n={n})"
-    )
-    _probe_unit_mass(model)
-    return model
+    def risks(z):
+        lsts, means = zip(*(risk(*f, z) for f in freqs))
+        return np.stack(lsts, axis=-1), np.stack(means, axis=-1)
+
+    atom_mass = math.prod(float(abs(_katz_pgf(k, a, b, sev.zero_mass))) for k, a, b, sev in freqs)
+    return _joint_model(f"katz_compound(n={n})", n, risks=risks, atom_mass=atom_mass)
 
 
 # ---------------------------------------------------------------------------
@@ -487,13 +479,9 @@ def build_common_shock_cp(spec: CommonShockCPSpec) -> JointTransformModel:
         out[..., :1] = ls
         return out
 
-    atoms = AtomSet((AtomEntry(0.0, math.exp(-spec.total_rate), (0.0,) * n),))
-    means = tuple(float(lam0 * p[i] / b0 + lam[i] / bet[i]) for i in range(n))
-    model = JointTransformModel(
-        n=n, transform=transform, atoms=atoms, means=means, label=f"common_shock_cp(n={n})"
+    return _joint_model(
+        f"common_shock_cp(n={n})", n, transform, atom_mass=math.exp(-spec.total_rate)
     )
-    _probe_unit_mass(model)
-    return model
 
 
 # ---------------------------------------------------------------------------
@@ -611,16 +599,7 @@ def build_lognormal_portfolio(spec: LognormalPortfolioSpec) -> JointTransformMod
     sigma = np.array(spec.sigma)
     stats: dict = {}
 
-    def transform(z):
-        return _product_rule(*_lognormal_sums(z, mu, sigma, spec.gh_order, stats))
+    def risks(z):
+        return _lognormal_sums(z, mu, sigma, spec.gh_order, stats)
 
-    means = tuple(math.exp(m + s**2 / 2.0) for m, s in zip(spec.mu, spec.sigma))
-    model = JointTransformModel(
-        n=n,
-        transform=transform,
-        means=means,
-        label=f"lognormal(n={n},gh={spec.gh_order})",
-        stats=stats,
-    )
-    _probe_unit_mass(model)
-    return model
+    return _joint_model(f"lognormal(n={n},gh={spec.gh_order})", n, risks=risks, stats=stats)

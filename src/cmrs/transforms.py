@@ -9,16 +9,16 @@ values at every node of one inversion come from one call.  Inversion,
 allocation and diagnostics all consume this interface and nothing else.
 
 Conventions: risks are indexed 0..n-1 in code (reports and CSV columns are
-labelled 1..n); transforms are only ever evaluated at Re z > 0 (never at 0,
-so possibly-infinite means stay out of the evaluation path and are carried
-as optional metadata instead).
+labelled 1..n); transforms are evaluated at Re z > 0, except that the
+model builders probe each shipped family at z = 0, where its transform is
+finite (there L_S = 1 and L_i = E[X_i]); ``eval_transform`` refuses Re z <= 0.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -114,22 +114,19 @@ class JointTransformModel:
     real axis and a complex one on the contour; a scalar z is a 0-d array, so
     ``transform(1.0)`` gives the n+1 values at one point.
 
-    ``means`` is optional metadata (absent when unknown or infinite).  ``stats``
-    is a mutable scratch dict for evaluation counters (e.g. underflow guards).
+    ``stats`` is a mutable scratch dict for evaluation counters (e.g.
+    underflow guards).
     """
 
     n: int
     transform: Callable[[np.ndarray], np.ndarray]
     atoms: AtomSet = _EMPTY_ATOMS
-    means: Optional[tuple[float, ...]] = None
     label: str = ""
     stats: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ModelSpecError(f"need at least one risk, got n={self.n}")
-        if self.means is not None and len(self.means) != self.n:
-            raise ModelSpecError("means vector length must equal n")
         for e in self.atoms.entries:
             if len(e.allocation) != self.n:
                 raise ModelSpecError("atom allocation row length must equal n")

@@ -23,13 +23,21 @@ from cmrs.errors import DomainError, EvaluationError, InversionError, SingularMa
 from cmrs.inversion import EulerScheme, GsScheme, invert
 from cmrs.models import (
     CommonShockCPSpec,
+    LognormalPortfolioSpec,
     build_common_shock_cp,
+    build_lognormal_portfolio,
     build_matrix_exp,
     erlang_me_spec,
     exponential_me_spec,
 )
 from cmrs.oracles import me_example_oracle
-from cmrs.transforms import AtomEntry, AtomSet, JointTransformModel, eval_transform
+from cmrs.transforms import (
+    AtomEntry,
+    AtomSet,
+    JointTransformModel,
+    diagonal_diagnostic,
+    eval_transform,
+)
 
 CS_REF = CommonShockCPSpec(
     lambda0=1.5,
@@ -336,3 +344,20 @@ class TestTwoRiskProperty:
             if st_ == STATUS_OK:
                 s = float(res.s_grid[k])
                 assert res.sum_h[k] == pytest.approx(s, rel=1e-5)
+
+
+def test_hundred_risk_lognormal_pool():
+    # 33 copies of C8's three moment-matched lognormals plus one more of the
+    # first, so E[S] = 166; a 21-point grid on [0.6, 1.4] E[S]
+    means = (1.0, 2.0, 2.0) * 33 + (1.0,)
+    variances = (5.0, 2.0, 5.0) * 33 + (5.0,)
+    model = build_lognormal_portfolio(LognormalPortfolioSpec.from_moments(means, variances))
+    assert diagonal_diagnostic(model, np.logspace(-2, 2, 25), tol=1e-5).all_passed
+    grid = tuple(166.0 * np.linspace(0.6, 1.4, 21))
+    res = allocate(AllocationRequest(model=model, s_grid=grid, scheme=EulerScheme()))
+    assert res.status == [STATUS_OK] * 21
+    assert np.abs(res.sum_h - np.array(grid)).max() <= 1e-3
+    # identical risks get identical shares
+    for group in range(3):
+        h = res.h[:, group::3]
+        assert (h.max(axis=1) - h.min(axis=1)).max() <= 1e-9

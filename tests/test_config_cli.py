@@ -205,6 +205,10 @@ class TestConfigParsing:
             BenchSpec(n_sweep=())
         with pytest.raises(ConfigError, match="reps"):
             BenchSpec(reps=0)
+        # a zero tilt would time the untilted leg twice
+        for tilt in (0.0, -0.2, math.nan, math.inf):
+            with pytest.raises(ConfigError, match="tilt must be finite and > 0"):
+                BenchSpec(tilt=tilt)
 
     def test_raw_matrix_exp_risk_block(self):
         data = yaml.safe_load(ERLANG_YAML)
@@ -382,7 +386,17 @@ class TestCliDiagnose:
         text = ERLANG_YAML.replace("rule: euler", "rule: gaver-stehfest")
         cfg = _write(tmp_path, "cfg.yaml", text)
         assert main(["diagnose", "--config", cfg, "--sweep", "0,0.2"]) == 1
-        assert "tilt sweep needs the euler scheme" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert "tilt sweep needs the euler scheme" in captured.err
+        # refused before the diagonal check prints anything
+        assert captured.out == ""
+
+    def test_negative_sweep_tilt_refused_before_output(self, tmp_path, capsys):
+        cfg = _write(tmp_path, "cfg.yaml", ERLANG_YAML)
+        assert main(["diagnose", "--config", cfg, "--sweep", "0.2,-0.5"]) == 1
+        captured = capsys.readouterr()
+        assert "tilt must be finite and >= 0, got -0.5" in captured.err
+        assert captured.out == ""
 
 
 _CS_MODEL = {

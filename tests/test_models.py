@@ -12,7 +12,7 @@ from cmrs.errors import (
     ModelSpecError,
     SingularMatrixError,
 )
-from cmrs.mixing import gamma_mixing, point_mass_mixing
+from cmrs.mixing import gamma_mixing, levy_mixing, point_mass_mixing
 from cmrs.models import (
     CommonShockCPSpec,
     KatzCompoundSpec,
@@ -209,13 +209,6 @@ class TestKatzCompound:
         with pytest.raises(ModelSpecError, match="a must be < 1"):
             KatzCompoundSpec(a=(1.5,), b=(0.0,), severities=sev)
 
-    def test_count_mean(self):
-        spec = KatzCompoundSpec(
-            a=(0.0, 0.25), b=(1.5, 0.5), severities=(exponential_severity(1.0),) * 2
-        )
-        assert spec.count_mean(0) == pytest.approx(1.5)
-        assert spec.count_mean(1) == pytest.approx(1.0)
-
     def test_aggregate_frozen_value(self):
         # Poisson(1.5)/Exp(2) + NegBin(a=0.25, b=0.5)/Exp(1):
         # exp(1.5 (2/3 - 1)) * (0.75 / (1 - 0.25 * 0.5))^3 at z = 1
@@ -248,7 +241,8 @@ class TestKatzCompound:
                 severities=(exponential_severity(2.0), exponential_severity(1.0)),
             )
         )
-        assert model.means == pytest.approx((0.75, 1.0))
+        # L_i(0) = E[X_i]
+        assert model.transform(0.0)[1:] == pytest.approx(np.array((0.75, 1.0)))
 
     def test_degenerate_component_contributes_nothing(self):
         model = build_katz_compound(
@@ -311,7 +305,8 @@ class TestCommonShockCP:
             1.5 * p / 0.9 + lam / bet
             for p, lam, bet in zip((0.2, 0.3, 0.5), (0.8, 1.1, 0.6), (1.4, 0.7, 1.9))
         )
-        assert model.means == pytest.approx(want, rel=1e-14)
+        # L_i(0) = E[X_i]
+        assert model.transform(0.0)[1:] == pytest.approx(np.array(want), rel=1e-14)
 
     def test_stripped_remainder_vanishes_in_deep_tail(self):
         # with all atomic mass removed the transform must decay; at the
@@ -448,8 +443,8 @@ class TestLognormalTransform:
 
     def test_from_moments_round_trip(self):
         spec = LognormalPortfolioSpec.from_moments((2.0, 5.0), (1.0, 4.0))
-        model = build_lognormal_portfolio(spec)
-        assert model.means == pytest.approx((2.0, 5.0), rel=1e-14)
+        means = tuple(math.exp(m + s * s / 2.0) for m, s in zip(spec.mu, spec.sigma))
+        assert means == pytest.approx((2.0, 5.0), rel=1e-14)
         sig2 = tuple(s * s for s in spec.sigma)
         var = tuple(
             (math.exp(s2) - 1.0) * math.exp(2.0 * m + s2) for m, s2 in zip(spec.mu, sig2)
@@ -464,6 +459,43 @@ class TestLognormalTransform:
         model = build_lognormal_portfolio(LognormalPortfolioSpec((0.0,), (0.5,), gh_order=256))
         eval_transform(model, 30.0)
         assert model.stats.get("suppressed_terms", 0) > 0
+
+
+class TestConstructionProbe:
+    # valid models with a large aggregate mean: L_S falls off like 1 - z E[S]
+    # near 0, so only a probe at z = 0 itself admits them
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: build_lognormal_portfolio(LognormalPortfolioSpec((0.0,) * 100, (0.5,) * 100)),
+            lambda: build_matrix_exp([exponential_me_spec(0.009)]),
+            lambda: build_mixed_exp_frailty(MixedExpFrailtySpec((1.0, 2.0), gamma_mixing(0.5))),
+            lambda: build_mixed_exp_frailty(MixedExpFrailtySpec((1.0, 2.0), levy_mixing(0.1))),
+            lambda: build_common_shock_cp(
+                CommonShockCPSpec(**{**CS_531, "beta0": 0.01, "betas": (0.01,) * 3})
+            ),
+        ],
+        ids=["lognormal-n100", "exponential-mean-111", "gamma-frailty", "levy-frailty", "cs-slow"],
+    )
+    def test_large_mean_models_build(self, build):
+        model = build()
+        assert eval_transform(model, 1e-6)[0].real > 0.0
+
+    @pytest.mark.parametrize(
+        "risks",
+        [
+            [exponential_me_spec(1.0), MatrixExpSpec(np.array([1.0]), np.array([[-2.0]]), [4.0])],
+            [MatrixExpSpec(np.array([1.0]), np.array([[-2.0]]), [-2.0])],
+        ],
+        ids=["doubled-u-next-to-valid", "negative-u"],
+    )
+    def test_miswired_matrix_exp_refused(self, risks):
+        with pytest.raises(ModelSpecError):
+            build_matrix_exp(risks)
+
+    def test_nan_rate_refused(self):
+        with pytest.raises(ModelSpecError):
+            build_common_shock_cp(CommonShockCPSpec(**{**CS_531, "lambda0": math.nan}))
 
 
 class TestCrossFamilyReductions:
