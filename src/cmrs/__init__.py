@@ -15,12 +15,10 @@ from .allocation import (
     allocate,
     breakdown_scan,
     proportions,
-    strip_atoms,
     tail_contribution,
 )
 from .config import (
     GridSpec,
-    ModelConfig,
     RunConfig,
     SchemeSpec,
     build_model_from_config,
@@ -115,7 +113,6 @@ __all__ = [
     "McEstimate",
     "MixedExpFrailtySpec",
     "MixingLawHandle",
-    "ModelConfig",
     "ModelSpecError",
     "OracleError",
     "RunConfig",
@@ -153,6 +150,5 @@ __all__ = [
     "parse_config",
     "point_mass_mixing",
     "proportions",
-    "strip_atoms",
     "tail_contribution",
 ]

@@ -69,15 +69,17 @@ class AllocationRequest:
 @dataclass(frozen=True)
 class AtomicTransformRemainder:
     """Transforms of the continuous part of a model: the atomic terms
-    sum_j mu_j exp(-z s_j) (and their allocation analogues) subtracted out."""
+    sum_j mu_j exp(-z s_j) of the model's atoms (and their allocation
+    analogues) subtracted out.  With no atoms this is the model itself."""
 
     model: JointTransformModel
-    atoms: AtomSet
     # (location, [mass, allocation masses]) per atom, built once
     _terms: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        terms = tuple((e.location, np.array((e.mass, *e.allocation))) for e in self.atoms.entries)
+        terms = tuple(
+            (e.location, np.array((e.mass, *e.allocation))) for e in self.model.atoms.entries
+        )
         object.__setattr__(self, "_terms", terms)
 
     def values_at(self, z) -> np.ndarray:
@@ -88,12 +90,6 @@ class AtomicTransformRemainder:
         for location, masses in self._terms:
             vals = vals - masses * np.exp(-z * location)[..., None]
         return vals.real
-
-
-def strip_atoms(model: JointTransformModel) -> AtomicTransformRemainder:
-    """Continuous-part transforms of ``model``.  With no atoms this is the
-    model itself (and the subtraction loop is empty)."""
-    return AtomicTransformRemainder(model=model, atoms=model.atoms)
 
 
 @dataclass
@@ -107,8 +103,6 @@ class AllocationResult:
     sum_h: np.ndarray  # sum of unclipped shares
     balance_residual: np.ndarray  # |sum xi - s f| / (s f)
     status: list[str]
-    clipped: np.ndarray  # bool, any share clipped at this point
-    atoms: AtomSet
     elapsed: float
 
     @property
@@ -118,6 +112,10 @@ class AllocationResult:
     @property
     def scheme(self) -> Scheme:
         return self.request.scheme
+
+    @property
+    def atoms(self) -> AtomSet:
+        return self.request.model.atoms
 
     @property
     def worst_status(self) -> str:
@@ -135,7 +133,7 @@ def _derive_statuses(
 ):
     """Shared status logic for allocate and breakdown_scan.
 
-    Returns (status list, xi clamped, h clipped, sum_h, residual, clipped).
+    Returns (status list, xi clamped, h clipped, sum_h, residual).
     """
     unusable = (
         ~np.isfinite(density) | ~np.isfinite(raw_xi).all(axis=1) | (raw_xi < _XI_CLAMP).any(axis=1)
@@ -157,8 +155,6 @@ def _derive_statuses(
     sum_h[good] = sh
     resid = np.full(len(s_grid), np.nan)
     resid[good] = r
-    clipped = np.zeros(len(s_grid), dtype=bool)
-    clipped[good] = over
     violated = failed.copy()
     violated[good] = (
         ~np.isfinite(sh) | (r > balance_tol) | (np.abs(sh - s) > balance_tol * s) | over
@@ -167,7 +163,7 @@ def _derive_statuses(
     after_break = np.concatenate([[False], np.logical_or.accumulate(violated)[:-1]])
     code = np.where(failed, 2, violated | after_break)
     status = np.array([STATUS_OK, STATUS_DEGRADED, STATUS_FAILED])[code].tolist()
-    return status, xi, h, sum_h, resid, clipped
+    return status, xi, h, sum_h, resid
 
 
 def allocate(request: AllocationRequest) -> AllocationResult:
@@ -175,7 +171,7 @@ def allocate(request: AllocationRequest) -> AllocationResult:
     call per gridpoint, with that point's whole array of nodes."""
     model = request.model
     scheme = request.scheme
-    remainder = strip_atoms(model)
+    remainder = AtomicTransformRemainder(model)
     s_grid = np.array(request.s_grid)
     values = np.full((len(s_grid), model.n + 1), np.nan)
 
@@ -191,7 +187,7 @@ def allocate(request: AllocationRequest) -> AllocationResult:
 
     density = values[:, 0].copy()
     raw_xi = values[:, 1:].copy()
-    status, xi, h, sum_h, resid, clipped = _derive_statuses(
+    status, xi, h, sum_h, resid = _derive_statuses(
         s_grid, density, raw_xi, request.balance_tol, request.density_floor
     )
     return AllocationResult(
@@ -204,8 +200,6 @@ def allocate(request: AllocationRequest) -> AllocationResult:
         sum_h=sum_h,
         balance_residual=resid,
         status=status,
-        clipped=clipped,
-        atoms=model.atoms,
         elapsed=elapsed,
     )
 
@@ -237,7 +231,7 @@ def breakdown_scan(result: AllocationResult, tol: Optional[float] = None) -> Bre
         tol = result.request.balance_tol
     if not (tol > 0.0):
         raise DomainError(f"tolerance must be positive, got {tol}")
-    status, _, _, _, _, _ = _derive_statuses(
+    status, _, _, _, _ = _derive_statuses(
         result.s_grid, result.density, result.raw_xi, tol, result.request.density_floor
     )
     violations = np.flatnonzero(np.array(status) != STATUS_OK)

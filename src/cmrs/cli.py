@@ -35,7 +35,7 @@ from .allocation import (
 from .config import RunConfig, build_model_from_config, load_config
 from .errors import CmrsError, ConfigError
 from .inversion import EulerScheme, GsScheme, gs_weights_exact
-from .models import CommonShockCPSpec, MatrixExpSpec, MixedExpFrailtySpec
+from .models import CommonShockCPSpec, MatrixExpSpec, MixedExpFrailtySpec, build_common_shock_cp
 from .oracles import (
     cscp_series_oracle,
     make_sampler,
@@ -178,9 +178,9 @@ def run_verify(cfg: RunConfig, seed: Optional[int] = None) -> tuple[bool, list[s
     vf = cfg.verify
     if vf.method == "none":
         raise ConfigError("verify block has method: none; nothing to check")
-    model, spec = build_model_from_config(cfg.model)
+    spec = cfg.model
     result = allocate(_build_request(cfg))
-    n = model.n
+    n = result.n
     tol = vf.tolerance
     lines: list[str] = []
     ok_points = [k for k, st in enumerate(result.status) if st == STATUS_OK]
@@ -311,11 +311,9 @@ def run_bench(cfg: RunConfig) -> list[BenchRow]:
     """
     if cfg.bench is None:
         raise ConfigError("config has no bench block")
-    _, spec = build_model_from_config(cfg.model)
+    spec = cfg.model
     if not isinstance(spec, CommonShockCPSpec):
         raise ConfigError("bench needs a common_shock_cp model block")
-    from .models import build_common_shock_cp
-
     rows = []
     for size in cfg.bench.n_sweep:
         model = build_common_shock_cp(_scaled_cscp(spec, size))

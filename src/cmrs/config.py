@@ -3,14 +3,19 @@
 A config file has blocks ``model``, ``grid``, ``scheme`` and optionally
 ``output``, ``verify``, ``tolerance``, ``bench``.  Loading is strict: unknown
 keys are errors, not warnings, since a typo in a tolerance name should not
-silently run with defaults.
+silently run with defaults, and a missing key is named, not a traceback.
+
+Loading parses the model block once, into its family spec
+(``RunConfig.model``), whose constructor checks the values.  The model
+itself is built by ``build_model_from_config``, once per run, and that build
+runs the construction probe.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 import yaml
@@ -147,29 +152,18 @@ class BenchSpec:
         object.__setattr__(self, "n_sweep", ns)
 
 
-@dataclass(frozen=True)
-class ModelConfig:
-    family: str
-    params: dict
-
-    _FAMILIES = (
-        "mixed_exp_frailty",
-        "matrix_exp",
-        "katz_compound",
-        "common_shock_cp",
-        "lognormal",
-    )
-
-    def __post_init__(self) -> None:
-        if self.family not in self._FAMILIES:
-            raise ConfigError(
-                f"unknown model family {self.family!r}; known: {', '.join(self._FAMILIES)}"
-            )
+ModelSpec = Union[
+    MixedExpFrailtySpec,
+    tuple[MatrixExpSpec, ...],
+    KatzCompoundSpec,
+    CommonShockCPSpec,
+    LognormalPortfolioSpec,
+]
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    model: ModelConfig
+    model: ModelSpec
     grid: GridSpec
     scheme: SchemeSpec = SchemeSpec()
     output: OutputSpec = OutputSpec()
@@ -180,11 +174,14 @@ class RunConfig:
 
 def _checked(where: str, build):
     """``build()``, with a TypeError or ValueError that is not already one of
-    the package's errors (a value of the wrong type) raised as ConfigError."""
+    the package's errors (a value of the wrong type) raised as ConfigError,
+    and a KeyError (a required key left out) as one that names the key."""
     try:
         return build()
     except CmrsError:
         raise
+    except KeyError as exc:
+        raise ConfigError(f"{where}: missing key {exc.args[0]!r}") from exc
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
@@ -216,17 +213,8 @@ def parse_config(data: dict) -> RunConfig:
     )
     if "model" not in data or "grid" not in data:
         raise ConfigError("config needs at least model and grid blocks")
-    mblock = data["model"]
-    if not isinstance(mblock, dict):
-        raise ConfigError(f"model must be a mapping, got {type(mblock).__name__}")
-    if "family" not in mblock:
-        raise ConfigError("model block needs a family key")
-    model = ModelConfig(
-        family=mblock["family"], params={k: v for k, v in mblock.items() if k != "family"}
-    )
-    _checked("model", lambda: build_model_from_config(model))  # fail at parse time
     cfg = RunConfig(
-        model=model,
+        model=_checked("model", lambda: _parse_model(data["model"])),
         grid=_parse_block(GridSpec, data["grid"], "grid"),
         scheme=_parse_block(SchemeSpec, data.get("scheme", {}), "scheme"),
         output=_parse_block(OutputSpec, data.get("output", {}), "output"),
@@ -247,7 +235,7 @@ def load_config(path: str) -> RunConfig:
 
 
 # ---------------------------------------------------------------------------
-# model construction
+# model block
 
 
 def _build_mixing(block: dict):
@@ -289,49 +277,63 @@ def _build_severity(block: dict):
     return exponential_severity(float(block["rate"]))
 
 
-def build_model_from_config(model: ModelConfig) -> tuple[JointTransformModel, object]:
-    """Instantiate (transform model, family spec) from a model block."""
-    fam = model.family
-    p = model.params
+def _parse_model(p: dict) -> ModelSpec:
+    """The family spec a model block describes.  The spec constructors check
+    their values; the model itself is built later, by the verb that runs it."""
+    if not isinstance(p, dict):
+        raise ConfigError(f"model must be a mapping, got {type(p).__name__}")
+    fam = p["family"]
     if fam == "mixed_exp_frailty":
-        _require_keys(p, {"lambdas", "mixing"}, "model")
-        spec = MixedExpFrailtySpec(tuple(p["lambdas"]), _build_mixing(p["mixing"]))
-        return build_mixed_exp_frailty(spec), spec
+        _require_keys(p, {"family", "lambdas", "mixing"}, "model")
+        return MixedExpFrailtySpec(tuple(p["lambdas"]), _build_mixing(p["mixing"]))
     if fam == "matrix_exp":
-        _require_keys(p, {"risks"}, "model")
-        specs = tuple(_build_me_risk(r) for r in p["risks"])
-        return build_matrix_exp(specs), specs
+        _require_keys(p, {"family", "risks"}, "model")
+        return tuple(_build_me_risk(r) for r in p["risks"])
     if fam == "katz_compound":
-        _require_keys(p, {"risks"}, "model")
+        _require_keys(p, {"family", "risks"}, "model")
         risks = p["risks"]
         for r in risks:
             _require_keys(r, {"a", "b", "severity"}, "katz risk")
-        spec = KatzCompoundSpec(
+        return KatzCompoundSpec(
             tuple(float(r["a"]) for r in risks),
             tuple(float(r["b"]) for r in risks),
             tuple(_build_severity(r["severity"]) for r in risks),
         )
-        return build_katz_compound(spec), spec
     if fam == "common_shock_cp":
-        _require_keys(p, {"lambda0", "lambdas", "beta0", "betas", "weights"}, "model")
-        spec = CommonShockCPSpec(
+        _require_keys(p, {"family", "lambda0", "lambdas", "beta0", "betas", "weights"}, "model")
+        return CommonShockCPSpec(
             float(p["lambda0"]),
             tuple(p["lambdas"]),
             float(p["beta0"]),
             tuple(p["betas"]),
             tuple(p["weights"]),
         )
-        return build_common_shock_cp(spec), spec
     if fam == "lognormal":
-        _require_keys(p, {"means", "variances", "mu", "sigma", "gh_order"}, "model")
+        _require_keys(p, {"family", "means", "variances", "mu", "sigma", "gh_order"}, "model")
         order = int(p.get("gh_order", 64))
         if "means" in p or "variances" in p:
             if "mu" in p or "sigma" in p:
                 raise ConfigError("lognormal: give means/variances or mu/sigma, not both")
-            spec = LognormalPortfolioSpec.from_moments(
+            return LognormalPortfolioSpec.from_moments(
                 tuple(p["means"]), tuple(p["variances"]), order
             )
-        else:
-            spec = LognormalPortfolioSpec(tuple(p["mu"]), tuple(p["sigma"]), order)
-        return build_lognormal_portfolio(spec), spec
-    raise ConfigError(f"unknown model family {fam!r}")
+        return LognormalPortfolioSpec(tuple(p["mu"]), tuple(p["sigma"]), order)
+    raise ConfigError(
+        f"unknown model family {fam!r}; known: mixed_exp_frailty, matrix_exp, "
+        "katz_compound, common_shock_cp, lognormal"
+    )
+
+
+_BUILDERS = {
+    MixedExpFrailtySpec: build_mixed_exp_frailty,
+    tuple: build_matrix_exp,
+    KatzCompoundSpec: build_katz_compound,
+    CommonShockCPSpec: build_common_shock_cp,
+    LognormalPortfolioSpec: build_lognormal_portfolio,
+}
+
+
+def build_model_from_config(spec: ModelSpec) -> tuple[JointTransformModel, ModelSpec]:
+    """(transform model, spec) for a family spec such as ``RunConfig.model``.
+    Each call builds the model and runs its construction probe."""
+    return _BUILDERS[type(spec)](spec), spec

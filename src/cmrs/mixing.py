@@ -9,8 +9,8 @@ Theta has to be carried out pointwise (density oracles, samplers).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
 from scipy.special import gammaln, roots_genlaguerre
@@ -20,29 +20,33 @@ from .errors import ModelSpecError
 _WEIGHT_SUM_TOL = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MixingLawHandle:
     """Transform pair plus quadrature nodes for one mixing variable.
 
-    quadrature_nodes holds (theta_k, w_k) pairs with theta_k >= 0, w_k > 0
-    and sum_k w_k = 1 up to 1e-10.  sampler, when present, draws Theta
-    variates as sampler(rng, size).
+    nodes theta_k >= 0 and weights w_k > 0 are equal-length arrays with
+    sum_k w_k = 1 up to 1e-10.  sampler, when present, draws Theta variates
+    as sampler(rng, size).  Two handles are equal only if they are the same
+    object.
     """
 
     lst: Callable[[float], float]
     lst_deriv: Callable[[float], float]
-    quadrature_nodes: tuple[tuple[float, float], ...]
+    nodes: np.ndarray
+    weights: np.ndarray
     label: str = ""
     sampler: Optional[Callable] = None
-    _nodes: np.ndarray = field(init=False, repr=False, compare=False)
-    _weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        pairs = tuple((float(t), float(w)) for t, w in self.quadrature_nodes)
-        if not pairs:
+        nodes = np.array(self.nodes, dtype=float)
+        weights = np.array(self.weights, dtype=float)
+        if nodes.ndim != 1 or nodes.shape != weights.shape:
+            raise ModelSpecError(
+                f"mixing nodes and weights must be 1-D arrays of equal length, got "
+                f"shapes {nodes.shape} and {weights.shape}"
+            )
+        if not nodes.size:
             raise ModelSpecError("mixing law needs at least one quadrature node")
-        nodes = np.array([p[0] for p in pairs])
-        weights = np.array([p[1] for p in pairs])
         if not (np.isfinite(nodes).all() and np.isfinite(weights).all()):
             raise ModelSpecError("mixing quadrature nodes must be finite")
         if (nodes < 0.0).any():
@@ -55,17 +59,8 @@ class MixingLawHandle:
                 f"mixing quadrature weights sum to {total!r}, expected 1 within "
                 f"{_WEIGHT_SUM_TOL}"
             )
-        object.__setattr__(self, "quadrature_nodes", pairs)
-        object.__setattr__(self, "_nodes", nodes)
-        object.__setattr__(self, "_weights", weights)
-
-    @property
-    def nodes(self) -> np.ndarray:
-        return self._nodes
-
-    @property
-    def weights(self) -> np.ndarray:
-        return self._weights
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "weights", weights)
 
 
 def gamma_mixing(alpha: float, n_nodes: int = 200) -> MixingLawHandle:
@@ -84,7 +79,6 @@ def gamma_mixing(alpha: float, n_nodes: int = 200) -> MixingLawHandle:
         weights = np.exp(np.log(w) - gammaln(alpha))
     # far-tail weights underflow to 0 for large rules; they carry no mass
     keep = weights > 0.0
-    pairs = tuple(zip(x[keep].tolist(), weights[keep].tolist()))
 
     def lst(u):
         return (1.0 + u) ** (-alpha)
@@ -95,7 +89,9 @@ def gamma_mixing(alpha: float, n_nodes: int = 200) -> MixingLawHandle:
     def sampler(rng, size):
         return rng.gamma(alpha, 1.0, size)
 
-    return MixingLawHandle(lst, lst_deriv, pairs, label=f"gamma(alpha={alpha:g})", sampler=sampler)
+    return MixingLawHandle(
+        lst, lst_deriv, x[keep], weights[keep], label=f"gamma(alpha={alpha:g})", sampler=sampler
+    )
 
 
 def _legendre_on(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -135,7 +131,6 @@ def levy_mixing(kappa: float, n_nodes: int = 200) -> MixingLawHandle:
     theta = np.concatenate([trunk_theta, tail_theta])
     weights = np.concatenate([trunk_w, tail_w])
     weights = weights / math.fsum(weights.tolist())
-    pairs = tuple(zip(theta.tolist(), weights.tolist()))
 
     def lst(u):
         return math.exp(-kappa * math.sqrt(u))
@@ -148,7 +143,9 @@ def levy_mixing(kappa: float, n_nodes: int = 200) -> MixingLawHandle:
         z = rng.standard_normal(size)
         return kappa**2 / (2.0 * z**2)
 
-    return MixingLawHandle(lst, lst_deriv, pairs, label=f"levy(kappa={kappa:g})", sampler=sampler)
+    return MixingLawHandle(
+        lst, lst_deriv, theta, weights, label=f"levy(kappa={kappa:g})", sampler=sampler
+    )
 
 
 def point_mass_mixing(theta0: float) -> MixingLawHandle:
@@ -166,5 +163,5 @@ def point_mass_mixing(theta0: float) -> MixingLawHandle:
         return np.full(size, theta0)
 
     return MixingLawHandle(
-        lst, lst_deriv, ((theta0, 1.0),), label=f"point(theta={theta0:g})", sampler=sampler
+        lst, lst_deriv, (theta0,), (1.0,), label=f"point(theta={theta0:g})", sampler=sampler
     )

@@ -21,9 +21,9 @@ from scipy.stats import gamma
 from cmrs.allocation import (
     AllocationRequest,
     STATUS_OK,
+    AtomicTransformRemainder,
     allocate,
     breakdown_scan,
-    strip_atoms,
 )
 from cmrs.cli import run_bench
 from cmrs.config import parse_config
@@ -314,9 +314,9 @@ def test_c09_bench_scaling_trend():
 def test_c10_origin_atom_separation(cscp_model):
     """origin atom carries e^{-total rate}, zero shares, clean remainder"""
     t0 = time.perf_counter()
-    remainder = strip_atoms(cscp_model)
-    assert len(remainder.atoms.entries) == 1
-    atom = remainder.atoms.entries[0]
+    remainder = AtomicTransformRemainder(cscp_model)
+    assert len(remainder.model.atoms.entries) == 1
+    atom = remainder.model.atoms.entries[0]
     assert atom.location == 0.0
     assert abs(atom.mass - math.exp(-4.0)) <= 1e-12
     # conditional shares at the origin atom are identically zero
@@ -331,6 +331,6 @@ def test_c10_origin_atom_separation(cscp_model):
         betas=(0.15, 0.05, 0.2),
         weights=(0.2, 0.3, 0.5),
     )
-    slow_remainder = strip_atoms(build_common_shock_cp(slow))
+    slow_remainder = AtomicTransformRemainder(build_common_shock_cp(slow))
     assert abs(slow_remainder.values_at(1e4)[0]) <= 1e-6
     assert time.perf_counter() - t0 < 1.0

@@ -13,10 +13,10 @@ from cmrs.allocation import (
     STATUS_FAILED,
     STATUS_OK,
     AllocationRequest,
+    AtomicTransformRemainder,
     allocate,
     breakdown_scan,
     proportions,
-    strip_atoms,
     tail_contribution,
 )
 from cmrs.errors import DomainError, EvaluationError, InversionError, SingularMatrixError
@@ -286,13 +286,13 @@ class TestAtomHandling:
 
     def test_atomless_remainder_is_the_model_itself(self):
         model = build_matrix_exp([exponential_me_spec(1.0), exponential_me_spec(2.0)])
-        rem = strip_atoms(model)
+        rem = AtomicTransformRemainder(model)
         for z in (0.5, 1.0 + 3.0j):
             assert np.array_equal(rem.values_at(z), model.transform(z).real)
 
     def test_remainder_subtracts_the_atom(self):
         model = build_common_shock_cp(CS_REF)
-        rem = strip_atoms(model)
+        rem = AtomicTransformRemainder(model)
         # at large real t the continuous part dies but the atom term does not
         assert abs(complex(model.transform(1.0e4)[0]) - math.exp(-4.0)) < 1e-4
         assert abs(rem.values_at(1.0e4)[0]) < 1e-4
@@ -300,7 +300,7 @@ class TestAtomHandling:
 
     def test_values_at_stacks_aggregate_and_allocations(self):
         model = build_common_shock_cp(CS_REF)
-        rem = strip_atoms(model)
+        rem = AtomicTransformRemainder(model)
         z = 0.8 + 2.0j
         row = rem.values_at(z)
         vals = model.transform(z)
@@ -318,7 +318,7 @@ class TestAtomHandling:
             atoms=atoms,
             label="point",
         )
-        rem = strip_atoms(model)
+        rem = AtomicTransformRemainder(model)
         for z in (0.1, 1.0, 3.0 + 5.0j):
             assert np.array_equal(rem.values_at(z), [0.0, 0.0])
 

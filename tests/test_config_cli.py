@@ -19,7 +19,6 @@ from cmrs.cli import main, run_bench, run_verify, write_csv
 from cmrs.config import (
     BenchSpec,
     GridSpec,
-    ModelConfig,
     RunConfig,
     SchemeSpec,
     VerifySpec,
@@ -29,7 +28,7 @@ from cmrs.config import (
 )
 from cmrs.errors import ConfigError, InversionError, ModelSpecError
 from cmrs.inversion import EulerScheme, GsScheme
-from cmrs.models import CommonShockCPSpec, build_common_shock_cp
+from cmrs.models import CommonShockCPSpec, MatrixExpSpec, build_common_shock_cp
 
 ERLANG_YAML = textwrap.dedent(
     """
@@ -124,11 +123,12 @@ class TestSchemeSpec:
 class TestConfigParsing:
     def test_parse_and_build_reference_pool(self, tmp_path):
         cfg = load_config(_write(tmp_path, "cfg.yaml", ERLANG_YAML))
-        assert cfg.model.family == "matrix_exp"
+        assert all(isinstance(risk, MatrixExpSpec) for risk in cfg.model)
         assert cfg.verify.method == "closed_form"
         model, spec = build_model_from_config(cfg.model)
         assert model.n == 2
         assert len(spec) == 2
+        assert spec is cfg.model
 
     def test_unknown_top_level_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown keys"):
@@ -145,8 +145,22 @@ class TestConfigParsing:
             parse_config(data)
 
     def test_unknown_family_rejected(self):
+        data = yaml.safe_load(ERLANG_YAML)
+        data["model"] = {"family": "weibull"}
         with pytest.raises(ConfigError, match="family"):
-            ModelConfig(family="weibull", params={})
+            parse_config(data)
+
+    def test_miswired_model_loads_and_is_refused_at_build(self, tmp_path, capsys):
+        # loading checks the spec's values; the construction probe runs when
+        # a verb builds the model, still before anything is printed
+        data = yaml.safe_load(ERLANG_YAML)
+        data["model"]["risks"] = [{"alpha": [1.0], "T": [[-2.0]], "u": [4.0]}]
+        cfg = _write(tmp_path, "cfg.yaml", yaml.safe_dump(data))
+        assert load_config(cfg).model[0].u.tolist() == [4.0]
+        assert main(["allocate", "--config", cfg]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "not in" in captured.err
+        assert captured.out == ""
 
     def test_model_errors_surface_at_parse_time(self):
         data = yaml.safe_load(ERLANG_YAML)
@@ -417,6 +431,31 @@ _CS_MODEL = {
         ({"scheme": {"A": [1]}}, [], "scheme: "),
         ({"grid": {"points": 5}}, [], "grid.points: "),
         ({}, ["--sweep", "0,abc"], "argument --sweep"),
+        (
+            {"model": {k: v for k, v in _CS_MODEL.items() if k != "beta0"}},
+            [],
+            "model: missing key 'beta0'",
+        ),
+        (
+            {"model": {k: v for k, v in _CS_MODEL.items() if k != "lambdas"}},
+            [],
+            "model: missing key 'lambdas'",
+        ),
+        (
+            {"model": {"family": "matrix_exp", "risks": [{"kind": "erlang", "rate": 2.0}]}},
+            [],
+            "model: missing key 'k'",
+        ),
+        (
+            {"model": {"family": "mixed_exp_frailty", "lambdas": [1.0], "mixing": {"law": "gamma"}}},
+            [],
+            "model: missing key 'alpha'",
+        ),
+        (
+            {"model": {"family": "lognormal", "means": [1.0, 2.0]}},
+            [],
+            "model: missing key 'variances'",
+        ),
     ],
     ids=[
         "model-not-a-mapping",
@@ -424,6 +463,11 @@ _CS_MODEL = {
         "scheme-A-not-a-number",
         "grid-points-not-a-list",
         "sweep-not-numbers",
+        "common-shock-without-beta0",
+        "common-shock-without-lambdas",
+        "erlang-risk-without-k",
+        "gamma-mixing-without-alpha",
+        "lognormal-means-without-variances",
     ],
 )
 def test_bad_input_exits_one_without_traceback(tmp_path, capsys, change, argv_tail, message):
@@ -622,6 +666,42 @@ class TestCliBench:
         cfg = load_config(_write(tmp_path, "cfg.yaml", ERLANG_YAML))
         with pytest.raises(ConfigError, match="bench block"):
             run_bench(cfg)
+
+
+@pytest.mark.parametrize(
+    "argv, builds",
+    [
+        (["allocate", "--config", "configs/erlang_exponential.yaml"], 1),
+        (["diagnose", "--config", "configs/erlang_exponential.yaml"], 1),
+        (["verify", "--config", "configs/erlang_exponential.yaml"], 1),
+        (["verify", "--config", "configs/common_shock_pool.yaml"], 1),
+        (["bench"], 2),
+    ],
+    ids=["allocate", "diagnose", "verify-closed-form", "verify-series", "bench"],
+)
+def test_each_verb_builds_its_model_once(tmp_path, monkeypatch, capsys, argv, builds):
+    names = []
+    joint_model = cmrs.models._joint_model
+
+    def counted(name, *args, **kwargs):
+        names.append(name)
+        return joint_model(name, *args, **kwargs)
+
+    monkeypatch.setattr("cmrs.models._joint_model", counted)
+    if argv == ["bench"]:
+        # one model per portfolio size; the timing itself is not under test
+        monkeypatch.setattr("cmrs.cli._BENCH_SAMPLE_S", 0.0)
+        data = {
+            "model": _CS_MODEL,
+            "grid": {"points": [1.0]},
+            "bench": {"n_sweep": [2, 4], "reps": 1},
+        }
+        argv = ["bench", "--config", _write(tmp_path, "cfg.yaml", yaml.safe_dump(data))]
+    elif argv[0] == "allocate":
+        argv = [*argv, "--out", str(tmp_path / "run.csv")]
+    assert main(argv) in (0, 2)
+    capsys.readouterr()
+    assert len(names) == builds, names
 
 
 class TestShippedConfigs:

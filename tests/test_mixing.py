@@ -100,19 +100,21 @@ class TestPointMass:
 
 class TestHandleValidation:
     def test_rejects_unnormalized_weights(self):
-        with pytest.raises(ModelSpecError):
+        with pytest.raises(ModelSpecError, match="sum to 0.9"):
             MixingLawHandle(
                 lst=lambda t: 1.0,
                 lst_deriv=lambda t: 0.0,
-                quadrature_nodes=(np.array([1.0, 2.0]), np.array([0.5, 0.4])),
+                nodes=np.array([1.0, 2.0]),
+                weights=np.array([0.5, 0.4]),
             )
 
     def test_rejects_nonpositive_weights(self):
-        with pytest.raises(ModelSpecError):
+        with pytest.raises(ModelSpecError, match="positive"):
             MixingLawHandle(
                 lst=lambda t: 1.0,
                 lst_deriv=lambda t: 0.0,
-                quadrature_nodes=(np.array([1.0, 2.0]), np.array([1.2, -0.2])),
+                nodes=np.array([1.0, 2.0]),
+                weights=np.array([1.2, -0.2]),
             )
 
 

@@ -30,7 +30,7 @@ from cmrs.models import (
     exponential_severity,
     is_phase_type,
 )
-from cmrs.allocation import strip_atoms
+from cmrs.allocation import AtomicTransformRemainder
 from cmrs.transforms import diagonal_diagnostic, eval_transform
 
 
@@ -90,7 +90,7 @@ class TestMixedExpFrailty:
         # the engine's row at a node (``values_at``) and the checked
         # evaluation the diagnostics use (``eval_transform``) agree exactly
         model = build_mixed_exp_frailty(MixedExpFrailtySpec((1.0, 0.5, 2.0), gamma_mixing(1.3)))
-        rem = strip_atoms(model)
+        rem = AtomicTransformRemainder(model)
         for z in (0.4 + 0.0j, 1.0 + 0.0j, 2.0 + 3.0j):
             assert np.array_equal(rem.values_at(z), eval_transform(model, z).real)
 
@@ -295,7 +295,7 @@ class TestCommonShockCP:
         # evaluation the diagnostics use (``eval_transform``) agree exactly on
         # the allocations; the origin atom only shifts L_S
         model = build_common_shock_cp(CommonShockCPSpec(**CS_531))
-        rem = strip_atoms(model)
+        rem = AtomicTransformRemainder(model)
         for z in (0.2 + 0.0j, 1.0 + 0.0j, 3.0 + 2.0j):
             assert np.array_equal(rem.values_at(z)[1:], eval_transform(model, z)[1:].real)
 
@@ -312,7 +312,7 @@ class TestCommonShockCP:
         # with all atomic mass removed the transform must decay; at the
         # reference parameter scale the t = 1e4 remainder sits near 8e-6
         model = build_common_shock_cp(CommonShockCPSpec(**CS_531))
-        rem = strip_atoms(model).values_at(1.0e4)[0]
+        rem = AtomicTransformRemainder(model).values_at(1.0e4)[0]
         assert abs(rem) < 1e-5
 
     def test_small_severity_scale_tightens_tail_remainder(self):
@@ -324,7 +324,7 @@ class TestCommonShockCP:
             weights=(0.2, 0.3, 0.5),
         )
         model = build_common_shock_cp(spec)
-        rem = strip_atoms(model).values_at(1.0e4)[0]
+        rem = AtomicTransformRemainder(model).values_at(1.0e4)[0]
         assert abs(rem) < 1e-6
 
     def test_split_weights_must_sum_to_one(self):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cmrs.allocation import strip_atoms
+from cmrs.allocation import AtomicTransformRemainder
 from cmrs.errors import DomainError, EvaluationError, ModelSpecError
 from cmrs.models import build_matrix_exp, erlang_me_spec, exponential_me_spec
 from cmrs.transforms import (
@@ -60,7 +60,7 @@ class TestAtomSet:
         model = JointTransformModel(
             n=2, transform=lambda z: origin + at_two * cmath.exp(-2 * z), atoms=atoms
         )
-        row = strip_atoms(model).values_at(0.7 + 0.3j)
+        row = AtomicTransformRemainder(model).values_at(0.7 + 0.3j)
         assert np.abs(row).max() < 1e-15
 
 
