@@ -41,6 +41,13 @@ from .models import (
 from .transforms import JointTransformModel
 
 
+def _whole(where: str, value) -> int:
+    """``value`` as an int; a fractional value is refused, never truncated."""
+    if isinstance(value, bool) or not float(value).is_integer():
+        raise ConfigError(f"{where} must be a whole number, got {value!r}")
+    return int(value)
+
+
 def _require_keys(block: dict, allowed: set, where: str) -> None:
     if not isinstance(block, dict):
         raise ConfigError(f"{where} must be a mapping, got {type(block).__name__}")
@@ -127,6 +134,8 @@ class VerifySpec:
             raise ConfigError(f"unknown verify method {self.method!r}")
         if self.points is not None:
             object.__setattr__(self, "points", tuple(float(p) for p in self.points))
+        object.__setattr__(self, "n_samples", _whole("verify n_samples", self.n_samples))
+        object.__setattr__(self, "seed", _whole("verify seed", self.seed))
 
 
 @dataclass(frozen=True)
@@ -142,14 +151,16 @@ class BenchSpec:
     tilt: float = 0.2
 
     def __post_init__(self) -> None:
-        ns = tuple(int(v) for v in self.n_sweep)
+        ns = tuple(_whole("bench n_sweep", v) for v in self.n_sweep)
         if not ns or any(v < 1 for v in ns):
             raise ConfigError(f"bench n_sweep must be positive integers, got {self.n_sweep}")
-        if self.reps < 1:
+        reps = _whole("bench reps", self.reps)
+        if reps < 1:
             raise ConfigError(f"bench reps must be >= 1, got {self.reps}")
         if not (math.isfinite(self.tilt) and self.tilt > 0.0):
             raise ConfigError(f"bench tilt must be finite and > 0, got {self.tilt}")
         object.__setattr__(self, "n_sweep", ns)
+        object.__setattr__(self, "reps", reps)
 
 
 ModelSpec = Union[
@@ -241,7 +252,7 @@ def load_config(path: str) -> RunConfig:
 def _build_mixing(block: dict):
     _require_keys(block, {"law", "alpha", "kappa", "theta0", "n_nodes"}, "model.mixing")
     law = block.get("law")
-    n_nodes = int(block.get("n_nodes", 200))
+    n_nodes = _whole("model.mixing.n_nodes", block.get("n_nodes", 200))
     if law == "gamma":
         return gamma_mixing(float(block["alpha"]), n_nodes)
     if law == "levy":
@@ -256,7 +267,7 @@ def _build_me_risk(block: dict) -> MatrixExpSpec:
         kind = block["kind"]
         if kind == "erlang":
             _require_keys(block, {"kind", "k", "rate"}, "matrix_exp risk")
-            return erlang_me_spec(int(block["k"]), float(block["rate"]))
+            return erlang_me_spec(_whole("matrix_exp risk k", block["k"]), float(block["rate"]))
         if kind == "exponential":
             _require_keys(block, {"kind", "rate"}, "matrix_exp risk")
             return exponential_me_spec(float(block["rate"]))
@@ -310,7 +321,7 @@ def _parse_model(p: dict) -> ModelSpec:
         )
     if fam == "lognormal":
         _require_keys(p, {"family", "means", "variances", "mu", "sigma", "gh_order"}, "model")
-        order = int(p.get("gh_order", 64))
+        order = _whole("model.gh_order", p.get("gh_order", 64))
         if "means" in p or "variances" in p:
             if "mu" in p or "sigma" in p:
                 raise ConfigError("lognormal: give means/variances or mu/sigma, not both")

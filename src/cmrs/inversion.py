@@ -186,27 +186,31 @@ def scheme_nodes(scheme: Scheme, s: float) -> np.ndarray:
     return scheme.nodes(s)
 
 
-def invert_values(values: np.ndarray, s: float, scheme: Scheme) -> np.ndarray:
-    """Invert many transforms at one s from their pre-evaluated node values.
+def invert_values(values: np.ndarray, s: float | np.ndarray, scheme: Scheme) -> np.ndarray:
+    """Invert many transforms at many points from their pre-evaluated node values.
 
-    ``values`` has one row per node (in ``scheme_nodes`` order, real parts)
-    and one column per target transform.  Each column's result is the
-    scheme's scale factor times sum_k w_k values[k].  The sum runs node by
-    node, elementwise across columns, so a column's result does not depend on
-    the columns that come with it (a matrix product or a pairwise sum along
-    the node axis would not promise that).
+    ``s`` is one point or an array of points, and ``values`` has shape
+    s.shape + (nodes, columns): per point, one row per node (in
+    ``scheme_nodes`` order, real parts) and one column per target transform.
+    Each column's result is its point's scale factor times
+    sum_k w_k values[..., k, :].  The sum runs node by node, elementwise
+    across points and columns, so a result does not depend on the points or
+    columns that come with it (a matrix product or a pairwise sum along the
+    node axis would not promise that).
     """
     values = np.asarray(values, dtype=float)
-    acc = np.zeros(values.shape[1:])
-    for w, row in zip(scheme.weights, values, strict=True):
+    s = np.asarray(s, dtype=float)
+    acc = np.zeros(values.shape[:-2] + values.shape[-1:])
+    for w, row in zip(scheme.weights, np.moveaxis(values, -2, 0), strict=True):
         acc += w * row
-    return scheme.scale(s) * acc
+    scale = np.array([scheme.scale(x) for x in s.ravel().tolist()]).reshape(s.shape)
+    return scale[..., None] * acc
 
 
 def invert(transform: Callable, s: float, scheme: Scheme) -> float:
     """Invert one transform at s > 0.  ``transform`` maps the array of the
     scheme's nodes to an array of values of the same shape (it is called
-    once); ``invert_values`` inverts that single column."""
+    once); ``invert_values`` inverts that single column at one point."""
     nodes = scheme_nodes(scheme, s)
     raw = np.asarray(transform(nodes))
     if raw.shape != nodes.shape:
@@ -219,4 +223,4 @@ def invert(transform: Callable, s: float, scheme: Scheme) -> float:
         raise InversionError(
             f"transform returned non-finite value {raw[k]!r} at node {k} (z={nodes[k]}, s={s})"
         )
-    return float(invert_values(raw.real[:, None], s, scheme)[0])
+    return float(invert_values(raw.real[None, :, None], [s], scheme)[0, 0])

@@ -28,6 +28,7 @@ import numpy as np
 import scipy.linalg
 from scipy.special import lambertw, roots_hermite
 
+from .allocation import _BLOCK_BUDGET
 from .errors import (
     DomainError,
     EvaluationError,
@@ -599,7 +600,17 @@ def build_lognormal_portfolio(spec: LognormalPortfolioSpec) -> JointTransformMod
     sigma = np.array(spec.sigma)
     stats: dict = {}
 
+    # the sums' temporaries carry a risk and a Gauss-Hermite axis per node, so
+    # the nodes go through in slices of at most the engine's block budget
+    step = max(1, _BLOCK_BUDGET // (n * spec.gh_order))
+
     def risks(z):
-        return _lognormal_sums(z, mu, sigma, spec.gh_order, stats)
+        z = np.asarray(z)
+        flat = z.reshape(-1)
+        parts = [
+            _lognormal_sums(flat[lo : lo + step], mu, sigma, spec.gh_order, stats)
+            for lo in range(0, max(flat.size, 1), step)
+        ]
+        return tuple(np.concatenate(p).reshape(z.shape + (n,)) for p in zip(*parts))
 
     return _joint_model(f"lognormal(n={n},gh={spec.gh_order})", n, risks=risks, stats=stats)

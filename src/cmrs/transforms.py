@@ -5,8 +5,9 @@ S = X_1 + ... + X_n with the allocation transforms L_i(z) = E[X_i exp(-zS)]
 and a declared set of atoms of S.  Each L_i is the partial derivative of the
 joint transform in t_i, taken on the diagonal t_1 = ... = t_n = z, so a model
 evaluates L_S and all L_i together, for a whole array of nodes at once: the
-values at every node of one inversion come from one call.  Inversion,
-allocation and diagnostics all consume this interface and nothing else.
+allocation engine gets the values at every node of a block of gridpoints
+from one call, with nodes of shape (points, nodes).  Inversion, allocation
+and diagnostics all consume this interface and nothing else.
 
 Conventions: risks are indexed 0..n-1 in code (reports and CSV columns are
 labelled 1..n); transforms are evaluated at Re z > 0, except that the

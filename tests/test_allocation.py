@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.special import gammaincc
 
 from cmrs.allocation import (
+    _BLOCK_BUDGET,
     STATUS_ATOM,
     STATUS_DEGRADED,
     STATUS_FAILED,
@@ -20,10 +22,12 @@ from cmrs.allocation import (
     tail_contribution,
 )
 from cmrs.errors import DomainError, EvaluationError, InversionError, SingularMatrixError
-from cmrs.inversion import EulerScheme, GsScheme, invert
+from cmrs.inversion import EulerScheme, GsScheme, invert, scheme_nodes
 from cmrs.models import (
     CommonShockCPSpec,
     LognormalPortfolioSpec,
+    _lognormal_sums,
+    _product_rule,
     build_common_shock_cp,
     build_lognormal_portfolio,
     build_matrix_exp,
@@ -361,3 +365,100 @@ def test_hundred_risk_lognormal_pool():
     for group in range(3):
         h = res.h[:, group::3]
         assert (h.max(axis=1) - h.min(axis=1)).max() <= 1e-9
+
+
+def _one_point(model, scheme, s):
+    """f_S and xi_1..xi_n at s, each column of the remainder inverted alone."""
+    rem = AtomicTransformRemainder(model)
+    return [invert(lambda z, c=c: rem.values_at(z)[..., c], s, scheme) for c in range(model.n + 1)]
+
+
+class TestBlockEngine:
+    # n = 3 on 41 Euler nodes: 164 elements per point, so 320 points fill
+    # more than three blocks
+    GRID = _grid(0.1, 32.0, 0.1)
+    BLOCK = _BLOCK_BUDGET // (41 * 4)
+
+    def _run(self, model, scheme=EulerScheme(), grid=GRID):
+        return allocate(AllocationRequest(model=model, s_grid=grid, scheme=scheme))
+
+    def test_blocks_match_one_point_inversions(self):
+        model = build_common_shock_cp(CS_REF)
+        assert len(self.GRID) > 3 * self.BLOCK
+        res = self._run(model)
+        for k, s in enumerate(res.s_grid):
+            one = _one_point(model, EulerScheme(), s)
+            assert res.density[k] == one[0]
+            assert res.raw_xi[k].tolist() == one[1:]
+
+    def test_raising_nodes_fail_only_their_points(self):
+        # the transform raises at the nodes of four points in three blocks;
+        # their blocks are redone point by point and everything else is the
+        # clean run's, bit for bit
+        base = build_common_shock_cp(CS_REF)
+        bad = [7, 150, 151, 299]
+        bad_re = [scheme_nodes(EulerScheme(), self.GRID[k])[0].real for k in bad]
+
+        def transform(z):
+            if np.isin(np.real(z), bad_re).any():
+                raise EvaluationError("no value here")
+            return base.transform(z)
+
+        clean = self._run(base)
+        res = self._run(dataclasses.replace(base, transform=transform))
+        assert np.isfinite(clean.density).all()
+        assert np.flatnonzero(np.isnan(res.density)).tolist() == bad
+        assert [res.status[k] for k in bad] == [STATUS_FAILED] * 4
+        keep = np.ones(len(self.GRID), dtype=bool)
+        keep[bad] = False
+        assert np.array_equal(res.density[keep], clean.density[keep])
+        assert np.array_equal(res.raw_xi[keep], clean.raw_xi[keep])
+
+    def test_one_nonfinite_value_fails_one_point(self):
+        base = build_common_shock_cp(CS_REF)
+        z_bad = scheme_nodes(EulerScheme(), self.GRID[120])[5]
+
+        def transform(z):
+            out = base.transform(z)
+            out[z == z_bad, 2] = np.nan
+            return out
+
+        clean = self._run(base)
+        res = self._run(dataclasses.replace(base, transform=transform))
+        assert np.flatnonzero(np.isnan(res.density)).tolist() == [120]
+        assert res.status[120] == STATUS_FAILED
+        keep = np.arange(len(self.GRID)) != 120
+        assert np.array_equal(res.density[keep], clean.density[keep])
+        assert np.array_equal(res.raw_xi[keep], clean.raw_xi[keep])
+
+    def test_contour_refusals_inside_a_block(self):
+        # A = 18.4, theta = 0.2 refuses s >= 46, which falls inside the
+        # third block of this grid; the points before it keep their
+        # one-point numbers
+        model = build_common_shock_cp(CS_REF)
+        scheme = EulerScheme(A=18.4, theta=0.2)
+        grid = _grid(0.2, 64.0, 0.2)
+        res = self._run(model, scheme, grid)
+        refused = res.s_grid >= 46.0
+        assert 2 * self.BLOCK < np.argmax(refused) < 3 * self.BLOCK
+        assert np.isnan(res.density[refused]).all()
+        assert all(st == STATUS_FAILED for st, r in zip(res.status, refused) if r)
+        for k in np.flatnonzero(~refused):
+            one = _one_point(model, scheme, res.s_grid[k])
+            assert res.density[k] == one[0]
+            assert res.raw_xi[k].tolist() == one[1:]
+
+    def test_sliced_lognormal_call_equals_one_call(self):
+        # the lognormal transform takes its nodes in slices under the block
+        # budget; the slices give the values of one unsliced call, bit for bit
+        spec = LognormalPortfolioSpec.from_moments((1.0, 2.0, 2.0), (5.0, 2.0, 5.0))
+        model = build_lognormal_portfolio(spec)
+        z = np.stack([scheme_nodes(EulerScheme(), s) for s in (0.5, 2.0, 6.0, 10.0, 15.0)])
+        assert z.size > 2 * (_BLOCK_BUDGET // (spec.n * spec.gh_order))
+        stats = {}
+        whole = _product_rule(
+            *_lognormal_sums(z, np.array(spec.mu), np.array(spec.sigma), spec.gh_order, stats)
+        )
+        before = model.stats.get("suppressed_terms", 0)
+        assert np.array_equal(model.transform(z), whole)
+        assert model.stats["suppressed_terms"] - before == stats["suppressed_terms"]

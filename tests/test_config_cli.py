@@ -456,6 +456,31 @@ _CS_MODEL = {
             [],
             "model: missing key 'variances'",
         ),
+        (
+            {"model": {"family": "matrix_exp", "risks": [{"kind": "erlang", "k": 2.5, "rate": 2.0}]}},
+            [],
+            "k must be a whole number, got 2.5",
+        ),
+        (
+            {
+                "model": {
+                    "family": "mixed_exp_frailty",
+                    "lambdas": [1.0],
+                    "mixing": {"law": "gamma", "alpha": 2.0, "n_nodes": 50.5},
+                }
+            },
+            [],
+            "n_nodes must be a whole number, got 50.5",
+        ),
+        (
+            {"model": {"family": "lognormal", "means": [1.0], "variances": [1.0], "gh_order": 64.5}},
+            [],
+            "gh_order must be a whole number, got 64.5",
+        ),
+        ({"bench": {"n_sweep": [5, 100.5]}}, [], "n_sweep must be a whole number, got 100.5"),
+        ({"bench": {"reps": 1.5}}, [], "reps must be a whole number, got 1.5"),
+        ({"verify": {"n_samples": 20000.5}}, [], "n_samples must be a whole number, got 20000.5"),
+        ({"verify": {"seed": 11.5}}, [], "seed must be a whole number, got 11.5"),
     ],
     ids=[
         "model-not-a-mapping",
@@ -468,6 +493,13 @@ _CS_MODEL = {
         "erlang-risk-without-k",
         "gamma-mixing-without-alpha",
         "lognormal-means-without-variances",
+        "fractional-erlang-k",
+        "fractional-mixing-n_nodes",
+        "fractional-gh_order",
+        "fractional-n_sweep",
+        "fractional-bench-reps",
+        "fractional-verify-n_samples",
+        "fractional-verify-seed",
     ],
 )
 def test_bad_input_exits_one_without_traceback(tmp_path, capsys, change, argv_tail, message):

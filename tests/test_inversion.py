@@ -243,6 +243,22 @@ class TestVectorKernel:
             assert out[1] == invert(gamma2_lst, s, scheme)
             assert np.isnan(out[2])
 
+    @pytest.mark.parametrize("scheme", [GsScheme(M=8), EulerScheme(), EulerScheme(theta=0.4)])
+    def test_point_axis_matches_one_point_calls(self, scheme):
+        # a (points, nodes, columns) call gives, at every point and column,
+        # that column's one-point call bit for bit, with one scale per point
+        s = np.array([0.3, 1.5, 2.3, 7.0, 11.5])
+        nodes = np.stack([scheme_nodes(scheme, x) for x in s])
+        values = np.stack([exp_lst(nodes).real, gamma2_lst(nodes).real], axis=-1)
+        out = invert_values(values, s, scheme)
+        assert out.shape == (len(s), 2)
+        for p, x in enumerate(s):
+            for c in range(2):
+                one = invert_values(values[p, :, c : c + 1], x, scheme)
+                assert out[p, c] == one[0]
+            assert out[p, 0] == invert(exp_lst, x, scheme)
+            assert out[p, 1] == invert(gamma2_lst, x, scheme)
+
     def test_batch_skips_rows_outside_contour(self):
         # A = 18.4 with theta = 0.2 leaves the right half-plane beyond s = 46:
         # a grid run fails that gridpoint and keeps the others
