@@ -1,0 +1,123 @@
+#!/usr/bin/env python3
+"""Bit-equality gate: the allocation output of two source trees, compared
+leg by leg.
+
+    python3 scripts/bit_equal.py PARENT_ROOT CHANGE_ROOT [--seeds 0-4]
+
+Each ROOT is a checkout with ``src/cmrs``, ``benchmark/`` and ``configs/``.
+For each tree a subprocess imports that tree's package and benchmark
+modules and, for every seed, builds every leg of the benchmark workloads
+(``me_erlang_pool``, ``cs_large_pool``, ``cs_wide_fade``) through
+``Bench.setup``, the way the benchmark builds them, and runs ``allocate``
+and ``write_csv`` on each.  It also runs both on every ``configs/*.yaml``
+of its tree, with the request ``cmrs allocate`` builds from the file.
+
+A leg is equal when ``density``, ``raw_xi`` and ``h`` are ``np.array_equal``
+(NaN equal to NaN), ``status`` is the same list and the CSV bytes are the
+same.  The script prints the legs that differ and exits 1 when there is
+any (2 when a tree cannot be run).  A change that passes it needs no fade
+gate (``scripts/fade_gate.py``).  The five default seeds take about five
+seconds per tree.
+"""
+
+from __future__ import annotations
+
+import argparse
+import glob
+import hashlib
+import io
+import os
+import pickle
+import subprocess
+import sys
+import tempfile
+
+import numpy as np
+
+from fade_gate import _seeds
+
+ARRAYS = ("density", "raw_xi", "h")
+
+
+def _worker(root: str, seeds: list[int], out: str) -> None:
+    """Pickle {leg key: output} for every leg and shipped config to ``out``."""
+    sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "benchmark")]
+    from bench import Bench
+    from cmrs import allocate, load_config
+    from cmrs.cli import _build_request, write_csv
+    from workloads import NAMES, make_workload
+
+    def output(request):
+        result = allocate(request)
+        buf = io.StringIO()
+        write_csv(result, buf)
+        row = {name: getattr(result, name) for name in ARRAYS}
+        row["status"] = list(result.status)
+        row["csv"] = hashlib.sha256(buf.getvalue().encode()).hexdigest()
+        return row
+
+    legs = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in NAMES:
+            for seed in seeds:
+                wl = make_workload(name, seed)
+                _, _, requests = Bench(wl, os.path.join(tmp, f"{name}-{seed}.yaml")).setup()
+                for leg, request in zip(wl.legs, requests):
+                    legs[f"{name}/seed{seed}/{leg.label}"] = output(request)
+    for path in sorted(glob.glob(os.path.join(root, "configs", "*.yaml"))):
+        legs[f"configs/{os.path.basename(path)}"] = output(_build_request(load_config(path)))
+    with open(out, "wb") as fh:
+        pickle.dump(legs, fh)
+
+
+def _run_tree(root: str, spec: str, out: str) -> dict[str, dict]:
+    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    cmd = [sys.executable, os.path.abspath(__file__), "--worker", root, "--seeds", spec, "--out", out]
+    proc = subprocess.run(cmd, capture_output=True, text=True, env=env)
+    if proc.returncode != 0:
+        sys.stderr.write(proc.stderr)
+        print(f"bit_equal: the run in {root} failed (exit {proc.returncode})", file=sys.stderr)
+        raise SystemExit(2)
+    with open(out, "rb") as fh:
+        return pickle.load(fh)
+
+
+def differences(parent: dict[str, dict], change: dict[str, dict]) -> list[str]:
+    """One line per leg that differs or exists in one tree only."""
+    out = []
+    for key in sorted(parent.keys() | change.keys()):
+        if key not in parent or key not in change:
+            out.append(f"{key}: only in the {'change' if key in change else 'parent'}")
+            continue
+        p, c = parent[key], change[key]
+        fields = [f for f in ARRAYS if not np.array_equal(p[f], c[f], equal_nan=True)]
+        fields += [f for f in ("status", "csv") if p[f] != c[f]]
+        if fields:
+            out.append(f"{key}: {', '.join(fields)} differ")
+    return out
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("parent_root", nargs="?")
+    ap.add_argument("change_root", nargs="?")
+    ap.add_argument("--seeds", default="0-4", help="e.g. 0-4 or 0,3,5")
+    ap.add_argument("--worker", help=argparse.SUPPRESS)
+    ap.add_argument("--out", help=argparse.SUPPRESS)
+    args = ap.parse_args(argv)
+    if args.worker:
+        _worker(args.worker, _seeds(args.seeds), args.out)
+        return 0
+    if not (args.parent_root and args.change_root):
+        ap.error("need PARENT_ROOT and CHANGE_ROOT")
+    with tempfile.TemporaryDirectory() as tmp:
+        parent = _run_tree(os.path.abspath(args.parent_root), args.seeds, f"{tmp}/parent")
+        change = _run_tree(os.path.abspath(args.change_root), args.seeds, f"{tmp}/change")
+    diffs = differences(parent, change)
+    print(f"{len(parent.keys() | change.keys())} legs compared")
+    print("bit-equal: PASS" if not diffs else "bit-equal: FAIL\n  " + "\n  ".join(diffs))
+    return 1 if diffs else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

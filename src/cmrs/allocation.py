@@ -42,7 +42,7 @@ import numpy as np
 _trapz = getattr(np, "trapezoid", None) or np.trapz
 
 from .errors import CmrsError, DomainError
-from .inversion import Scheme, invert_values, scheme_nodes
+from .inversion import Scheme, admitted, invert_values
 from .transforms import AtomSet, JointTransformModel, node_values
 
 STATUS_OK = "ok"
@@ -56,7 +56,7 @@ _XI_CLAMP = -1e-8
 # see the module docstring for the measurements behind the value.
 _BLOCK_BUDGET = 2**14
 
-# what a model call or a node rule may raise for one bad node or gridpoint
+# what a model call may raise for one bad node or gridpoint
 _POINT_ERRORS = (ArithmeticError, ValueError, CmrsError)
 
 
@@ -191,10 +191,11 @@ def allocate(request: AllocationRequest) -> AllocationResult:
     call and one kernel pass per block of gridpoints, each call with the
     block's whole array of nodes, shape (points, nodes).
 
-    Each point's nodes are formed on their own, so a contour refusal fails
-    that point alone.  A block whose model call raises is redone point by
-    point, and a point with a non-finite node value fails alone, so one bad
-    node fails its gridpoint, never its block or the run."""
+    The whole grid's nodes are formed in one call; a point with a node at
+    Re z <= 0 fails the contour check and fails alone, and only the points
+    that pass are blocked.  A block whose model call raises is redone point
+    by point, and a point with a non-finite node value fails alone, so one
+    bad node fails its gridpoint, never its block or the run."""
     model = request.model
     scheme = request.scheme
     remainder = AtomicTransformRemainder(model)
@@ -202,28 +203,22 @@ def allocate(request: AllocationRequest) -> AllocationResult:
     values = np.full((len(s_grid), model.n + 1), np.nan)
 
     start = time.perf_counter()
-    kept, nodes = [], []
-    for k, s in enumerate(s_grid):
+    nodes = scheme.nodes(s_grid)
+    kept = np.flatnonzero(admitted(nodes))
+    nodes = nodes[kept]
+    size = max(1, _BLOCK_BUDGET // (nodes.shape[1] * (model.n + 1)))
+    pending = [slice(lo, lo + size) for lo in range(0, len(kept), size)]
+    while pending:
+        block = pending.pop()
+        points = kept[block]
         try:
-            nodes.append(scheme_nodes(scheme, s))
+            V = remainder.values_at(nodes[block])
+            good = np.isfinite(V).all(axis=(1, 2))
+            values[points[good]] = invert_values(V[good], s_grid[points[good]], scheme)
         except _POINT_ERRORS:
-            continue
-        kept.append(k)
-    if kept:
-        kept, nodes = np.array(kept), np.stack(nodes)
-        size = max(1, _BLOCK_BUDGET // (nodes.shape[1] * (model.n + 1)))
-        pending = [slice(lo, lo + size) for lo in range(0, len(kept), size)]
-        while pending:
-            block = pending.pop()
-            points = kept[block]
-            try:
-                V = remainder.values_at(nodes[block])
-                good = np.isfinite(V).all(axis=(1, 2))
-                values[points[good]] = invert_values(V[good], s_grid[points[good]], scheme)
-            except _POINT_ERRORS:
-                # one bad node (or a wrong shape) fails its gridpoint, never its block
-                if len(points) > 1:
-                    pending += [slice(j, j + 1) for j in range(*block.indices(len(kept)))]
+            # one bad node (or a wrong shape) fails its gridpoint, never its block
+            if len(points) > 1:
+                pending += [slice(j, j + 1) for j in range(*block.indices(len(kept)))]
     elapsed = time.perf_counter() - start
 
     density = values[:, 0].copy()

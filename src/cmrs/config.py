@@ -132,6 +132,10 @@ class VerifySpec:
     def __post_init__(self) -> None:
         if self.method not in ("none", "closed_form", "series", "mc"):
             raise ConfigError(f"unknown verify method {self.method!r}")
+        for name in ("tolerance", "bandwidth"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ConfigError(f"verify {name} must be finite and > 0, got {value}")
         if self.points is not None:
             object.__setattr__(self, "points", tuple(float(p) for p in self.points))
         object.__setattr__(self, "n_samples", _whole("verify n_samples", self.n_samples))

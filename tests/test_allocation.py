@@ -448,6 +448,22 @@ class TestBlockEngine:
             assert res.density[k] == one[0]
             assert res.raw_xi[k].tolist() == one[1:]
 
+    def test_grid_past_the_contour_never_calls_the_model(self):
+        # A = 18.4, theta = 0.2 refuses every s >= 46: each point fails alone
+        # and no node reaches the model
+        base = build_common_shock_cp(CS_REF)
+        calls = []
+
+        def transform(z):
+            calls.append(z.shape)
+            return base.transform(z)
+
+        model = dataclasses.replace(base, transform=transform)
+        res = self._run(model, EulerScheme(A=18.4, theta=0.2), _grid(50.0, 60.0, 0.5))
+        assert calls == []
+        assert np.isnan(res.density).all() and np.isnan(res.raw_xi).all()
+        assert res.status == [STATUS_FAILED] * 21
+
     def test_sliced_lognormal_call_equals_one_call(self):
         # the lognormal transform takes its nodes in slices under the block
         # budget; the slices give the values of one unsliced call, bit for bit

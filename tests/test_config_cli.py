@@ -481,6 +481,11 @@ _CS_MODEL = {
         ({"bench": {"reps": 1.5}}, [], "reps must be a whole number, got 1.5"),
         ({"verify": {"n_samples": 20000.5}}, [], "n_samples must be a whole number, got 20000.5"),
         ({"verify": {"seed": 11.5}}, [], "seed must be a whole number, got 11.5"),
+        ({"verify": {"method": "series", "tolerance": 0.0}}, [], "tolerance must be finite and > 0"),
+        ({"verify": {"tolerance": -1e-3}}, [], "tolerance must be finite and > 0, got -0.001"),
+        ({"verify": {"tolerance": float("inf")}}, [], "tolerance must be finite and > 0, got inf"),
+        ({"verify": {"method": "mc", "bandwidth": 0.0}}, [], "bandwidth must be finite and > 0"),
+        ({"verify": {"bandwidth": -0.05}}, [], "bandwidth must be finite and > 0, got -0.05"),
     ],
     ids=[
         "model-not-a-mapping",
@@ -500,6 +505,11 @@ _CS_MODEL = {
         "fractional-bench-reps",
         "fractional-verify-n_samples",
         "fractional-verify-seed",
+        "zero-verify-tolerance",
+        "negative-verify-tolerance",
+        "infinite-verify-tolerance",
+        "zero-verify-bandwidth",
+        "negative-verify-bandwidth",
     ],
 )
 def test_bad_input_exits_one_without_traceback(tmp_path, capsys, change, argv_tail, message):

@@ -13,6 +13,7 @@ from cmrs.inversion import (
     GS_ORDER_CAP,
     EulerScheme,
     GsScheme,
+    admitted,
     gs_weights,
     gs_weights_exact,
     invert,
@@ -86,6 +87,23 @@ class TestSchemes:
     def test_nonpositive_target(self):
         with pytest.raises(DomainError, match="s > 0"):
             scheme_nodes(EulerScheme(), 0.0)
+
+    @pytest.mark.parametrize(
+        "scheme", [GsScheme(), EulerScheme(), EulerScheme(A=18.4, theta=0.2)]
+    )
+    def test_grid_nodes_match_one_point_nodes(self, scheme):
+        # one call on the whole grid gives each admitted point's scheme_nodes
+        # bit for bit; the tilted rule refuses s >= 46, and scheme_nodes
+        # refuses those points too
+        grid = np.arange(1, 751) / 10.0
+        nodes = scheme.nodes(grid)
+        assert nodes.shape == (len(grid), len(scheme.weights))
+        ok = admitted(nodes)
+        assert ok.all() == (getattr(scheme, "theta", 0.0) == 0.0)
+        assert np.array_equal(nodes[ok], np.stack([scheme_nodes(scheme, s) for s in grid[ok]]))
+        for s in grid[~ok]:
+            with pytest.raises(InversionError, match=r"contour violation.* = -.*needs Re z > 0"):
+                scheme_nodes(scheme, s)
 
     def test_describe(self):
         assert "M=8" in GsScheme().describe()
