@@ -63,7 +63,8 @@ _POINT_ERRORS = (ArithmeticError, ValueError, CmrsError)
 @dataclass(frozen=True)
 class AllocationRequest:
     """Evaluation request: model, grid, inversion scheme, tolerances.  The
-    scheme carries the tilt (``EulerScheme.theta``)."""
+    scheme carries the tilt, as Euler's contour parameter per level
+    A(s) = A - 2*theta*s (``EulerScheme.theta``)."""
 
     model: JointTransformModel
     s_grid: tuple[float, ...]
@@ -194,8 +195,8 @@ def allocate(request: AllocationRequest) -> AllocationResult:
     The whole grid's nodes are formed in one call; a point with a node at
     Re z <= 0 fails the contour check and fails alone, and only the points
     that pass are blocked.  A block whose model call raises is redone point
-    by point, and a point with a non-finite node value fails alone, so one
-    bad node fails its gridpoint, never its block or the run."""
+    by point, and a point with a non-finite node value or scale factor fails
+    alone, so one bad node fails its gridpoint, never its block or the run."""
     model = request.model
     scheme = request.scheme
     remainder = AtomicTransformRemainder(model)

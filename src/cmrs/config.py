@@ -21,7 +21,7 @@ import numpy as np
 import yaml
 
 from .errors import CmrsError, ConfigError
-from .inversion import TILT_INCOMPATIBLE_MSG, EulerScheme, GsScheme, Scheme
+from .inversion import EulerScheme, GsScheme, Scheme
 from .mixing import gamma_mixing, levy_mixing, point_mass_mixing
 from .models import (
     CommonShockCPSpec,
@@ -39,6 +39,10 @@ from .models import (
     exponential_severity,
 )
 from .transforms import JointTransformModel
+
+TILT_INCOMPATIBLE_MSG = (
+    "gaver-stehfest cannot be combined with positive tilting; use the euler scheme"
+)
 
 
 def _whole(where: str, value) -> int:
@@ -103,10 +107,10 @@ class SchemeSpec:
     def __post_init__(self) -> None:
         if self.rule not in ("euler", "gaver-stehfest"):
             raise ConfigError(f"scheme rule must be euler or gaver-stehfest, got {self.rule!r}")
+        if not (self.theta >= 0.0 and math.isfinite(self.theta)):
+            raise ConfigError(f"scheme theta must be finite and >= 0, got {self.theta}")
         if self.rule == "gaver-stehfest" and self.theta > 0.0:
             raise ConfigError(TILT_INCOMPATIBLE_MSG)
-        if self.theta < 0.0:
-            raise ConfigError(f"scheme theta must be >= 0, got {self.theta}")
 
     def build(self) -> Scheme:
         if self.rule == "gaver-stehfest":
@@ -243,7 +247,11 @@ def parse_config(data: dict) -> RunConfig:
 
 def load_config(path: str) -> RunConfig:
     with open(path) as fh:
-        data = yaml.safe_load(fh)
+        try:
+            # libyaml's parser when PyYAML has it: the same data, ~8x faster
+            data = yaml.load(fh, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+        except yaml.YAMLError as exc:
+            raise ConfigError(f"{path} is not valid YAML: {exc}") from None
     if not isinstance(data, dict):
         raise ConfigError(f"{path} does not contain a mapping")
     return parse_config(data)

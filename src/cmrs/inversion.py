@@ -2,30 +2,23 @@
 
 Both rules have the node/weight form of Abate and Whitt's unified framework
 (INFORMS J. Computing 18, 2006), f(s) ~ c(s) sum_k w_k Re L(alpha_k): a scheme
-carries s-free weights w_k and gives its nodes alpha_k and scale factor c(s)
-at each s, and ``invert_values`` is the one kernel for both rules.
-Gaver-Stehfest samples the positive real axis at alpha_k = k ln2/s
+carries s-free weights w_k and gives the nodes alpha_k and the scale factor
+c(s) at every level at once, and ``invert_values`` is the one kernel for both
+rules.  Gaver-Stehfest samples the positive real axis at alpha_k = k ln2/s
 (k = 1..2M), with the alternating combinatorial weights zeta_k and
 c = ln2/s.  Euler (binomial-accelerated Fourier series) samples a Bromwich
-contour at alpha_k = A/(2s) - theta + i pi k/s (k = 0..N+m), with
-c = e^{A/2}/s e^{-theta s}; its weight eta_k = (-1)^k 2^-m
+contour at alpha_k = A(s)/(2s) + i pi k/s (k = 0..N+m), with
+c = e^{A(s)/2}/s; its weight eta_k = (-1)^k 2^-m
 sum_{r=max(0,k-N)}^m C(m, r), halved at k = 0, folds the alternating series
 and the binomial average of its partial sums S_N..S_{N+m} into one number.
 
-The Euler tilt theta > 0 is set only on the scheme.  It samples the
-transform at nodes shifted left by theta and multiplies the result by
-exp(-theta*s).  At a given s that is exactly the untilted rule with contour
-parameter A' = A - 2 theta s: the same nodes A'/(2s) + i pi k/s and the same
-scale factor e^{A'/2}/s.  The tilt reaches further into the tail because the
-weighted sum's rounding error is amplified by e^{A'/2} rather than e^{A/2};
-it damps no oscillatory error, and untilted Euler with a fixed smaller A
-reaches almost as far.  Tilting is meaningless for Gaver-Stehfest (its nodes
-would leave the transform's domain), so any positive tilt there is refused.
-
-A scheme's ``nodes`` gives the nodes at every level at once, shape
-s.shape + (nodes,).  One contour check, ``admitted``, keeps a point when
-each of its nodes has Re z > 0 (for tilted Euler, A > 2 theta s); a point
-whose nodes reach Re z <= 0 fails alone.
+The Euler tilt theta >= 0 is the contour parameter per level,
+A(s) = A - 2 theta s.  It reaches further into the tail because the weighted
+sum's rounding error is amplified by e^{A(s)/2} rather than e^{A/2}; it damps
+no oscillatory error, and untilted Euler with a fixed smaller A reaches almost
+as far.  One contour check, ``admitted``, keeps a level when each of its nodes
+has Re z > 0 (for Euler, A(s) > 0); a level that fails it, or whose scale
+factor overflows, fails alone.
 
 At the default order M = 8 the Gaver-Stehfest error is the rule's own
 truncation, not rounding: evaluated in exact rational arithmetic the order-8
@@ -54,10 +47,6 @@ from .errors import DomainError, InversionError
 _LN2 = math.log(2.0)
 
 GS_ORDER_CAP = 24
-
-TILT_INCOMPATIBLE_MSG = (
-    "gaver-stehfest cannot be combined with positive tilting; use the euler scheme"
-)
 
 
 @lru_cache(maxsize=None)
@@ -126,8 +115,8 @@ class GsScheme:
         ks = np.arange(1, 2 * self.M + 1, dtype=float)
         return ks * (_LN2 / np.asarray(s, dtype=float))[..., None]
 
-    def scale(self, s: float) -> float:
-        return _LN2 / s
+    def scale(self, s) -> np.ndarray:
+        return _LN2 / np.asarray(s, dtype=float)
 
     def describe(self) -> str:
         return f"gs(M={self.M})"
@@ -138,10 +127,10 @@ class EulerScheme:
     """Bromwich-contour rule: N retained terms, binomial average of order m,
     contour parameter A, optional tilt theta >= 0.
 
-    At s the tilted rule is the untilted one with A' = A - 2*theta*s (same
-    nodes, same scale factor), so its reach comes from the smaller rounding
-    amplification e^{A'/2}.  At s >= A/(2*theta) the shifted contour leaves
-    the right half-plane: the contour check fails that point alone.
+    The tilt lowers the contour parameter per level, A(s) = A - 2*theta*s:
+    at s the rule is the untilted one with A = A(s), node for node and in
+    its scale factor.  At s >= A/(2*theta) the contour leaves the right
+    half-plane and the contour check fails that level alone.
     """
 
     A: float = 18.4
@@ -159,14 +148,19 @@ class EulerScheme:
             raise InversionError(f"tilt must be finite and >= 0, got {self.theta}")
         object.__setattr__(self, "weights", euler_weights(self.N, self.m))
 
+    def contour(self, s) -> np.ndarray:
+        """The contour parameter A(s) = A - 2*theta*s at each level in ``s``."""
+        return self.A - 2.0 * self.theta * np.asarray(s, dtype=float)
+
     def nodes(self, s) -> np.ndarray:
         """The nodes at each level in ``s``, shape s.shape + (N+m+1,)."""
         s = np.asarray(s, dtype=float)[..., None]
         ks = np.arange(self.N + self.m + 1, dtype=float)
-        return (self.A / (2.0 * s) - self.theta) + 1j * (ks * (math.pi / s))
+        return self.contour(s) / (2.0 * s) + 1j * (ks * (math.pi / s))
 
-    def scale(self, s: float) -> float:
-        return math.exp(self.A / 2.0) / s * math.exp(-self.theta * s)
+    def scale(self, s) -> np.ndarray:
+        s = np.asarray(s, dtype=float)
+        return np.exp(self.contour(s) / 2.0) / s
 
     def describe(self) -> str:
         if self.theta > 0.0:
@@ -183,10 +177,33 @@ def admitted(nodes: np.ndarray) -> np.ndarray:
     return (nodes.real > 0.0).all(axis=-1)
 
 
-def scheme_nodes(scheme: Scheme, s: float) -> np.ndarray:
-    """Transform evaluation nodes for one gridpoint: a real array for
-    Gaver-Stehfest, a complex one for Euler.  Nodes that fail the contour
-    check are refused."""
+def invert_values(values: np.ndarray, s: float | np.ndarray, scheme: Scheme) -> np.ndarray:
+    """Invert many transforms at many points from their pre-evaluated node values.
+
+    ``s`` is one point or an array of points, and ``values`` has shape
+    s.shape + (nodes, columns): per point, one row per node (in
+    ``scheme.nodes`` order, real parts) and one column per target transform.
+    Each column's result is its point's scale factor times
+    sum_k w_k values[..., k, :].  The sum runs node by node, elementwise
+    across points and columns, so a result does not depend on the points or
+    columns that come with it (a matrix product or a pairwise sum along the
+    node axis would not promise that).  A point whose scale factor overflows
+    gets NaN in every column.
+    """
+    values = np.asarray(values, dtype=float)
+    s = np.asarray(s, dtype=float)
+    acc = np.zeros(values.shape[:-2] + values.shape[-1:])
+    for w, row in zip(scheme.weights, np.moveaxis(values, -2, 0), strict=True):
+        acc += w * row
+    with np.errstate(over="ignore"):
+        scale = scheme.scale(s)
+    return np.where(np.isinf(scale), np.nan, scale)[..., None] * acc
+
+
+def invert(transform: Callable, s: float, scheme: Scheme) -> float:
+    """Invert one transform at s > 0.  ``transform`` maps the array of the
+    scheme's nodes to an array of values of the same shape (it is called
+    once); ``invert_values`` inverts that single column at one point."""
     if not (s > 0.0):
         raise DomainError(f"inversion target must satisfy s > 0, got {s}")
     nodes = scheme.nodes(s)
@@ -195,38 +212,6 @@ def scheme_nodes(scheme: Scheme, s: float) -> np.ndarray:
             f"contour violation at s={s}: the lowest node has Re z = {nodes.real.min():g}, "
             "and every node needs Re z > 0 (for euler: A > 2*theta*s)"
         )
-    return nodes
-
-
-def invert_values(values: np.ndarray, s: float | np.ndarray, scheme: Scheme) -> np.ndarray:
-    """Invert many transforms at many points from their pre-evaluated node values.
-
-    ``s`` is one point or an array of points, and ``values`` has shape
-    s.shape + (nodes, columns): per point, one row per node (in
-    ``scheme_nodes`` order, real parts) and one column per target transform.
-    Each column's result is its point's scale factor times
-    sum_k w_k values[..., k, :].  The sum runs node by node, elementwise
-    across points and columns, so a result does not depend on the points or
-    columns that come with it (a matrix product or a pairwise sum along the
-    node axis would not promise that).
-    """
-    values = np.asarray(values, dtype=float)
-    s = np.asarray(s, dtype=float)
-    acc = np.zeros(values.shape[:-2] + values.shape[-1:])
-    for w, row in zip(scheme.weights, np.moveaxis(values, -2, 0), strict=True):
-        acc += w * row
-    # one math.exp per point, not np.exp over the array: on the 750 levels of
-    # a 0.1-75 grid at theta = 0.2 the two differ in the last bit at 28, so a
-    # vectorized scale would change the results
-    scale = np.array([scheme.scale(x) for x in s.ravel().tolist()]).reshape(s.shape)
-    return scale[..., None] * acc
-
-
-def invert(transform: Callable, s: float, scheme: Scheme) -> float:
-    """Invert one transform at s > 0.  ``transform`` maps the array of the
-    scheme's nodes to an array of values of the same shape (it is called
-    once); ``invert_values`` inverts that single column at one point."""
-    nodes = scheme_nodes(scheme, s)
     raw = np.asarray(transform(nodes))
     if raw.shape != nodes.shape:
         raise InversionError(
@@ -238,4 +223,7 @@ def invert(transform: Callable, s: float, scheme: Scheme) -> float:
         raise InversionError(
             f"transform returned non-finite value {raw[k]!r} at node {k} (z={nodes[k]}, s={s})"
         )
-    return float(invert_values(raw.real[None, :, None], [s], scheme)[0, 0])
+    value = float(invert_values(raw.real[None, :, None], [s], scheme)[0, 0])
+    if math.isnan(value):
+        raise InversionError(f"the scale factor of {scheme.describe()} overflows at s={s}")
+    return value

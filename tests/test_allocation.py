@@ -22,7 +22,7 @@ from cmrs.allocation import (
     tail_contribution,
 )
 from cmrs.errors import DomainError, EvaluationError, InversionError, SingularMatrixError
-from cmrs.inversion import EulerScheme, GsScheme, invert, scheme_nodes
+from cmrs.inversion import EulerScheme, GsScheme, invert
 from cmrs.models import (
     CommonShockCPSpec,
     LognormalPortfolioSpec,
@@ -397,7 +397,7 @@ class TestBlockEngine:
         # clean run's, bit for bit
         base = build_common_shock_cp(CS_REF)
         bad = [7, 150, 151, 299]
-        bad_re = [scheme_nodes(EulerScheme(), self.GRID[k])[0].real for k in bad]
+        bad_re = [EulerScheme().nodes(self.GRID[k])[0].real for k in bad]
 
         def transform(z):
             if np.isin(np.real(z), bad_re).any():
@@ -416,7 +416,7 @@ class TestBlockEngine:
 
     def test_one_nonfinite_value_fails_one_point(self):
         base = build_common_shock_cp(CS_REF)
-        z_bad = scheme_nodes(EulerScheme(), self.GRID[120])[5]
+        z_bad = EulerScheme().nodes(self.GRID[120])[5]
 
         def transform(z):
             out = base.transform(z)
@@ -469,7 +469,7 @@ class TestBlockEngine:
         # budget; the slices give the values of one unsliced call, bit for bit
         spec = LognormalPortfolioSpec.from_moments((1.0, 2.0, 2.0), (5.0, 2.0, 5.0))
         model = build_lognormal_portfolio(spec)
-        z = np.stack([scheme_nodes(EulerScheme(), s) for s in (0.5, 2.0, 6.0, 10.0, 15.0)])
+        z = EulerScheme().nodes([0.5, 2.0, 6.0, 10.0, 15.0])
         assert z.size > 2 * (_BLOCK_BUDGET // (spec.n * spec.gh_order))
         stats = {}
         whole = _product_rule(

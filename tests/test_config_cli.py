@@ -119,6 +119,12 @@ class TestSchemeSpec:
         with pytest.raises(ConfigError, match="theta"):
             SchemeSpec(rule="euler", theta=-0.1)
 
+    @pytest.mark.parametrize("rule", ["euler", "gaver-stehfest"])
+    @pytest.mark.parametrize("theta", [math.nan, math.inf])
+    def test_nonfinite_theta_rejected(self, rule, theta):
+        with pytest.raises(ConfigError, match=f"theta must be finite and >= 0, got {theta}"):
+            SchemeSpec(rule=rule, theta=theta)
+
 
 class TestConfigParsing:
     def test_parse_and_build_reference_pool(self, tmp_path):
@@ -520,6 +526,14 @@ def test_bad_input_exits_one_without_traceback(tmp_path, capsys, change, argv_ta
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and message in captured.err
     assert captured.out == ""  # refused before any work is done
+
+
+def test_malformed_yaml_exits_one_without_traceback(tmp_path, capsys):
+    cfg = _write(tmp_path, "cfg.yaml", ERLANG_YAML + "grid: {start: [1\n")
+    assert main(["allocate", "--config", cfg]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {cfg} is not valid YAML")
+    assert "Traceback" not in captured.err and captured.out == ""
 
 
 class TestCliVerify:

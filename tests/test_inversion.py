@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -18,7 +19,6 @@ from cmrs.inversion import (
     gs_weights_exact,
     invert,
     invert_values,
-    scheme_nodes,
 )
 from cmrs.models import build_matrix_exp, exponential_me_spec
 
@@ -62,48 +62,63 @@ class TestGsWeights:
 
 class TestSchemes:
     def test_gs_node_layout(self):
-        nodes = scheme_nodes(GsScheme(M=3), 2.0)
+        nodes = GsScheme(M=3).nodes(2.0)
         want = np.arange(1, 7) * (math.log(2.0) / 2.0)
         assert np.array_equal(nodes, want.astype(complex))
 
     def test_euler_node_layout(self):
         sch = EulerScheme(A=18.4, N=25, m=15)
         s = 3.0
-        nodes = scheme_nodes(sch, s)
+        nodes = sch.nodes(s)
         assert len(nodes) == 41
         assert nodes[0] == complex(18.4 / (2 * s), 0.0)
         assert nodes[7] == complex(18.4 / (2 * s), math.pi * 7 / s)
 
     def test_tilted_nodes_shift_left(self):
-        plain = scheme_nodes(EulerScheme(), 2.0)
-        tilted = scheme_nodes(EulerScheme(theta=0.5), 2.0)
+        plain = EulerScheme().nodes(2.0)
+        tilted = EulerScheme(theta=0.5).nodes(2.0)
         assert np.allclose(tilted.real, plain.real - 0.5)
         assert np.array_equal(tilted.imag, plain.imag)
 
     def test_contour_violation(self):
         with pytest.raises(InversionError, match="contour violation"):
-            scheme_nodes(EulerScheme(A=18.4, theta=0.2), 75.0)
+            invert(exp_lst, 75.0, EulerScheme(A=18.4, theta=0.2))
 
     def test_nonpositive_target(self):
         with pytest.raises(DomainError, match="s > 0"):
-            scheme_nodes(EulerScheme(), 0.0)
+            invert(exp_lst, 0.0, EulerScheme())
 
     @pytest.mark.parametrize(
         "scheme", [GsScheme(), EulerScheme(), EulerScheme(A=18.4, theta=0.2)]
     )
     def test_grid_nodes_match_one_point_nodes(self, scheme):
-        # one call on the whole grid gives each admitted point's scheme_nodes
-        # bit for bit; the tilted rule refuses s >= 46, and scheme_nodes
-        # refuses those points too
+        # one call on the whole grid gives each point's one-level nodes bit
+        # for bit; the tilted rule refuses s >= 46, and ``invert`` refuses
+        # those points too
         grid = np.arange(1, 751) / 10.0
         nodes = scheme.nodes(grid)
         assert nodes.shape == (len(grid), len(scheme.weights))
+        assert np.array_equal(nodes, np.stack([scheme.nodes(s) for s in grid]))
         ok = admitted(nodes)
         assert ok.all() == (getattr(scheme, "theta", 0.0) == 0.0)
-        assert np.array_equal(nodes[ok], np.stack([scheme_nodes(scheme, s) for s in grid[ok]]))
         for s in grid[~ok]:
             with pytest.raises(InversionError, match=r"contour violation.* = -.*needs Re z > 0"):
-                scheme_nodes(scheme, s)
+                invert(exp_lst, s, scheme)
+
+    @pytest.mark.parametrize("A, theta", [(18.4, 0.2), (30.4, 0.2), (1500.0, 10.0)])
+    def test_tilt_is_the_contour_parameter_per_level(self, A, theta):
+        # at each admitted level the tilted rule is the untilted one with
+        # A = A - 2*theta*s, bit for bit in its nodes and its scale factor
+        tilted = EulerScheme(A=A, theta=theta)
+        for s in np.arange(1, 751) / 10.0:
+            A_s = A - 2.0 * theta * s
+            if A_s <= 0.0:
+                continue
+            plain = EulerScheme(A=A_s)
+            assert tilted.contour(s) == A_s
+            assert np.array_equal(tilted.nodes(s), plain.nodes(s))
+            with np.errstate(over="ignore"):
+                assert tilted.scale(s) == plain.scale(s)
 
     def test_describe(self):
         assert "M=8" in GsScheme().describe()
@@ -218,9 +233,9 @@ class TestRecovery:
             if isinstance(scheme, GsScheme):
                 scale = math.log(2.0) / s
             else:
-                scale = math.exp(scheme.A / 2.0) / s * math.exp(-scheme.theta * s)
+                scale = np.exp((scheme.A - 2.0 * scheme.theta * s) / 2.0) / s
             acc = 0.0
-            for w, v in zip(scheme.weights, exp_lst(scheme_nodes(scheme, s)).real):
+            for w, v in zip(scheme.weights, exp_lst(scheme.nodes(s)).real):
                 acc += w * v
             assert invert(exp_lst, s, scheme) == scale * acc
 
@@ -231,6 +246,10 @@ class TestRecovery:
         with pytest.raises(InversionError, match="non-finite"):
             invert(bad, 1.0, EulerScheme())
 
+    def test_overflowing_scale_refused(self):
+        with pytest.raises(InversionError, match=r"euler\(A=1500.*overflows at s=1.0"):
+            invert(exp_lst, 1.0, EulerScheme(A=1500.0))
+
 
 class TestVectorKernel:
     @pytest.mark.parametrize("scheme", [GsScheme(M=8), EulerScheme(), EulerScheme(theta=0.4)])
@@ -239,7 +258,7 @@ class TestVectorKernel:
         # part of each node value, one row per node, from one call of the
         # transform on the array of nodes
         s = 2.3
-        values = exp_lst(scheme_nodes(scheme, s)).real
+        values = exp_lst(scheme.nodes(s)).real
         scalar = invert(exp_lst, s, scheme)
         vector = invert_values(values.reshape(-1, 1), s, scheme)
         assert vector.shape == (1,)
@@ -251,7 +270,7 @@ class TestVectorKernel:
         # without touching the others
         s = 1.5
         for scheme in (GsScheme(M=8), EulerScheme(), EulerScheme(theta=0.4)):
-            nodes = scheme_nodes(scheme, s)
+            nodes = scheme.nodes(s)
             values = np.stack(
                 [exp_lst(nodes).real, gamma2_lst(nodes).real, np.full(nodes.shape, math.nan)],
                 axis=-1,
@@ -266,7 +285,7 @@ class TestVectorKernel:
         # a (points, nodes, columns) call gives, at every point and column,
         # that column's one-point call bit for bit, with one scale per point
         s = np.array([0.3, 1.5, 2.3, 7.0, 11.5])
-        nodes = np.stack([scheme_nodes(scheme, x) for x in s])
+        nodes = scheme.nodes(s)
         values = np.stack([exp_lst(nodes).real, gamma2_lst(nodes).real], axis=-1)
         out = invert_values(values, s, scheme)
         assert out.shape == (len(s), 2)
@@ -276,6 +295,25 @@ class TestVectorKernel:
                 assert out[p, c] == one[0]
             assert out[p, 0] == invert(exp_lst, x, scheme)
             assert out[p, 1] == invert(gamma2_lst, x, scheme)
+
+    def test_overflowing_scale_fails_its_level_alone(self):
+        # e^{A/2} overflows at A = 1500, so every level fails, quietly; with
+        # theta = 10, A(s) = 1500 - 20 s overflows only below s ~ 4, and at
+        # s = 74 (A(s) = 20) the level is the untilted A = 20 rule's, bit for bit
+        model = build_matrix_exp([exponential_me_spec(1.0)])
+        grid = (1.0, 2.0, 74.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            plain = allocate(AllocationRequest(model, grid, EulerScheme(A=1500.0)))
+            tilted = allocate(AllocationRequest(model, grid, EulerScheme(A=1500.0, theta=10.0)))
+        ref = allocate(AllocationRequest(model, (74.0,), EulerScheme(A=20.0)))
+        assert plain.status == [STATUS_FAILED] * 3
+        assert tilted.status[:2] == [STATUS_FAILED] * 2
+        for res in (plain, tilted):
+            assert np.isnan(res.density[:2]).all() and np.isnan(res.raw_xi[:2]).all()
+        assert np.isnan(plain.density[2])
+        assert np.isfinite(ref.density[0]) and tilted.density[2] == ref.density[0]
+        assert np.array_equal(tilted.raw_xi[2], ref.raw_xi[0])
 
     def test_batch_skips_rows_outside_contour(self):
         # A = 18.4 with theta = 0.2 leaves the right half-plane beyond s = 46:
