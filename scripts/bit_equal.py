@@ -8,16 +8,18 @@ Each ROOT is a checkout with ``src/cmrs``, ``benchmark/`` and ``configs/``.
 For each tree a subprocess imports that tree's package and benchmark
 modules and, for every seed, builds every leg of the benchmark workloads
 (``me_erlang_pool``, ``cs_large_pool``, ``cs_wide_fade``) through
-``Bench.setup``, the way the benchmark builds them, and runs ``allocate``
-and ``write_csv`` on each.  It also runs both on every ``configs/*.yaml``
-of its tree, with the request ``cmrs allocate`` builds from the file.
+``Bench.setup``, the way the benchmark builds them, and runs ``allocate``,
+``write_csv`` and ``breakdown_scan`` on each.  It also runs all three on
+every ``configs/*.yaml`` of its tree, with the request ``cmrs allocate``
+builds from the file.
 
 A leg is equal when ``density``, ``raw_xi`` and ``h`` are ``np.array_equal``
-(NaN equal to NaN), ``status`` is the same list and the CSV bytes are the
-same.  The script prints the legs that differ and exits 1 when there is
-any (2 when a tree cannot be run).  A change that passes it needs no fade
-gate (``scripts/fade_gate.py``).  The five default seeds take about five
-seconds per tree.
+(NaN equal to NaN), ``status`` is the same list, the CSV bytes are the same
+and so are the ``breakdown_scan`` fields (``first_violation``,
+``breakdown_s`` and the three counts).  The script prints the legs that
+differ and exits 1 when there is any (2 when a tree cannot be run).  A
+change that passes it needs no fade gate (``scripts/fade_gate.py``).  The
+five default seeds take about five seconds per tree.
 """
 
 from __future__ import annotations
@@ -37,13 +39,14 @@ import numpy as np
 from fade_gate import _seeds
 
 ARRAYS = ("density", "raw_xi", "h")
+SCAN = ("first_violation", "breakdown_s", "n_ok", "n_degraded", "n_failed")
 
 
 def _worker(root: str, seeds: list[int], out: str) -> None:
     """Pickle {leg key: output} for every leg and shipped config to ``out``."""
     sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "benchmark")]
     from bench import Bench
-    from cmrs import allocate, load_config
+    from cmrs import allocate, breakdown_scan, load_config
     from cmrs.cli import _build_request, write_csv
     from workloads import NAMES, make_workload
 
@@ -54,6 +57,8 @@ def _worker(root: str, seeds: list[int], out: str) -> None:
         row = {name: getattr(result, name) for name in ARRAYS}
         row["status"] = list(result.status)
         row["csv"] = hashlib.sha256(buf.getvalue().encode()).hexdigest()
+        scan = breakdown_scan(result)
+        row.update((name, getattr(scan, name)) for name in SCAN)
         return row
 
     legs = {}
@@ -91,7 +96,7 @@ def differences(parent: dict[str, dict], change: dict[str, dict]) -> list[str]:
             continue
         p, c = parent[key], change[key]
         fields = [f for f in ARRAYS if not np.array_equal(p[f], c[f], equal_nan=True)]
-        fields += [f for f in ("status", "csv") if p[f] != c[f]]
+        fields += [f for f in ("status", "csv", *SCAN) if p[f] != c[f]]
         if fields:
             out.append(f"{key}: {', '.join(fields)} differ")
     return out

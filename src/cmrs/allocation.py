@@ -20,14 +20,16 @@ n=3 grid's peak RSS was 132 MB instead of 128 MB (127 MB one point at a
 time), and at 2**20 the n=1000 pool took 0.18 s instead of 0.15 s, its
 temporaries out of cache, and 232 MB instead of 184 MB.
 
-Status policy per gridpoint: ``failed`` means the numbers are unusable
-(density at or below the floor, non-finite values, or materially negative
-allocation mass); ``degraded`` means usable but out of tolerance (budget
-residual above balance_tol, or a share clipped into [0, s]).  Once any point
-has violated, every later ok point is demoted to degraded: contour error
-grows with s, so apparent health beyond a breakdown is not trustworthy.
-Small negative allocation values in [-1e-8, 0) are ordinary roundoff and are
-clamped to zero without penalty.
+Status policy per gridpoint, derived once, in ``allocate``: ``failed`` means
+the numbers are unusable (density at or below the floor, non-finite values,
+or materially negative allocation mass); ``degraded`` means usable but out of
+tolerance (budget residual above balance_tol, or a share above s by more
+than balance_tol * s).  Once any point has violated, every later ok point is
+demoted to degraded: contour error grows with s, so apparent health beyond a
+breakdown is not trustworthy.  Roundoff is forgiven without penalty: small
+negative allocation values in [-1e-8, 0) are clamped to zero, and a share
+above s by at most balance_tol * s is clipped to s (with one risk, h_1 = s
+exactly).  ``breakdown_scan`` summarises the stored statuses.
 """
 
 from __future__ import annotations
@@ -145,52 +147,10 @@ class AllocationResult:
         return STATUS_DEGRADED if STATUS_DEGRADED in self.status else STATUS_OK
 
 
-def _derive_statuses(
-    s_grid: np.ndarray,
-    density: np.ndarray,
-    raw_xi: np.ndarray,
-    balance_tol: float,
-    density_floor: float,
-):
-    """Shared status logic for allocate and breakdown_scan.
-
-    Returns (status list, xi clamped, h clipped, sum_h, residual).
-    """
-    unusable = (
-        ~np.isfinite(density) | ~np.isfinite(raw_xi).all(axis=1) | (raw_xi < _XI_CLAMP).any(axis=1)
-    )
-    xi = np.where(~unusable[:, None] & (raw_xi > _XI_CLAMP) & (raw_xi < 0.0), 0.0, raw_xi)
-    # the floor governs f outright: a zero, subnormal or negative density
-    # cannot support a ratio, even though xi-level roundoff is forgiven
-    failed = unusable | (density <= density_floor)
-    good = ~failed
-    s, f = s_grid[good], density[good]
-    hrow = xi[good] / f[:, None]
-    sh = np.array([math.fsum(row) for row in hrow.tolist()])
-    target = s * f
-    r = np.abs(np.array([math.fsum(row) for row in xi[good].tolist()]) - target) / target
-    over = (hrow > s[:, None]).any(axis=1)
-    h = np.zeros_like(raw_xi)
-    h[good] = np.clip(hrow, 0.0, s[:, None])
-    sum_h = np.full(len(s_grid), np.nan)
-    sum_h[good] = sh
-    resid = np.full(len(s_grid), np.nan)
-    resid[good] = r
-    violated = failed.copy()
-    violated[good] = (
-        ~np.isfinite(sh) | (r > balance_tol) | (np.abs(sh - s) > balance_tol * s) | over
-    )
-    # once any point has violated, every later one is at best degraded
-    after_break = np.concatenate([[False], np.logical_or.accumulate(violated)[:-1]])
-    code = np.where(failed, 2, violated | after_break)
-    status = np.array([STATUS_OK, STATUS_DEGRADED, STATUS_FAILED])[code].tolist()
-    return status, xi, h, sum_h, resid
-
-
 def allocate(request: AllocationRequest) -> AllocationResult:
-    """Run the inversion over the request grid and derive shares: one model
-    call and one kernel pass per block of gridpoints, each call with the
-    block's whole array of nodes, shape (points, nodes).
+    """Run the inversion over the request grid and derive shares and
+    statuses: one model call and one kernel pass per block of gridpoints,
+    each call with the block's whole array of nodes, shape (points, nodes).
 
     The whole grid's nodes are formed in one call; a point with a node at
     Re z <= 0 fails the contour check and fails alone, and only the points
@@ -222,11 +182,37 @@ def allocate(request: AllocationRequest) -> AllocationResult:
                 pending += [slice(j, j + 1) for j in range(*block.indices(len(kept)))]
     elapsed = time.perf_counter() - start
 
+    # shares and statuses: the one place a status is derived
     density = values[:, 0].copy()
     raw_xi = values[:, 1:].copy()
-    status, xi, h, sum_h, resid = _derive_statuses(
-        s_grid, density, raw_xi, request.balance_tol, request.density_floor
+    unusable = (
+        ~np.isfinite(density) | ~np.isfinite(raw_xi).all(axis=1) | (raw_xi < _XI_CLAMP).any(axis=1)
     )
+    xi = np.where(~unusable[:, None] & (raw_xi > _XI_CLAMP) & (raw_xi < 0.0), 0.0, raw_xi)
+    # the floor governs f outright: a zero, subnormal or negative density
+    # cannot support a ratio, even though xi-level roundoff is forgiven
+    failed = unusable | (density <= request.density_floor)
+    good = ~failed
+    tol = request.balance_tol
+    s, f = s_grid[good], density[good]
+    hrow = xi[good] / f[:, None]
+    sh = np.array([math.fsum(row) for row in hrow.tolist()])
+    target = s * f
+    r = np.abs(np.array([math.fsum(row) for row in xi[good].tolist()]) - target) / target
+    h = np.zeros_like(raw_xi)
+    h[good] = np.clip(hrow, 0.0, s[:, None])
+    sum_h = np.full(len(s_grid), np.nan)
+    sum_h[good] = sh
+    resid = np.full(len(s_grid), np.nan)
+    resid[good] = r
+    violated = failed.copy()
+    # shares are >= 0 here, so one above s by more than tol * s fails the
+    # sum test; one above s by less is roundoff (with one risk, h_1 = s
+    # exactly) and is clipped to s without penalty
+    violated[good] = ~np.isfinite(sh) | (r > tol) | (np.abs(sh - s) > tol * s)
+    # once any point has violated, every later one is at best degraded
+    after_break = np.concatenate([[False], np.logical_or.accumulate(violated)[:-1]])
+    code = np.where(failed, 2, violated | after_break)
     return AllocationResult(
         request=request,
         s_grid=s_grid,
@@ -236,7 +222,7 @@ def allocate(request: AllocationRequest) -> AllocationResult:
         h=h,
         sum_h=sum_h,
         balance_residual=resid,
-        status=status,
+        status=np.array([STATUS_OK, STATUS_DEGRADED, STATUS_FAILED])[code].tolist(),
         elapsed=elapsed,
     )
 
@@ -248,8 +234,6 @@ def proportions(result: AllocationResult) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BreakdownReport:
-    tol: float
-    status: tuple[str, ...]
     first_violation: Optional[int]
     breakdown_s: Optional[float]
     n_ok: int
@@ -261,21 +245,12 @@ class BreakdownReport:
         return self.first_violation is None
 
 
-def breakdown_scan(result: AllocationResult, tol: Optional[float] = None) -> BreakdownReport:
-    """Re-derive point statuses for an arbitrary balance tolerance from the
-    stored raw inversion output (no new transform evaluations)."""
-    if tol is None:
-        tol = result.request.balance_tol
-    if not (tol > 0.0):
-        raise DomainError(f"tolerance must be positive, got {tol}")
-    status, _, _, _, _ = _derive_statuses(
-        result.s_grid, result.density, result.raw_xi, tol, result.request.density_floor
-    )
-    violations = np.flatnonzero(np.array(status) != STATUS_OK)
-    first = int(violations[0]) if violations.size else None
+def breakdown_scan(result: AllocationResult) -> BreakdownReport:
+    """Summary of the statuses ``allocate`` derived: the first gridpoint that
+    is not ok, its level s, and the number of points of each status."""
+    status = result.status
+    first = next((k for k, st in enumerate(status) if st != STATUS_OK), None)
     return BreakdownReport(
-        tol=tol,
-        status=tuple(status),
         first_violation=first,
         breakdown_s=None if first is None else float(result.s_grid[first]),
         n_ok=status.count(STATUS_OK),

@@ -24,18 +24,24 @@ import numpy as np
 
 from .allocation import (
     STATUS_ATOM,
-    STATUS_DEGRADED,
-    STATUS_FAILED,
     STATUS_OK,
     AllocationRequest,
     AllocationResult,
     allocate,
     breakdown_scan,
+    proportions,
 )
 from .config import RunConfig, build_model_from_config, load_config
 from .errors import CmrsError, ConfigError
 from .inversion import EulerScheme, GsScheme, gs_weights_exact
-from .models import CommonShockCPSpec, MatrixExpSpec, MixedExpFrailtySpec, build_common_shock_cp
+from .models import (
+    CommonShockCPSpec,
+    MatrixExpSpec,
+    MixedExpFrailtySpec,
+    build_common_shock_cp,
+    erlang_me_spec,
+    exponential_me_spec,
+)
 from .oracles import (
     cscp_series_oracle,
     make_sampler,
@@ -72,7 +78,7 @@ def write_csv(result: AllocationResult, fh: TextIO) -> int:
             result.density,
             result.xi,
             result.h,
-            result.h / result.s_grid[:, None],
+            proportions(result),
             result.sum_h,
             result.balance_residual,
         ]
@@ -92,10 +98,6 @@ def _build_request(cfg: RunConfig) -> AllocationRequest:
     )
 
 
-def _status_exit(result: AllocationResult) -> int:
-    return 0 if result.worst_status == STATUS_OK else 2
-
-
 def cmd_allocate(cfg: RunConfig, out: Optional[str]) -> int:
     result = allocate(_build_request(cfg))
     path = out or cfg.output.path
@@ -106,15 +108,15 @@ def cmd_allocate(cfg: RunConfig, out: Optional[str]) -> int:
     else:
         nrows = write_csv(result, sys.stdout)
         dest = sys.stderr
-    counts = {st: result.status.count(st) for st in (STATUS_OK, STATUS_DEGRADED, STATUS_FAILED)}
+    scan = breakdown_scan(result)
     print(
         f"{'wrote ' + path + ': ' if path else ''}{nrows} rows "
-        f"({counts[STATUS_OK]} ok, {counts[STATUS_DEGRADED]} degraded, "
-        f"{counts[STATUS_FAILED]} failed, {len(result.atoms)} atoms), "
+        f"({scan.n_ok} ok, {scan.n_degraded} degraded, "
+        f"{scan.n_failed} failed, {len(result.atoms)} atoms), "
         f"scheme {result.scheme.describe()}, {result.elapsed:.2f}s",
         file=dest,
     )
-    return _status_exit(result)
+    return 0 if scan.clean else 2
 
 
 def cmd_diagnose(cfg: RunConfig, sweep: Sequence[float], diag_tol: float) -> int:
@@ -146,8 +148,14 @@ def cmd_diagnose(cfg: RunConfig, sweep: Sequence[float], diag_tol: float) -> int
     for req in sweeps:
         sc = breakdown_scan(allocate(req))
         where = "clean" if sc.clean else f"breaks at s = {sc.breakdown_s:g}"
-        print(f"  theta = {req.scheme.theta:g}: {where} ({sc.n_ok} ok / {len(sc.status)})")
+        print(f"  theta = {req.scheme.theta:g}: {where} ({sc.n_ok} ok / {len(req.s_grid)})")
     return code
+
+
+def _same_risk(a: MatrixExpSpec, b: MatrixExpSpec) -> bool:
+    """Whether two matrix-exponential risks are equal entry for entry."""
+    fields = ("alpha", "T", "u")
+    return a.p0 == b.p0 and all(np.array_equal(getattr(a, k), getattr(b, k)) for k in fields)
 
 
 def _closed_form_reference(spec):
@@ -159,10 +167,16 @@ def _closed_form_reference(spec):
         and all(isinstance(s, MatrixExpSpec) for s in spec)
     ):
         first, second = spec
-        # the two-risk Erlang(2)+Exp portfolio has a closed conditional mean
+        # the two-risk Erlang(2)+Exp portfolio has a closed conditional mean;
+        # it describes only risks equal to those two, entry for entry
         lam = -first.T[0, 0]
         mu = -second.T[0, 0]
-        if first.dim == 2 and second.dim == 1:
+        if (
+            lam > 0.0
+            and mu > 0.0
+            and _same_risk(first, erlang_me_spec(2, lam))
+            and _same_risk(second, exponential_me_spec(mu))
+        ):
             if abs(lam - mu) <= 1e-8 * max(lam, mu):
                 return me_example_equal_rates_oracle(lam)
             return me_example_oracle(lam, mu)
@@ -175,7 +189,8 @@ def _closed_form_reference(spec):
 def run_verify(cfg: RunConfig, seed: Optional[int] = None) -> tuple[bool, list[str]]:
     """Compare inverted shares against the configured reference.  Returns
     (all passed, report lines)."""
-    vf = cfg.verify
+    # an overriding seed is checked as the config's own is
+    vf = cfg.verify if seed is None else replace(cfg.verify, seed=seed)
     if vf.method == "none":
         raise ConfigError("verify block has method: none; nothing to check")
     spec = cfg.model
@@ -225,7 +240,6 @@ def run_verify(cfg: RunConfig, seed: Optional[int] = None) -> tuple[bool, list[s
 
     # Monte Carlo
     sampler = make_sampler(spec)
-    seed0 = vf.seed if seed is None else seed
     if vf.points is not None:
         targets = vf.points
     else:
@@ -241,7 +255,7 @@ def run_verify(cfg: RunConfig, seed: Optional[int] = None) -> tuple[bool, list[s
             est = mc_conditional_mean(
                 sampler, i, s_k,
                 bandwidth=vf.bandwidth, n_samples=vf.n_samples,
-                seed=seed0, substream=sub,
+                seed=vf.seed, substream=sub,
             )
             gap = abs(result.h[k, i] - est.value)
             bound = max(tol, 3.0 * est.std_error)

@@ -80,6 +80,11 @@ class GridSpec:
             return
         if None in (self.start, self.stop, self.step):
             raise ConfigError("grid: start, stop and step are all required")
+        if not all(math.isfinite(v) for v in (self.start, self.stop, self.step)):
+            raise ConfigError(
+                f"grid: start, stop and step must be finite, got "
+                f"start={self.start}, stop={self.stop}, step={self.step}"
+            )
         if not (self.step > 0.0 and self.stop >= self.start > 0.0):
             raise ConfigError(
                 f"grid: need 0 < start <= stop and step > 0, got "
@@ -143,7 +148,10 @@ class VerifySpec:
         if self.points is not None:
             object.__setattr__(self, "points", tuple(float(p) for p in self.points))
         object.__setattr__(self, "n_samples", _whole("verify n_samples", self.n_samples))
-        object.__setattr__(self, "seed", _whole("verify seed", self.seed))
+        seed = _whole("verify seed", self.seed)
+        if not (0 <= seed < 2**64):
+            raise ConfigError(f"verify seed must lie in [0, 2**64), got {seed}")
+        object.__setattr__(self, "seed", seed)
 
 
 @dataclass(frozen=True)
@@ -241,7 +249,9 @@ def parse_config(data: dict) -> RunConfig:
         tolerance=_parse_block(ToleranceSpec, data.get("tolerance", {}), "tolerance"),
         bench=_parse_block(BenchSpec, data["bench"], "bench") if "bench" in data else None,
     )
-    _checked("scheme", cfg.scheme.build)  # a scheme the engine refuses fails here too
+    # a grid or scheme the engine refuses fails here too
+    _checked("grid", cfg.grid.build)
+    _checked("scheme", cfg.scheme.build)
     return cfg
 
 
@@ -250,7 +260,7 @@ def load_config(path: str) -> RunConfig:
         try:
             # libyaml's parser when PyYAML has it: the same data, ~8x faster
             data = yaml.load(fh, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
-        except yaml.YAMLError as exc:
+        except (yaml.YAMLError, UnicodeDecodeError) as exc:
             raise ConfigError(f"{path} is not valid YAML: {exc}") from None
     if not isinstance(data, dict):
         raise ConfigError(f"{path} does not contain a mapping")

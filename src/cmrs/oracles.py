@@ -427,22 +427,6 @@ def _sample_phase_type(rng, specs: Sequence[MatrixExpSpec], size: int) -> np.nda
     return np.column_stack(cols)
 
 
-def _multinomial_rows(rng, totals: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Row-wise multinomial thinning with per-row totals, via iterated
-    binomials (numpy's multinomial wants a scalar count)."""
-    remaining = totals.copy()
-    left = 1.0
-    out = np.empty((totals.shape[0], p.shape[0]), dtype=np.int64)
-    for i, pi in enumerate(p[:-1]):
-        frac = 0.0 if left <= 0.0 else min(1.0, pi / left)
-        draw = rng.binomial(remaining, frac)
-        out[:, i] = draw
-        remaining = remaining - draw
-        left -= pi
-    out[:, -1] = remaining
-    return out
-
-
 def _segment_sums(rng, counts: np.ndarray, draw: Callable[[int], np.ndarray]) -> np.ndarray:
     """Sum ``counts[k]`` fresh severity draws for each row k."""
     total = int(counts.sum())
@@ -483,7 +467,7 @@ def make_sampler(spec) -> Callable[[np.random.Generator, int], tuple[np.ndarray,
             X = np.zeros((size, spec.n))
             if spec.lambda0 > 0.0:
                 n0 = rng.poisson(spec.lambda0, size)
-                routed = _multinomial_rows(rng, n0, p)
+                routed = rng.multinomial(n0, p)
                 X += rng.gamma(routed, 1.0 / spec.beta0)
             for i in range(spec.n):
                 if lam[i] > 0.0:

@@ -430,41 +430,41 @@ _CS_MODEL = {
 
 
 @pytest.mark.parametrize(
-    "change, argv_tail, message",
+    "change, argv, message",
     [
-        ({"model": 5}, [], "model must be a mapping"),
-        ({"model": {**_CS_MODEL, "lambdas": 0.8}}, [], "model: "),
-        ({"scheme": {"A": [1]}}, [], "scheme: "),
-        ({"grid": {"points": 5}}, [], "grid.points: "),
-        ({}, ["--sweep", "0,abc"], "argument --sweep"),
+        ({"model": 5}, ["diagnose"], "model must be a mapping"),
+        ({"model": {**_CS_MODEL, "lambdas": 0.8}}, ["diagnose"], "model: "),
+        ({"scheme": {"A": [1]}}, ["diagnose"], "scheme: "),
+        ({"grid": {"points": 5}}, ["diagnose"], "grid.points: "),
+        ({}, ["diagnose", "--sweep", "0,abc"], "argument --sweep"),
         (
             {"model": {k: v for k, v in _CS_MODEL.items() if k != "beta0"}},
-            [],
+            ["diagnose"],
             "model: missing key 'beta0'",
         ),
         (
             {"model": {k: v for k, v in _CS_MODEL.items() if k != "lambdas"}},
-            [],
+            ["diagnose"],
             "model: missing key 'lambdas'",
         ),
         (
             {"model": {"family": "matrix_exp", "risks": [{"kind": "erlang", "rate": 2.0}]}},
-            [],
+            ["diagnose"],
             "model: missing key 'k'",
         ),
         (
             {"model": {"family": "mixed_exp_frailty", "lambdas": [1.0], "mixing": {"law": "gamma"}}},
-            [],
+            ["diagnose"],
             "model: missing key 'alpha'",
         ),
         (
             {"model": {"family": "lognormal", "means": [1.0, 2.0]}},
-            [],
+            ["diagnose"],
             "model: missing key 'variances'",
         ),
         (
             {"model": {"family": "matrix_exp", "risks": [{"kind": "erlang", "k": 2.5, "rate": 2.0}]}},
-            [],
+            ["diagnose"],
             "k must be a whole number, got 2.5",
         ),
         (
@@ -475,23 +475,33 @@ _CS_MODEL = {
                     "mixing": {"law": "gamma", "alpha": 2.0, "n_nodes": 50.5},
                 }
             },
-            [],
+            ["diagnose"],
             "n_nodes must be a whole number, got 50.5",
         ),
         (
             {"model": {"family": "lognormal", "means": [1.0], "variances": [1.0], "gh_order": 64.5}},
-            [],
+            ["diagnose"],
             "gh_order must be a whole number, got 64.5",
         ),
-        ({"bench": {"n_sweep": [5, 100.5]}}, [], "n_sweep must be a whole number, got 100.5"),
-        ({"bench": {"reps": 1.5}}, [], "reps must be a whole number, got 1.5"),
-        ({"verify": {"n_samples": 20000.5}}, [], "n_samples must be a whole number, got 20000.5"),
-        ({"verify": {"seed": 11.5}}, [], "seed must be a whole number, got 11.5"),
-        ({"verify": {"method": "series", "tolerance": 0.0}}, [], "tolerance must be finite and > 0"),
-        ({"verify": {"tolerance": -1e-3}}, [], "tolerance must be finite and > 0, got -0.001"),
-        ({"verify": {"tolerance": float("inf")}}, [], "tolerance must be finite and > 0, got inf"),
-        ({"verify": {"method": "mc", "bandwidth": 0.0}}, [], "bandwidth must be finite and > 0"),
-        ({"verify": {"bandwidth": -0.05}}, [], "bandwidth must be finite and > 0, got -0.05"),
+        ({"bench": {"n_sweep": [5, 100.5]}}, ["diagnose"], "n_sweep must be a whole number, got 100.5"),
+        ({"bench": {"reps": 1.5}}, ["diagnose"], "reps must be a whole number, got 1.5"),
+        ({"verify": {"n_samples": 20000.5}}, ["diagnose"], "n_samples must be a whole number, got 20000.5"),
+        ({"verify": {"seed": 11.5}}, ["diagnose"], "seed must be a whole number, got 11.5"),
+        ({"verify": {"method": "series", "tolerance": 0.0}}, ["diagnose"], "tolerance must be finite and > 0"),
+        ({"verify": {"tolerance": -1e-3}}, ["diagnose"], "tolerance must be finite and > 0, got -0.001"),
+        ({"verify": {"tolerance": float("inf")}}, ["diagnose"], "tolerance must be finite and > 0, got inf"),
+        ({"verify": {"method": "mc", "bandwidth": 0.0}}, ["diagnose"], "bandwidth must be finite and > 0"),
+        ({"verify": {"bandwidth": -0.05}}, ["diagnose"], "bandwidth must be finite and > 0, got -0.05"),
+        ({"grid": {"start": 0.5, "stop": math.inf, "step": 0.5}}, ["diagnose"], "must be finite"),
+        (
+            {"grid": {"start": 0.1, "stop": 1.0e300, "step": 1.0}},
+            ["allocate"],
+            "grid: Maximum allowed size exceeded",
+        ),
+        (b"# \xff\xfe not utf-8\n", ["allocate"], "is not valid YAML"),
+        ({"verify": {"seed": -3}}, ["verify"], "seed must lie in [0, 2**64), got -3"),
+        ({}, ["verify", "--seed", "-1"], "seed must lie in [0, 2**64), got -1"),
+        ({}, ["verify", "--seed", str(2**64)], "seed must lie in [0, 2**64)"),
     ],
     ids=[
         "model-not-a-mapping",
@@ -516,13 +526,26 @@ _CS_MODEL = {
         "infinite-verify-tolerance",
         "zero-verify-bandwidth",
         "negative-verify-bandwidth",
+        "infinite-grid-stop",
+        "grid-too-long-to-build",
+        "config-not-utf8",
+        "negative-verify-seed",
+        "negative-seed-option",
+        "seed-option-beyond-u64",
     ],
 )
-def test_bad_input_exits_one_without_traceback(tmp_path, capsys, change, argv_tail, message):
-    data = yaml.safe_load(ERLANG_YAML)
-    data.update(change)
-    cfg = _write(tmp_path, "cfg.yaml", yaml.safe_dump(data))
-    assert main(["diagnose", "--config", cfg, *argv_tail]) == 1
+def test_bad_input_exits_one_without_traceback(tmp_path, capsys, change, argv, message):
+    # ``change`` replaces blocks of the config, or as bytes ends its file
+    if isinstance(change, bytes):
+        text = ERLANG_YAML.encode() + change
+    else:
+        data = yaml.safe_load(ERLANG_YAML)
+        data.update(change)
+        text = yaml.safe_dump(data).encode()
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_bytes(text)
+    verb, *rest = argv
+    assert main([verb, "--config", str(cfg), *rest]) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and message in captured.err
     assert captured.out == ""  # refused before any work is done
@@ -660,6 +683,27 @@ class TestCliVerify:
         cfg = _write(tmp_path, "cfg.yaml", text)
         assert main(["verify", "--config", cfg]) == 1
         assert "closed_form verification is only available" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "first_risk",
+        [
+            "{alpha: [0.5, 0.5], T: [[-1.0, 0.0], [0.0, -3.0]], u: [1.0, 3.0]}",
+            "{alpha: [0.7, 0.0], T: [[-2.0, 2.0], [0.0, -2.0]], u: [0.0, 2.0], p0: 0.3}",
+        ],
+        ids=["hyperexponential", "erlang-with-atom-at-zero"],
+    )
+    def test_closed_form_refuses_other_two_risk_portfolios(self, tmp_path, capsys, first_risk):
+        # of the dimensions (2, 1) of Erlang(2)+Exp, but another law: the
+        # closed form does not describe it, and the run says so
+        text = ERLANG_YAML.replace(
+            "- kind: erlang\n      k: 2\n      rate: 2.0", f"- {first_risk}"
+        )
+        assert first_risk in text
+        cfg = _write(tmp_path, "cfg.yaml", text)
+        assert main(["verify", "--config", cfg]) == 1
+        captured = capsys.readouterr()
+        assert "closed_form verification is only available" in captured.err
+        assert captured.out == ""
 
 
 class TestCliBench:
