@@ -119,18 +119,18 @@ def cmd_allocate(cfg: RunConfig, out: Optional[str]) -> int:
     return 0 if scan.clean else 2
 
 
-def cmd_diagnose(cfg: RunConfig, sweep: Sequence[float], diag_tol: float) -> int:
+def cmd_diagnose(cfg: RunConfig, sweep: Sequence[float]) -> int:
     request = _build_request(cfg)
     # the sweep's requests are built first, so bad tilts are refused before any output
     if sweep and isinstance(request.scheme, GsScheme):
         raise ConfigError("tilt sweep needs the euler scheme")
     sweeps = [replace(request, scheme=replace(request.scheme, theta=tilt)) for tilt in sweep]
     t_grid = np.logspace(-2, 2, 25)
-    report = diagonal_diagnostic(request.model, t_grid, tol=diag_tol)
+    report = diagonal_diagnostic(request.model, t_grid)
     print(
         f"transform diagonal: max residual {report.max_residual:.3e} over "
         f"t in [{t_grid[0]:g}, {t_grid[-1]:g}] "
-        f"({'pass' if report.all_passed else 'FAIL'} at {diag_tol:g})"
+        f"({'pass' if report.all_passed else 'FAIL'} at {report.tol:g})"
     )
     result = allocate(request)
     scan = breakdown_scan(result)
@@ -418,7 +418,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--sweep", type=_tilt_list, default=(), help="comma-separated tilt values to scan, e.g. 0,0.2,0.5"
     )
-    p.add_argument("--tol", type=float, default=1e-5, help="diagonal residual tolerance")
 
     p = sub.add_parser("verify", help="compare against the configured reference")
     _add_config(p)
@@ -442,7 +441,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "allocate":
             return cmd_allocate(cfg, args.out)
         if args.command == "diagnose":
-            return cmd_diagnose(cfg, args.sweep, args.tol)
+            return cmd_diagnose(cfg, args.sweep)
         if args.command == "verify":
             return cmd_verify(cfg, args.seed)
         if args.command == "bench":

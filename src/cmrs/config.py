@@ -46,7 +46,14 @@ TILT_INCOMPATIBLE_MSG = (
 
 
 def _whole(where: str, value) -> int:
-    """``value`` as an int; a fractional value is refused, never truncated."""
+    """``value`` as an int; a fractional value is refused, never truncated.
+    YAML reads a dot-less exponent such as ``2e5`` as a string, which counts
+    by its value; an integer string is read exactly."""
+    if isinstance(value, str):
+        try:
+            value = int(value)
+        except ValueError:
+            value = float(value)
     if isinstance(value, bool) or not float(value).is_integer():
         raise ConfigError(f"{where} must be a whole number, got {value!r}")
     return int(value)
@@ -228,7 +235,7 @@ def _parse_block(cls, block: dict, where: str):
             if isinstance(val, str) and "float" in ftype:
                 coerced[key] = float(val)
             elif isinstance(val, str) and "int" in ftype:
-                coerced[key] = int(val)
+                coerced[key] = _whole(key, val)
         except ValueError as exc:
             raise ConfigError(f"{where}.{key}: {exc}") from exc
     return _checked(where, lambda: cls(**coerced))

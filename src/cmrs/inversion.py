@@ -200,10 +200,12 @@ def invert_values(values: np.ndarray, s: float | np.ndarray, scheme: Scheme) -> 
     return np.where(np.isinf(scale), np.nan, scale)[..., None] * acc
 
 
-def invert(transform: Callable, s: float, scheme: Scheme) -> float:
-    """Invert one transform at s > 0.  ``transform`` maps the array of the
-    scheme's nodes to an array of values of the same shape (it is called
-    once); ``invert_values`` inverts that single column at one point."""
+def invert(transform: Callable, s: float, scheme: Scheme) -> float | np.ndarray:
+    """Invert one transform, or several, at s > 0.  ``transform`` maps the
+    array of the scheme's nodes to an array of values of the same shape, or
+    of shape (nodes, columns) for several transforms (it is called once);
+    ``invert_values`` inverts those columns at one point.  The result is a
+    float for one transform and an array of the columns' values otherwise."""
     if not (s > 0.0):
         raise DomainError(f"inversion target must satisfy s > 0, got {s}")
     nodes = scheme.nodes(s)
@@ -213,17 +215,18 @@ def invert(transform: Callable, s: float, scheme: Scheme) -> float:
             "and every node needs Re z > 0 (for euler: A > 2*theta*s)"
         )
     raw = np.asarray(transform(nodes))
-    if raw.shape != nodes.shape:
+    if raw.shape[:1] != nodes.shape or raw.ndim > 2:
         raise InversionError(
             f"transform returned shape {raw.shape} for nodes of shape {nodes.shape} (s={s})"
         )
-    bad = np.flatnonzero(~np.isfinite(raw))
+    columns = raw.reshape(len(nodes), -1)
+    bad = np.flatnonzero(~np.isfinite(columns).all(axis=1))
     if bad.size:
         k = int(bad[0])
         raise InversionError(
             f"transform returned non-finite value {raw[k]!r} at node {k} (z={nodes[k]}, s={s})"
         )
-    value = float(invert_values(raw.real[None, :, None], [s], scheme)[0, 0])
-    if math.isnan(value):
+    values = invert_values(columns.real, s, scheme)
+    if np.isnan(values).any():
         raise InversionError(f"the scale factor of {scheme.describe()} overflows at s={s}")
-    return value
+    return float(values[0]) if raw.ndim == 1 else values

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.integrate import quad
 from scipy.special import gammaincc
 
 from cmrs.allocation import (
@@ -16,6 +17,7 @@ from cmrs.allocation import (
     STATUS_OK,
     AllocationRequest,
     AtomicTransformRemainder,
+    TailContribution,
     allocate,
     breakdown_scan,
     proportions,
@@ -34,7 +36,7 @@ from cmrs.models import (
     erlang_me_spec,
     exponential_me_spec,
 )
-from cmrs.oracles import me_example_oracle
+from cmrs.oracles import cscp_series_oracle, me_example_oracle
 from cmrs.transforms import (
     AtomEntry,
     AtomSet,
@@ -101,14 +103,14 @@ class TestRequestValidation:
             AllocationRequest(model=self._model(), s_grid=(1.0, 1.0), scheme=EulerScheme())
 
     def test_bad_tolerances_rejected(self):
-        with pytest.raises(DomainError, match="balance_tol"):
-            AllocationRequest(
-                model=self._model(), s_grid=(1.0,), scheme=EulerScheme(), balance_tol=0.0
-            )
-        with pytest.raises(DomainError, match="density_floor"):
-            AllocationRequest(
-                model=self._model(), s_grid=(1.0,), scheme=EulerScheme(), density_floor=0.0
-            )
+        # an infinite balance_tol would mark every point ok, and an infinite
+        # density_floor would fail every one
+        for name in ("balance_tol", "density_floor"):
+            for bad in (0.0, -1e-3, math.inf, math.nan):
+                with pytest.raises(DomainError, match=f"{name} must be finite and positive"):
+                    AllocationRequest(
+                        model=self._model(), s_grid=(1.0,), scheme=EulerScheme(), **{name: bad}
+                    )
 
 
 class TestAllocateAccuracy:
@@ -268,36 +270,74 @@ class TestBreakdownScan:
 
 class TestTailContribution:
     def test_matches_gamma_closed_form(self, equal_rates_result):
-        # S ~ Gamma(3, 1): integral_{4}^{inf} h_i f equals a Gamma(4) tail;
-        # the trapezoid step (0.25) limits agreement, not the inversion
-        tc = tail_contribution(equal_rates_result, 4.0)
-        exact = 3.0 * gammaincc(4, 4.0)
-        assert tc.per_risk[0] == pytest.approx(2.0 / 3.0 * exact, abs=2e-3)
-        assert tc.per_risk[1] == pytest.approx(1.0 / 3.0 * exact, abs=1e-3)
-        assert tc.total == pytest.approx(exact, abs=3e-3)
+        # S ~ Gamma(3, 1) with shares (2s/3, s/3): E[X_i 1{S >= s*}] is
+        # (2/3, 1/3) * 3 Q(4, s*), Q the regularised upper incomplete gamma
+        for s_star in (1.0, 4.0, 10.0):
+            tc = tail_contribution(equal_rates_result, s_star)
+            exact = 3.0 * gammaincc(4, s_star)
+            assert tc.per_risk[0] == pytest.approx(2.0 / 3.0 * exact, abs=1e-7)
+            assert tc.per_risk[1] == pytest.approx(1.0 / 3.0 * exact, abs=1e-7)
+            assert tc.total == pytest.approx(exact, abs=1e-7)
 
     def test_share_ratio_is_exact(self, equal_rates_result):
-        # quadrature error scales both risks identically, so the 2:1 split
+        # the scheme's error scales both risks identically, so the 2:1 split
         # survives to near machine precision
         tc = tail_contribution(equal_rates_result, 4.0)
         assert tc.per_risk[0] / tc.per_risk[1] == pytest.approx(2.0, rel=1e-12)
 
-    def test_truncation_bound_covers_lost_mass(self, equal_rates_result):
-        tc = tail_contribution(equal_rates_result, 4.0)
-        assert 0.0 <= tc.truncation_bound < 1e-6
+    def test_threshold_beyond_the_grid(self, equal_rates_result):
+        # the grid ends at 30; the inversion at s* does not read it
+        tc = tail_contribution(equal_rates_result, 40.0)
+        exact = 3.0 * gammaincc(4, 40.0)
+        assert tc.per_risk[0] == pytest.approx(2.0 / 3.0 * exact, abs=1e-10)
+        assert tc.per_risk[1] == pytest.approx(1.0 / 3.0 * exact, abs=1e-10)
 
-    def test_interpolates_partial_first_cell(self, equal_rates_result):
-        # s* between gridpoints must not jump to the next point
-        a = tail_contribution(equal_rates_result, 4.0)
-        b = tail_contribution(equal_rates_result, 4.1)
-        c = tail_contribution(equal_rates_result, 4.25)
-        assert a.total > b.total > c.total
+    def test_tilted_common_shock_matches_series(self):
+        model = build_common_shock_cp(CS_REF)
+        scheme = EulerScheme(A=30.4, theta=0.2)
+        res = allocate(AllocationRequest(model=model, s_grid=(1.0,), scheme=scheme))
+        tc = tail_contribution(res, 10.0)
+        oracle = cscp_series_oracle(CS_REF, 1e-8)
+        for i in range(3):
+            ref = quad(lambda u: oracle.xi(i, u), 10.0, np.inf, limit=200)[0]
+            assert tc.per_risk[i] == pytest.approx(ref, abs=1e-7)
 
-    def test_out_of_grid_threshold_rejected(self, equal_rates_result):
-        with pytest.raises(DomainError, match="outside"):
-            tail_contribution(equal_rates_result, 100.0)
-        with pytest.raises(DomainError, match="outside"):
-            tail_contribution(equal_rates_result, 0.01)
+    def test_bad_threshold_rejected(self, equal_rates_result):
+        for s_star in (0.0, -1.0):
+            with pytest.raises(DomainError, match="s > 0"):
+                tail_contribution(equal_rates_result, s_star)
+        # A - 2 theta s* = 0: the contour reaches Re z = 0
+        res = dataclasses.replace(
+            equal_rates_result,
+            request=dataclasses.replace(
+                equal_rates_result.request, scheme=EulerScheme(A=18.4, theta=0.46)
+            ),
+        )
+        with pytest.raises(InversionError, match="contour violation"):
+            tail_contribution(res, 20.0)
+
+    def test_atom_counts_from_its_location_down(self):
+        # S = X_1 + X_2 with an atom of mass 0.25 at s = 2 (allocation 0.3,
+        # 0.2) on top of Exp(1) risks scaled by 0.75
+        base = build_matrix_exp([exponential_me_spec(1.0), exponential_me_spec(1.0)])
+        atoms = AtomSet((AtomEntry(2.0, 0.25, (0.3, 0.2)),))
+
+        def transform(z):
+            atom = np.exp(-2.0 * np.asarray(z))[..., None] * np.array([0.25, 0.3, 0.2])
+            return 0.75 * base.transform(z) + atom
+
+        model = JointTransformModel(n=2, transform=transform, atoms=atoms)
+        res = allocate(AllocationRequest(model=model, s_grid=(1.0,), scheme=EulerScheme()))
+        for s_star, with_atom in ((1.0, True), (2.0, True), (2.5, False)):
+            # continuous part: 0.75 E[X_1 1{S >= s*}] for S ~ Gamma(2, 1)
+            cont = 0.75 * gammaincc(3, s_star)
+            tc = tail_contribution(res, s_star)
+            assert tc.per_risk[0] == pytest.approx(cont + 0.3 * with_atom, abs=1e-7)
+            assert tc.per_risk[1] == pytest.approx(cont + 0.2 * with_atom, abs=1e-7)
+
+    def test_holds_only_its_threshold_and_values(self):
+        names = [f.name for f in dataclasses.fields(TailContribution)]
+        assert names == ["s_star", "per_risk", "total"]
 
 
 class TestAtomHandling:

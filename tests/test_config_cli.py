@@ -206,6 +206,22 @@ class TestConfigParsing:
         assert cfg.tolerance.balance == 1e-3
         assert cfg.tolerance.density_floor == 1e-300
 
+    def test_whole_numbers_with_an_exponent(self, tmp_path):
+        # a dot-less exponent is a string to yaml; a whole one loads as an
+        # int, and an unquoted integer stays exact
+        text = (
+            ERLANG_YAML.replace("k: 2", "k: 2e0")
+            .replace("rule: euler", "rule: euler\n  N: 2.5E+1\n  m: 1.5e1")
+            .replace("tolerance: 1.0e-4", "n_samples: 2e5\n  seed: 12345678901234567891")
+            + "bench:\n  reps: 3e0\n  n_sweep: [5, 1e2]\n"
+        )
+        cfg = load_config(_write(tmp_path, "cfg.yaml", text))
+        assert cfg.model[0].T.shape == (2, 2)
+        assert cfg.verify.n_samples == 200_000 and type(cfg.verify.n_samples) is int
+        assert cfg.verify.seed == 12345678901234567891
+        assert (cfg.scheme.N, cfg.scheme.m) == (25, 15)
+        assert cfg.bench.reps == 3 and cfg.bench.n_sweep == (5, 100)
+
     def test_non_numeric_scalar_rejected(self, tmp_path):
         text = ERLANG_YAML + 'tolerance:\n  balance: "ten"\n'
         with pytest.raises(ConfigError, match="balance"):
@@ -502,6 +518,10 @@ _CS_MODEL = {
         ({"verify": {"seed": -3}}, ["verify"], "seed must lie in [0, 2**64), got -3"),
         ({}, ["verify", "--seed", "-1"], "seed must lie in [0, 2**64), got -1"),
         ({}, ["verify", "--seed", str(2**64)], "seed must lie in [0, 2**64)"),
+        ({"tolerance": {"balance": math.inf}}, ["allocate"], "balance_tol must be finite and positive, got inf"),
+        ({"tolerance": {"density_floor": math.inf}}, ["allocate"], "density_floor must be finite and positive, got inf"),
+        ({}, ["diagnose", "--tol", "-1"], "unrecognized arguments: --tol -1"),
+        ({"verify": {"n_samples": "2.00005e4"}}, ["diagnose"], "n_samples must be a whole number, got 20000.5"),
     ],
     ids=[
         "model-not-a-mapping",
@@ -532,6 +552,10 @@ _CS_MODEL = {
         "negative-verify-seed",
         "negative-seed-option",
         "seed-option-beyond-u64",
+        "infinite-balance-tolerance",
+        "infinite-density-floor",
+        "tol-option-removed",
+        "fractional-n_samples-with-exponent",
     ],
 )
 def test_bad_input_exits_one_without_traceback(tmp_path, capsys, change, argv, message):
