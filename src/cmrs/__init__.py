@@ -78,8 +78,6 @@ from .oracles import (
     mixed_exp_oracle,
 )
 from .transforms import (
-    AtomEntry,
-    AtomSet,
     DiagonalReport,
     JointTransformModel,
     diagonal_diagnostic,
@@ -91,8 +89,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AllocationRequest",
     "AllocationResult",
-    "AtomEntry",
-    "AtomSet",
     "BreakdownReport",
     "ClosedFormOracle",
     "CmrsError",

@@ -2,10 +2,10 @@
 
 For each gridpoint s the engine inverts the aggregate density f_S and all
 allocation densities xi_i = h_i f_S from one shared set of transform nodes,
-then forms h_i = xi_i / f_S.  Atoms of S are subtracted from the transforms
-before inversion (the continuous remainder is what the contour rules can
-recover) and reported as separate rows; at an atom location s_j the share is
-exactly nu_ij / mu_j, no inversion involved.
+then forms h_i = xi_i / f_S.  The origin atom's mass P(S = 0) is subtracted
+from L_S before inversion (the continuous remainder is what the contour rules
+can recover) and reported as a separate row at s = 0, where every share is
+exactly 0: X_i >= 0 forces E[X_i 1{S = 0}] = 0, no inversion involved.
 
 The model is called once per block of gridpoints, with the nodes of every
 point in the block stacked into one array, and the kernel inverts the whole
@@ -39,14 +39,14 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .errors import CmrsError, DomainError
 from .inversion import Scheme, admitted, invert, invert_values
-from .transforms import AtomSet, JointTransformModel, node_values
+from .transforms import JointTransformModel, node_values
 
 STATUS_OK = "ok"
 STATUS_DEGRADED = "degraded"
@@ -92,27 +92,19 @@ class AllocationRequest:
 
 @dataclass(frozen=True)
 class AtomicTransformRemainder:
-    """Transforms of the continuous part of a model: the atomic terms
-    sum_j mu_j exp(-z s_j) of the model's atoms (and their allocation
-    analogues) subtracted out.  With no atoms this is the model itself."""
+    """Transforms of the continuous part of a model: the origin atom's mass
+    P(S = 0) subtracted from L_S.  The atom carries no allocation mass, so
+    the L_i are the model's own; with no atom this is the model itself."""
 
     model: JointTransformModel
-    # (location, [mass, allocation masses]) per atom, built once
-    _terms: tuple = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        terms = tuple(
-            (e.location, np.array((e.mass, *e.allocation))) for e in self.model.atoms.entries
-        )
-        object.__setattr__(self, "_terms", terms)
 
     def transform(self, z) -> np.ndarray:
         """The continuous parts of (L_S, L_1 .. L_n) at an array of nodes z,
         shape z.shape + (n+1,)."""
-        z = np.asarray(z)
-        vals = node_values(self.model, z)
-        for location, masses in self._terms:
-            vals = vals - masses * np.exp(-z * location)[..., None]
+        vals = node_values(self.model, np.asarray(z))
+        if self.model.atom_mass:
+            vals = vals.copy()
+            vals[..., 0] -= self.model.atom_mass
         return vals
 
     def values_at(self, z) -> np.ndarray:
@@ -142,8 +134,8 @@ class AllocationResult:
         return self.request.scheme
 
     @property
-    def atoms(self) -> AtomSet:
-        return self.request.model.atoms
+    def atom_mass(self) -> float:
+        return self.request.model.atom_mass
 
     @property
     def worst_status(self) -> str:
@@ -277,25 +269,20 @@ class TailContribution:
 def tail_contribution(result: AllocationResult, s_star: float) -> TailContribution:
     """E[X_i 1{S >= s*}] per risk, by one inversion at s* with the run's
     model and scheme; the grid is not read.  ``invert`` takes all n columns
-    of (L_i(0) - L_i(z)) / z, L_i the continuous part of E[X_i exp(-zS)]
-    (``AtomicTransformRemainder``), with its refusals (DomainError for
-    s* <= 0, InversionError for a contour that reaches Re z <= 0), and the
-    allocation masses of the atoms at or beyond s* are added.  The error is
-    the scheme's, about 1e-8 * E[X_i] for default Euler, plus any error in
-    the model's L_i(0) = E[X_i]: the frailty quadrature of
-    ``configs/clayton_mixed_exp.yaml`` gives 0.995 and 1.990 for E[X_i] = 1
-    and 2, so its tail at s* = 3 is off by about 1e-2.
+    of (L_i(0) - L_i(z)) / z, L_i(z) = E[X_i exp(-zS)], with its refusals
+    (DomainError for s* <= 0, InversionError for a contour that reaches
+    Re z <= 0).  The origin atom lies below every s* > 0 and carries no
+    allocation mass, so it adds nothing.  The error is the scheme's, about
+    1e-8 * E[X_i] for default Euler, plus any error in the model's
+    L_i(0) = E[X_i].
     """
-    remainder = AtomicTransformRemainder(result.request.model)
+    model = result.request.model
 
     def tail_transform(z):
-        vals = remainder.transform(np.append(0.0, z))[:, 1:]
+        vals = node_values(model, np.append(0.0, z))[:, 1:]
         return (vals[0] - vals[1:]) / z[:, None]
 
     per = invert(tail_transform, s_star, result.scheme)
-    for e in result.atoms.entries:
-        if e.location >= s_star:
-            per = per + np.array(e.allocation)
     return TailContribution(
         s_star=float(s_star),
         per_risk=tuple(float(v) for v in per),

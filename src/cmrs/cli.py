@@ -54,8 +54,9 @@ from .transforms import diagonal_diagnostic
 
 
 def write_csv(result: AllocationResult, fh: TextIO) -> int:
-    """Atom rows first (mass in the density column, allocation masses in the
-    xi columns), then one row per gridpoint; every number as ``%.12g``."""
+    """The origin atom's row first, if the model has one (P(S = 0) in the
+    density column, zero allocation masses and shares), then one row per
+    gridpoint; every number as ``%.12g``."""
     n = result.n
     header = (
         ["s", "f_S"]
@@ -66,12 +67,9 @@ def write_csv(result: AllocationResult, fh: TextIO) -> int:
     )
     fh.write(",".join(header) + "\n")
     line = ",".join(["%.12g"] * (3 * n + 4)) + ",%s\n"
-    for e in result.atoms.entries:
-        share = [v / e.mass for v in e.allocation]
-        pi = [v / e.location if e.location > 0.0 else 0.0 for v in share]
-        fh.write(
-            line % (e.location, e.mass, *e.allocation, *share, *pi, math.fsum(share), 0.0, STATUS_ATOM)
-        )
+    atoms = int(result.atom_mass > 0.0)
+    if atoms:
+        fh.write(line % (0.0, result.atom_mass, *[0.0] * (3 * n + 2), STATUS_ATOM))
     table = np.column_stack(
         [
             result.s_grid,
@@ -84,7 +82,7 @@ def write_csv(result: AllocationResult, fh: TextIO) -> int:
         ]
     )
     fh.writelines(line % (*row, status) for row, status in zip(table.tolist(), result.status))
-    return len(result.atoms) + len(result.status)
+    return atoms + len(result.status)
 
 
 def _build_request(cfg: RunConfig) -> AllocationRequest:
@@ -112,7 +110,7 @@ def cmd_allocate(cfg: RunConfig, out: Optional[str]) -> int:
     print(
         f"{'wrote ' + path + ': ' if path else ''}{nrows} rows "
         f"({scan.n_ok} ok, {scan.n_degraded} degraded, "
-        f"{scan.n_failed} failed, {len(result.atoms)} atoms), "
+        f"{scan.n_failed} failed, {int(result.atom_mass > 0.0)} atoms), "
         f"scheme {result.scheme.describe()}, {result.elapsed:.2f}s",
         file=dest,
     )

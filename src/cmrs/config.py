@@ -3,7 +3,8 @@
 A config file has blocks ``model``, ``grid``, ``scheme`` and optionally
 ``output``, ``verify``, ``tolerance``, ``bench``.  Loading is strict: unknown
 keys are errors, not warnings, since a typo in a tolerance name should not
-silently run with defaults, and a missing key is named, not a traceback.
+silently run with defaults, a missing key is named, not a traceback, and so
+is a boolean, which no field takes.
 
 Loading parses the model block once, into its family spec
 (``RunConfig.model``), whose constructor checks the values.  The model
@@ -57,6 +58,21 @@ def _whole(where: str, value) -> int:
     if isinstance(value, bool) or not float(value).is_integer():
         raise ConfigError(f"{where} must be a whole number, got {value!r}")
     return int(value)
+
+
+def _refuse_booleans(node, where: str) -> None:
+    """ConfigError naming the first boolean under ``node``: no field is one,
+    and YAML's ``yes``, ``on`` and ``true`` would pass as the number 1."""
+    if isinstance(node, dict):
+        items = [(f"{where}.{k}" if where else str(k), v) for k, v in node.items()]
+    elif isinstance(node, list) and set(map(type, node)) & {bool, dict, list}:
+        items = [(f"{where}[{k}]", v) for k, v in enumerate(node)]
+    else:
+        return
+    for path, value in items:
+        if isinstance(value, bool):
+            raise ConfigError(f"{path} must not be a boolean, got {value}")
+        _refuse_booleans(value, path)
 
 
 def _require_keys(block: dict, allowed: set, where: str) -> None:
@@ -245,6 +261,7 @@ def parse_config(data: dict) -> RunConfig:
     _require_keys(
         data, {"model", "grid", "scheme", "output", "verify", "tolerance", "bench"}, "config"
     )
+    _refuse_booleans(data, "")
     if "model" not in data or "grid" not in data:
         raise ConfigError("config needs at least model and grid blocks")
     cfg = RunConfig(

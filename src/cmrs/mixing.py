@@ -66,15 +66,22 @@ class MixingLawHandle:
 def gamma_mixing(alpha: float, n_nodes: int = 200) -> MixingLawHandle:
     """Gamma(alpha, 1) mixing: L(u) = (1+u)^(-alpha).
 
-    Quadrature is generalized Gauss-Laguerre with exponent alpha-1, i.e. the
-    nodes integrate exactly against the gamma density for polynomial
-    integrands up to degree 2*n_nodes - 1.
+    Quadrature is generalized Gauss-Laguerre.  For alpha > 1 it has
+    exponent alpha-2, each weight times its node: a rule for the same law,
+    exact for p(theta)/theta with p of degree up to 2*n_nodes - 1, so for
+    1/theta, which a frailty mean E[X_i] = lambda_i E[1/Theta] needs.  For
+    alpha <= 1, where E[1/Theta] is infinite, the exponent is alpha-1 and
+    the rule is exact for polynomials up to degree 2*n_nodes - 1.
     """
     if not (alpha > 0.0 and math.isfinite(alpha)):
         raise ModelSpecError(f"gamma mixing needs alpha > 0, got {alpha}")
     if n_nodes < 1:
         raise ModelSpecError(f"need at least one quadrature node, got {n_nodes}")
-    x, w = roots_genlaguerre(n_nodes, alpha - 1.0)
+    if alpha > 1.0:
+        x, w = roots_genlaguerre(n_nodes, alpha - 2.0)
+        w = w * x
+    else:
+        x, w = roots_genlaguerre(n_nodes, alpha - 1.0)
     with np.errstate(divide="ignore"):
         weights = np.exp(np.log(w) - gammaln(alpha))
     # far-tail weights underflow to 0 for large rules; they carry no mass

@@ -3,9 +3,10 @@
 Every builder returns a JointTransformModel whose one evaluator ``transform``
 gives the aggregate transform L_S(z) = E[exp(-zS)] and all allocation
 transforms L_i(z) = E[X_i exp(-zS)] for an array of nodes with Re z > 0, as
-an array of shape z.shape + (n+1,), together with any atoms of S (point
-masses split across risks).  Each family broadcasts over the node axes and
-computes every per-risk factor once, sharing it between L_S and the L_i.
+an array of shape z.shape + (n+1,), together with the mass P(S = 0) of the
+origin atom, the one atom of S any family has.  Each family broadcasts over
+the node axes and computes every per-risk factor once, sharing it between
+L_S and the L_i.
 
 Every builder returns through one constructor, which probes each factor of
 L_S at construction time: each risk's transform for independent risks, L_S
@@ -36,7 +37,7 @@ from .errors import (
     SingularMatrixError,
 )
 from .mixing import MixingLawHandle
-from .transforms import AtomEntry, AtomSet, JointTransformModel
+from .transforms import JointTransformModel
 
 _PROBE_TOL = 1e-6
 
@@ -54,10 +55,10 @@ def _joint_model(
 
     Independent families pass ``risks``, mapping nodes z to the per-risk
     transforms and mean transforms of ``_product_rule``; the others pass
-    ``transform`` itself.  The origin atom is formed exactly when
-    ``atom_mass`` > 0.  Each factor of L_S (each risk's transform, else L_S
-    itself) is then probed: it must equal 1 within 1e-6 at z = 0 and lie in
-    (0, 1] at z = 1e-6.
+    ``transform`` itself.  ``atom_mass`` is P(S = 0), passed through
+    unchanged.  Each factor of L_S (each risk's transform, else L_S itself) is then
+    probed: it must equal 1 within 1e-6 at z = 0 and lie in (0, 1] at
+    z = 1e-6.
     """
     if risks is not None:
 
@@ -72,10 +73,8 @@ def _joint_model(
         def factors(z):
             return transform(z)[..., :1]
 
-    atoms = AtomSet((AtomEntry(0.0, atom_mass, (0.0,) * n),) if atom_mass > 0.0 else ())
-    model = JointTransformModel(
-        n=n, transform=transform, atoms=atoms, label=label, stats={} if stats is None else stats
-    )
+    stats = {} if stats is None else stats
+    model = JointTransformModel(n, transform, atom_mass=atom_mass, label=label, stats=stats)
     try:
         at0, near = factors(np.array([0.0, 1e-6]))
     except Exception as exc:

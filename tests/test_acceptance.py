@@ -10,6 +10,7 @@ the same 1e-6 bound, that the engine evaluates the order-8 rule faithfully
 and that the rule converges (exact order 16 recovers every density).
 """
 
+import io
 import math
 import time
 from fractions import Fraction
@@ -25,7 +26,7 @@ from cmrs.allocation import (
     allocate,
     breakdown_scan,
 )
-from cmrs.cli import run_bench
+from cmrs.cli import run_bench, write_csv
 from cmrs.config import parse_config
 from cmrs.inversion import EulerScheme, GsScheme, gs_weights, gs_weights_exact, invert
 from cmrs.models import (
@@ -314,13 +315,17 @@ def test_c09_bench_scaling_trend():
 def test_c10_origin_atom_separation(cscp_model):
     """origin atom carries e^{-total rate}, zero shares, clean remainder"""
     t0 = time.perf_counter()
-    remainder = AtomicTransformRemainder(cscp_model)
-    assert len(remainder.model.atoms.entries) == 1
-    atom = remainder.model.atoms.entries[0]
-    assert atom.location == 0.0
-    assert abs(atom.mass - math.exp(-4.0)) <= 1e-12
-    # conditional shares at the origin atom are identically zero
-    assert atom.allocation == (0.0, 0.0, 0.0)
+    assert abs(cscp_model.atom_mass - math.exp(-4.0)) <= 1e-12
+    # conditional shares at the origin atom are identically zero: the CSV's
+    # atom row has s = 0, f_S = e^{-4} and zero xi, h, pi and sum_h
+    result = allocate(AllocationRequest(model=cscp_model, s_grid=(1.0,), scheme=EulerScheme()))
+    buf = io.StringIO()
+    write_csv(result, buf)
+    atom_row = buf.getvalue().splitlines()[1].split(",")
+    assert atom_row[-1] == "atom"
+    assert float(atom_row[0]) == 0.0
+    assert abs(float(atom_row[1]) - math.exp(-4.0)) <= 1e-12
+    assert [float(v) for v in atom_row[2:-2]] == [0.0] * 10
 
     # slow severities keep the continuous transform's 1/t tail below 1e-6
     # by t = 1e4; the subtracted atom is what makes that decay visible

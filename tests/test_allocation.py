@@ -1,4 +1,3 @@
-import cmath
 import dataclasses
 import math
 
@@ -25,21 +24,22 @@ from cmrs.allocation import (
 )
 from cmrs.errors import DomainError, EvaluationError, InversionError, SingularMatrixError
 from cmrs.inversion import EulerScheme, GsScheme, invert
+from cmrs.mixing import gamma_mixing
 from cmrs.models import (
     CommonShockCPSpec,
     LognormalPortfolioSpec,
+    MixedExpFrailtySpec,
     _lognormal_sums,
     _product_rule,
     build_common_shock_cp,
     build_lognormal_portfolio,
     build_matrix_exp,
+    build_mixed_exp_frailty,
     erlang_me_spec,
     exponential_me_spec,
 )
-from cmrs.oracles import cscp_series_oracle, me_example_oracle
+from cmrs.oracles import cscp_series_oracle, me_example_oracle, mixed_exp_oracle
 from cmrs.transforms import (
-    AtomEntry,
-    AtomSet,
     JointTransformModel,
     diagonal_diagnostic,
     eval_transform,
@@ -316,24 +316,17 @@ class TestTailContribution:
         with pytest.raises(InversionError, match="contour violation"):
             tail_contribution(res, 20.0)
 
-    def test_atom_counts_from_its_location_down(self):
-        # S = X_1 + X_2 with an atom of mass 0.25 at s = 2 (allocation 0.3,
-        # 0.2) on top of Exp(1) risks scaled by 0.75
-        base = build_matrix_exp([exponential_me_spec(1.0), exponential_me_spec(1.0)])
-        atoms = AtomSet((AtomEntry(2.0, 0.25, (0.3, 0.2)),))
-
-        def transform(z):
-            atom = np.exp(-2.0 * np.asarray(z))[..., None] * np.array([0.25, 0.3, 0.2])
-            return 0.75 * base.transform(z) + atom
-
-        model = JointTransformModel(n=2, transform=transform, atoms=atoms)
+    def test_gamma_frailty_matches_closed_form(self):
+        # configs/clayton_mixed_exp.yaml: E[X_i] - int_0^3 xi_i, with E[X_i] =
+        # lambda_i / (alpha - 1) and xi_i the oracle's closed form
+        spec = MixedExpFrailtySpec((1.0, 2.0), gamma_mixing(2.0))
+        model = build_mixed_exp_frailty(spec)
         res = allocate(AllocationRequest(model=model, s_grid=(1.0,), scheme=EulerScheme()))
-        for s_star, with_atom in ((1.0, True), (2.0, True), (2.5, False)):
-            # continuous part: 0.75 E[X_1 1{S >= s*}] for S ~ Gamma(2, 1)
-            cont = 0.75 * gammaincc(3, s_star)
-            tc = tail_contribution(res, s_star)
-            assert tc.per_risk[0] == pytest.approx(cont + 0.3 * with_atom, abs=1e-7)
-            assert tc.per_risk[1] == pytest.approx(cont + 0.2 * with_atom, abs=1e-7)
+        tc = tail_contribution(res, 3.0)
+        oracle = mixed_exp_oracle(spec)
+        for i, lam in enumerate(spec.lambdas):
+            exact = lam - quad(lambda u: oracle.xi(i, u), 0.0, 3.0, limit=200)[0]
+            assert tc.per_risk[i] == pytest.approx(exact, abs=1e-7)
 
     def test_holds_only_its_threshold_and_values(self):
         names = [f.name for f in dataclasses.fields(TailContribution)]
@@ -343,8 +336,8 @@ class TestTailContribution:
 class TestAtomHandling:
     def test_model_atoms_survive_to_result(self, fade_result):
         model = fade_result.request.model
-        assert fade_result.atoms is model.atoms
-        assert fade_result.atoms.masses[0] == pytest.approx(math.exp(-4.0), abs=1e-15)
+        assert fade_result.atom_mass == model.atom_mass
+        assert fade_result.atom_mass == pytest.approx(math.exp(-4.0), abs=1e-15)
 
     def test_atomless_remainder_is_the_model_itself(self):
         model = build_matrix_exp([exponential_me_spec(1.0), exponential_me_spec(2.0)])
@@ -372,12 +365,11 @@ class TestAtomHandling:
         assert np.array_equal(row[1:], vals[1:].real)
 
     def test_pure_point_mass_remainder_vanishes(self):
-        # S identically 2, all of it on the single risk
-        atoms = AtomSet((AtomEntry(2.0, 1.0, (2.0,)),))
+        # S identically 0: the origin atom is the whole law
         model = JointTransformModel(
             n=1,
-            transform=lambda z: np.array([1.0, 2.0]) * cmath.exp(-2.0 * z),
-            atoms=atoms,
+            transform=lambda z: np.broadcast_to([1.0, 0.0], np.shape(z) + (2,)),
+            atom_mass=1.0,
             label="point",
         )
         rem = AtomicTransformRemainder(model)

@@ -522,6 +522,14 @@ _CS_MODEL = {
         ({"tolerance": {"density_floor": math.inf}}, ["allocate"], "density_floor must be finite and positive, got inf"),
         ({}, ["diagnose", "--tol", "-1"], "unrecognized arguments: --tol -1"),
         ({"verify": {"n_samples": "2.00005e4"}}, ["diagnose"], "n_samples must be a whole number, got 20000.5"),
+        ({"scheme": {"rule": "euler", "A": True}}, ["allocate"], "scheme.A must not be a boolean, got True"),
+        (b"tolerance:\n  balance: on\n", ["allocate"], "tolerance.balance must not be a boolean, got True"),
+        (b"bench:\n  tilt: yes\n", ["diagnose"], "bench.tilt must not be a boolean, got True"),
+        (
+            {"model": {"family": "matrix_exp", "risks": [{"kind": "exponential", "rate": True}]}},
+            ["allocate"],
+            "model.risks[0].rate must not be a boolean, got True",
+        ),
     ],
     ids=[
         "model-not-a-mapping",
@@ -556,6 +564,10 @@ _CS_MODEL = {
         "infinite-density-floor",
         "tol-option-removed",
         "fractional-n_samples-with-exponent",
+        "boolean-scheme-A",
+        "balance-tolerance-on",
+        "bench-tilt-yes",
+        "boolean-exponential-rate",
     ],
 )
 def test_bad_input_exits_one_without_traceback(tmp_path, capsys, change, argv, message):

@@ -110,6 +110,13 @@ class TestMixedExpFrailty:
         report = diagonal_diagnostic(model, [0.1, 0.5, 1.0, 5.0, 20.0])
         assert report.all_passed
 
+    @pytest.mark.parametrize("alpha", [1.5, 2.0, 4.5])
+    def test_means_under_gamma_frailty(self, alpha):
+        # L_i(0) = E[X_i] = lambda_i E[1/Theta] = lambda_i / (alpha - 1)
+        model = build_mixed_exp_frailty(MixedExpFrailtySpec((1.0, 2.0), gamma_mixing(alpha)))
+        means = model.transform(0.0)[1:]
+        assert np.abs(means - np.array([1.0, 2.0]) / (alpha - 1.0)).max() <= 1e-12
+
     def test_nonpositive_lambda_rejected(self):
         with pytest.raises(ModelSpecError):
             MixedExpFrailtySpec((1.0, 0.0), gamma_mixing(2.0))
@@ -177,10 +184,9 @@ class TestMatrixExp:
         a = MatrixExpSpec(np.array([0.75]), np.array([[-1.0]]), np.array([1.0]), p0=0.25)
         b = MatrixExpSpec(np.array([0.5]), np.array([[-2.0]]), np.array([2.0]), p0=0.5)
         model = build_matrix_exp([a, b])
-        assert model.atoms.locations == (0.0,)
-        assert model.atoms.masses[0] == pytest.approx(0.125, rel=1e-15)
+        assert model.atom_mass == pytest.approx(0.125, rel=1e-15)
         continuous = build_matrix_exp([a, exponential_me_spec(1.0)])
-        assert len(continuous.atoms) == 0
+        assert continuous.atom_mass == 0.0
 
     def test_erlang_stage_count_validated(self):
         with pytest.raises(ModelSpecError):
@@ -230,8 +236,7 @@ class TestKatzCompound:
             )
         )
         want = math.exp(-1.5) * (0.75 / (1.0 - 0.0)) ** 3
-        assert model.atoms.locations == (0.0,)
-        assert model.atoms.masses[0] == pytest.approx(want, rel=1e-14)
+        assert model.atom_mass == pytest.approx(want, rel=1e-14)
 
     def test_means_from_count_and_severity(self):
         model = build_katz_compound(
@@ -287,8 +292,7 @@ class TestCommonShockCP:
 
     def test_atom_mass_equals_total_rate_exponential(self):
         model = build_common_shock_cp(CommonShockCPSpec(**CS_531))
-        assert model.atoms.locations == (0.0,)
-        assert abs(model.atoms.masses[0] - math.exp(-4.0)) < 1e-15
+        assert abs(model.atom_mass - math.exp(-4.0)) < 1e-15
 
     def test_batch_matches_scalar_exactly(self):
         # the engine's row at a node (``values_at``) and the checked

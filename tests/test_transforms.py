@@ -1,5 +1,3 @@
-import cmath
-
 import numpy as np
 import pytest
 from hypothesis import given
@@ -9,8 +7,6 @@ from cmrs.allocation import AtomicTransformRemainder
 from cmrs.errors import DomainError, EvaluationError, ModelSpecError
 from cmrs.models import build_matrix_exp, erlang_me_spec, exponential_me_spec
 from cmrs.transforms import (
-    AtomEntry,
-    AtomSet,
     JointTransformModel,
     diagonal_diagnostic,
     eval_transform,
@@ -22,46 +18,24 @@ def two_exp_model(lam=1.0, mu=2.0):
     return build_matrix_exp((exponential_me_spec(lam), exponential_me_spec(mu)))
 
 
-class TestAtomSet:
-    def test_sorted_and_lookup(self):
-        atoms = AtomSet(
-            (
-                AtomEntry(2.0, 0.1, (0.12, 0.08)),
-                AtomEntry(0.0, 0.3, (0.0, 0.0)),
-            )
-        )
-        assert atoms.locations == (0.0, 2.0)
-        assert atoms.masses == (0.3, 0.1)
-        assert atoms.total_mass() == pytest.approx(0.4, abs=0)
-        assert len(atoms) == 2 and bool(atoms)
-        assert not AtomSet()
-
-    def test_origin_atom_forces_zero_allocation(self):
-        with pytest.raises(ModelSpecError, match="allocation masses sum"):
-            AtomSet((AtomEntry(0.0, 0.3, (0.1, 0.0)),))
-
-    def test_balance_identity_enforced(self):
-        with pytest.raises(ModelSpecError, match="allocation masses sum"):
-            AtomSet((AtomEntry(2.0, 0.1, (0.15, 0.15)),))
-
-    def test_total_mass_cap(self):
-        with pytest.raises(ModelSpecError, match="exceeds 1"):
-            AtomSet((AtomEntry(1.0, 0.7, (0.7,)), AtomEntry(2.0, 0.7, (1.4,))))
-
-    def test_duplicate_location(self):
-        with pytest.raises(ModelSpecError, match="duplicate"):
-            AtomSet((AtomEntry(1.0, 0.1, (0.1,)), AtomEntry(1.0, 0.2, (0.2,))))
-
+class TestOriginAtom:
     def test_transform_terms(self):
-        # a model that is nothing but its two atoms: stripping them subtracts
-        # sum_j mass_j exp(-z s_j) from L_S and nu_ij exp(-z s_j) from L_i
-        atoms = AtomSet((AtomEntry(0.0, 0.3, (0.0, 0.0)), AtomEntry(2.0, 0.1, (0.12, 0.08))))
-        origin, at_two = np.array([0.3, 0.0, 0.0]), np.array([0.1, 0.12, 0.08])
+        # a model that is nothing but its origin atom (S = 0): stripping it
+        # subtracts P(S = 0) from L_S and nothing from the L_i, at every node
         model = JointTransformModel(
-            n=2, transform=lambda z: origin + at_two * cmath.exp(-2 * z), atoms=atoms
+            n=2,
+            transform=lambda z: np.broadcast_to([1.0 + 0j, 0.0, 0.0], z.shape + (3,)),
+            atom_mass=1.0,
         )
-        row = AtomicTransformRemainder(model).values_at(0.7 + 0.3j)
-        assert np.abs(row).max() < 1e-15
+        z = np.array([[0.7 + 0.3j, 2.0 - 1.0j], [5.0 + 0j, 0.1 + 9.0j]])
+        vals = AtomicTransformRemainder(model).transform(z)
+        assert vals.shape == (2, 2, 3)
+        assert np.abs(vals).max() < 1e-15
+
+    @pytest.mark.parametrize("mass", [-0.1, 1.1, float("nan"), float("inf")])
+    def test_bad_atom_mass_rejected(self, mass):
+        with pytest.raises(ModelSpecError, match="atom_mass must be finite and in"):
+            JointTransformModel(n=1, transform=lambda z: z, atom_mass=mass)
 
 
 class TestEvaluation:
@@ -122,8 +96,6 @@ class TestDerivativeAndDiagonal:
         model = two_exp_model()
         with pytest.raises(DomainError):
             numerical_aggregate_derivative(model, 0.0)
-        with pytest.raises(DomainError):
-            numerical_aggregate_derivative(model, 1.0, h_rel=0.5)
 
     def test_diagonal_passes_for_consistent_model(self):
         model = build_matrix_exp((erlang_me_spec(2, 2.0), exponential_me_spec(1.0)))
