@@ -274,7 +274,9 @@ def tail_contribution(result: AllocationResult, s_star: float) -> TailContributi
     Re z <= 0).  The origin atom lies below every s* > 0 and carries no
     allocation mass, so it adds nothing.  The error is the scheme's, about
     1e-8 * E[X_i] for default Euler, plus any error in the model's
-    L_i(0) = E[X_i].
+    L_i(0) = E[X_i].  A gamma frailty with alpha <= 1 has E[X_i] = inf while
+    its quadrature's L_i(0) is finite, so its tail comes back finite and
+    wrong, unflagged.
     """
     model = result.request.model
 

@@ -169,7 +169,12 @@ class VerifySpec:
             if not (math.isfinite(value) and value > 0.0):
                 raise ConfigError(f"verify {name} must be finite and > 0, got {value}")
         if self.points is not None:
-            object.__setattr__(self, "points", tuple(float(p) for p in self.points))
+            pts = tuple(float(p) for p in self.points)
+            if not (pts and all(math.isfinite(p) and p > 0.0 for p in pts)):
+                raise ConfigError(
+                    f"verify points must be a nonempty list of finite values > 0, got {list(pts)}"
+                )
+            object.__setattr__(self, "points", pts)
         object.__setattr__(self, "n_samples", _whole("verify n_samples", self.n_samples))
         seed = _whole("verify seed", self.seed)
         if not (0 <= seed < 2**64):

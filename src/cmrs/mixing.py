@@ -2,8 +2,10 @@
 
 A mixing law packages the Laplace-Stieltjes transform of a nonnegative
 mixing variable Theta, its derivative, and a discrete quadrature
-approximation sum_k w_k delta_{theta_k} used wherever an expectation over
-Theta has to be carried out pointwise (density oracles, samplers).
+approximation sum_k w_k delta_{theta_k}, over which the frailty transform
+of ``build_mixed_exp_frailty`` takes its expectation.  The closed-form
+oracle uses ``lst`` and ``lst_deriv`` instead, and the samplers draw Theta
+directly.
 """
 
 from __future__ import annotations
@@ -82,6 +84,11 @@ def gamma_mixing(alpha: float, n_nodes: int = 200) -> MixingLawHandle:
         w = w * x
     else:
         x, w = roots_genlaguerre(n_nodes, alpha - 1.0)
+    if not (np.isfinite(x).all() and np.isfinite(w).all()):
+        raise ModelSpecError(
+            f"gamma mixing: the {n_nodes}-node Gauss-Laguerre rule overflows to "
+            "non-finite nodes or weights; use fewer nodes"
+        )
     with np.errstate(divide="ignore"):
         weights = np.exp(np.log(w) - gammaln(alpha))
     # far-tail weights underflow to 0 for large rules; they carry no mass

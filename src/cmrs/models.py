@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
@@ -32,7 +32,6 @@ from scipy.special import lambertw, roots_hermite
 from .allocation import _BLOCK_BUDGET
 from .errors import (
     DomainError,
-    EvaluationError,
     ModelSpecError,
     SingularMatrixError,
 )
@@ -318,86 +317,71 @@ def exponential_severity(rate: float) -> SeverityHandle:
     )
 
 
-def _katz_kind(a: float, b: float) -> str:
-    if a == 0.0 and b == 0.0:
-        return "degenerate"
+def _check_katz_pair(a: float, b: float) -> None:
     if a == 0.0:
         if b < 0.0:
             raise ModelSpecError(f"frequency (a=0, b={b}) is not a counting law")
-        return "poisson"
-    if a < 0.0:
+    elif a < 0.0:
         m = -(a + b) / a
         if m <= 0.0 or abs(m - round(m)) > 1e-8:
             raise ModelSpecError(
                 f"(a={a}, b={b}) needs -(a+b)/a to be a positive integer, got {m}"
             )
-        return "binomial"
-    if a < 1.0:
-        if a + b <= 0.0:
-            raise ModelSpecError(f"(a={a}, b={b}) needs a + b > 0")
-        return "negbin"
-    raise ModelSpecError(f"frequency slope a must be < 1, got a={a}")
+    elif not a < 1.0:
+        raise ModelSpecError(f"frequency slope a must be < 1, got a={a}")
+    elif a + b <= 0.0:
+        raise ModelSpecError(f"(a={a}, b={b}) needs a + b > 0")
 
 
 @dataclass(frozen=True)
 class KatzCompoundSpec:
     """Independent compound sums whose claim counts follow the (a, b, 0)
-    recursion p_k / p_{k-1} = a + b / k."""
+    recursion p_k / p_{k-1} = a + b / k: no claims at a = b = 0, Poisson(b)
+    at a = 0, binomial for a < 0 and negative binomial for 0 < a < 1."""
 
     a: tuple[float, ...]
     b: tuple[float, ...]
     severities: tuple[SeverityHandle, ...]
-    kinds: tuple[str, ...] = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
         a = tuple(float(v) for v in self.a)
         b = tuple(float(v) for v in self.b)
         if not a or len(a) != len(b) or len(a) != len(self.severities):
             raise ModelSpecError("a, b and severities must have equal positive length")
+        for ai, bi in zip(a, b):
+            _check_katz_pair(ai, bi)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
-        object.__setattr__(self, "kinds", tuple(_katz_kind(ai, bi) for ai, bi in zip(a, b)))
 
     @property
     def n(self) -> int:
         return len(self.a)
 
 
-def _katz_pgf(kind: str, a: float, b: float, w):
-    if kind == "degenerate":
-        return np.ones_like(w)
-    if kind == "poisson":
+def _katz_pgf(a: float, b: float, w):
+    """The (a, b, 0) count pgf ((1 - a w)/(1 - a))^(-(a+b)/a), e^{b(w-1)} at
+    a = 0.  On |w| <= 1 the base has Re > 0 for 0 < a < 1, and for a < 0 the
+    exponent is a whole number, so the principal power is the pgf."""
+    if a == 0.0:
         return np.exp(b * (w - 1.0))
-    _check_katz_pole(a, w)
-    if kind == "binomial":
-        m = round(-(a + b) / a)
-        p = a / (a - 1.0)
-        return (1.0 - p + p * w) ** m
-    return ((1.0 - a) / (1.0 - a * w)) ** ((a + b) / a)
-
-
-def _check_katz_pole(a: float, w) -> None:
-    aw = np.asarray(a * w)
-    if (aw.real >= 1.0 - 1e-15).any():
-        worst = aw.flat[np.argmax(aw.real)]
-        raise EvaluationError(f"frequency pgf evaluated at aw = {worst}, too close to 1")
+    return ((1.0 - a * w) / (1.0 - a)) ** (-(a + b) / a)
 
 
 def build_katz_compound(spec: KatzCompoundSpec) -> JointTransformModel:
     n = spec.n
-    freqs = tuple(zip(spec.kinds, spec.a, spec.b, spec.severities))
+    freqs = tuple(zip(spec.a, spec.b, spec.severities))
 
-    def risk(kind, a, b, sev, z):
+    def risk(a, b, sev, z):
         # P(phi) and -d/dz P(phi(z)) = P'(phi) E[Y e^{-zY}], P'(w) = (a+b)/(1-aw) P(w)
         phi = sev.lst(z)
-        p = _katz_pgf(kind, a, b, phi)
+        p = _katz_pgf(a, b, phi)
         return p, (a + b) / (1.0 - a * phi) * p * sev.mean_lst(z)
 
     def risks(z):
         lsts, means = zip(*(risk(*f, z) for f in freqs))
         return np.stack(lsts, axis=-1), np.stack(means, axis=-1)
 
-    atom_mass = math.prod(float(abs(_katz_pgf(k, a, b, sev.zero_mass))) for k, a, b, sev in freqs)
+    atom_mass = math.prod(float(_katz_pgf(a, b, sev.zero_mass)) for a, b, sev in freqs)
     return _joint_model(f"katz_compound(n={n})", n, risks=risks, atom_mass=atom_mass)
 
 

@@ -478,25 +478,24 @@ def make_sampler(spec) -> Callable[[np.random.Generator, int], tuple[np.ndarray,
         return sample
 
     if isinstance(spec, KatzCompoundSpec):
-        for i, sev in enumerate(spec.severities):
-            if sev.sampler is None and spec.kinds[i] != "degenerate":
+        risks = tuple(zip(spec.a, spec.b, spec.severities))
+        for i, (a, b, sev) in enumerate(risks):
+            if sev.sampler is None and (a, b) != (0.0, 0.0):
                 raise SamplingError(f"severity {i} ({sev.label!r}) has no sampler")
 
         def sample(rng, size):
             X = np.zeros((size, spec.n))
-            for i in range(spec.n):
-                kind = spec.kinds[i]
-                a, b = spec.a[i], spec.b[i]
-                if kind == "degenerate":
-                    continue
-                if kind == "poisson":
+            for i, (a, b, sev) in enumerate(risks):
+                if a == 0.0:
+                    if b == 0.0:
+                        continue  # no claims; drawing nothing keeps the stream
                     counts = rng.poisson(b, size)
-                elif kind == "binomial":
-                    m = round(-(a + b) / a)
-                    counts = rng.binomial(m, a / (a - 1.0), size)
+                elif a < 0.0:
+                    # binomial(m, p): a = -p/(1-p), b = (m+1) p/(1-p)
+                    counts = rng.binomial(round(-(a + b) / a), a / (a - 1.0), size)
                 else:
+                    # negative binomial(r, q): a = 1 - q, b = (r-1)(1-q)
                     counts = rng.negative_binomial((a + b) / a, 1.0 - a, size)
-                sev = spec.severities[i]
                 X[:, i] = _segment_sums(rng, counts, lambda k: sev.sampler(rng, k))
             return X.sum(axis=1), X
 

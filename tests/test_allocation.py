@@ -27,18 +27,27 @@ from cmrs.inversion import EulerScheme, GsScheme, invert
 from cmrs.mixing import gamma_mixing
 from cmrs.models import (
     CommonShockCPSpec,
+    KatzCompoundSpec,
     LognormalPortfolioSpec,
     MixedExpFrailtySpec,
+    SeverityHandle,
     _lognormal_sums,
     _product_rule,
     build_common_shock_cp,
+    build_katz_compound,
     build_lognormal_portfolio,
     build_matrix_exp,
     build_mixed_exp_frailty,
     erlang_me_spec,
     exponential_me_spec,
 )
-from cmrs.oracles import cscp_series_oracle, me_example_oracle, mixed_exp_oracle
+from cmrs.oracles import (
+    cscp_series_oracle,
+    make_sampler,
+    mc_conditional_mean,
+    me_example_oracle,
+    mixed_exp_oracle,
+)
 from cmrs.transforms import (
     JointTransformModel,
     diagonal_diagnostic,
@@ -415,6 +424,37 @@ def test_hundred_risk_lognormal_pool():
     for group in range(3):
         h = res.h[:, group::3]
         assert (h.max(axis=1) - h.min(axis=1)).max() <= 1e-9
+
+
+def _gamma_severity(shape, rate):
+    return SeverityHandle(
+        lst=lambda z: (rate / (rate + z)) ** shape,
+        mean_lst=lambda z: shape / (rate + z) * (rate / (rate + z)) ** shape,
+        sampler=lambda rng, size: rng.gamma(shape, 1.0 / rate, size),
+    )
+
+
+def test_binomial_katz_pool_with_gamma_claims():
+    # binomial(20, 0.8) counts (a = -4, b = 84) with Gamma(10, 10) claims plus
+    # Poisson(3) with Gamma(2, 2): E[S] = 19.  On the Euler contour
+    # Gamma(10, 10)'s transform takes values with Re phi <= -1/4, where the
+    # binomial pgf (0.2 + 0.8 phi)^20 is still an ordinary polynomial value
+    spec = KatzCompoundSpec(
+        a=(-4.0, 0.0),
+        b=(84.0, 3.0),
+        severities=(_gamma_severity(10.0, 10.0), _gamma_severity(2.0, 2.0)),
+    )
+    model = build_katz_compound(spec)
+    assert diagonal_diagnostic(model, np.logspace(-2, 2, 25), tol=1e-5).all_passed
+    grid = tuple(np.linspace(9.5, 28.5, 21))
+    res = allocate(AllocationRequest(model=model, s_grid=grid, scheme=EulerScheme()))
+    assert res.status == [STATUS_OK] * 21
+    assert np.abs(res.sum_h - np.array(grid)).max() <= 1e-3
+    sampler = make_sampler(spec)
+    near = allocate(AllocationRequest(model=model, s_grid=(17.0, 19.0), scheme=EulerScheme()))
+    for k, s in enumerate(near.s_grid):
+        est = mc_conditional_mean(sampler, 0, s, n_samples=500_000, seed=3)
+        assert abs(near.h[k, 0] - est.value) <= 3.0 * est.std_error
 
 
 def _one_point(model, scheme, s):

@@ -530,6 +530,13 @@ _CS_MODEL = {
             ["allocate"],
             "model.risks[0].rate must not be a boolean, got True",
         ),
+        ({"verify": {"method": "mc", "points": []}}, ["verify"], "verify points must be a nonempty list"),
+        (
+            {"verify": {"method": "mc", "points": [1.0, -2.0]}},
+            ["verify"],
+            "verify points must be a nonempty list of finite values > 0, got [1.0, -2.0]",
+        ),
+        ({"verify": {"method": "mc", "points": [math.nan]}}, ["diagnose"], "got [nan]"),
     ],
     ids=[
         "model-not-a-mapping",
@@ -568,6 +575,9 @@ _CS_MODEL = {
         "balance-tolerance-on",
         "bench-tilt-yes",
         "boolean-exponential-rate",
+        "empty-verify-points",
+        "negative-verify-point",
+        "nan-verify-point",
     ],
 )
 def test_bad_input_exits_one_without_traceback(tmp_path, capsys, change, argv, message):
@@ -840,20 +850,13 @@ def test_each_verb_builds_its_model_once(tmp_path, monkeypatch, capsys, argv, bu
     assert len(names) == builds, names
 
 
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
 class TestShippedConfigs:
-    @pytest.mark.parametrize(
-        "name",
-        [
-            "common_shock_pool.yaml",
-            "erlang_exponential.yaml",
-            "iid_exponential.yaml",
-            "lognormal_pool.yaml",
-            "clayton_mixed_exp.yaml",
-            "bench_common_shock.yaml",
-        ],
-    )
+    @pytest.mark.parametrize("name", sorted(p.name for p in CONFIGS.glob("*.yaml")))
     def test_parses_and_builds(self, name):
-        cfg = load_config(f"configs/{name}")
+        cfg = load_config(str(CONFIGS / name))
         model, _ = build_model_from_config(cfg.model)
         assert model.n >= 1
         assert len(cfg.grid.build()) >= 2

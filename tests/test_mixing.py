@@ -43,6 +43,12 @@ class TestGammaMixing:
         assert len(mix.nodes) < 300
         assert math.fsum(mix.weights) == pytest.approx(1.0, abs=1e-9)
 
+    def test_overflowing_rule_refused_with_its_cause(self):
+        # scipy's Gauss-Laguerre recurrence returns NaN weights from ~370 nodes
+        with np.errstate(all="ignore"), pytest.raises(ModelSpecError, match="overflows"):
+            gamma_mixing(2.0, 400)
+        assert len(gamma_mixing(2.0, 350).nodes) > 0
+
     def test_sampler_moments(self):
         mix = gamma_mixing(3.0)
         rng = np.random.default_rng(42)

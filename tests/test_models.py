@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from cmrs.errors import (
     DomainError,
-    EvaluationError,
     ModelSpecError,
     SingularMatrixError,
 )
@@ -197,12 +196,22 @@ class TestMatrixExp:
 
 class TestKatzCompound:
     def test_kind_classification(self):
-        spec = KatzCompoundSpec(
-            a=(0.0, 0.0, -1.0, 0.25),
-            b=(0.0, 2.0, 3.0, 0.5),
-            severities=(exponential_severity(1.0),) * 4,
-        )
-        assert spec.kinds == ("degenerate", "poisson", "binomial", "negbin")
+        # the one (a, b, 0) pgf is each count law's textbook pgf, on |w| <= 1
+        from cmrs.models import _katz_pgf
+
+        laws = {
+            (0.0, 0.0): lambda w: np.ones_like(w),  # no claims
+            (0.0, 2.0): lambda w: np.exp(2.0 * (w - 1.0)),  # Poisson(2)
+            # binomial(m, p): a = -p/(1-p), b = (m+1) p/(1-p)
+            (-1.0, 3.0): lambda w: (0.5 + 0.5 * w) ** 2,
+            (-4.0, 84.0): lambda w: (0.2 + 0.8 * w) ** 20,
+            # negative binomial(r, q): a = 1 - q, b = (r-1)(1-q)
+            (0.25, 0.5): lambda w: (0.75 / (1.0 - 0.25 * w)) ** 3,
+            (0.7, 1.3): lambda w: (0.3 / (1.0 - 0.7 * w)) ** (20.0 / 7.0),
+        }
+        for w in (np.array([0.0, 0.3, 1.0, -0.9]), np.array([1j, 0.6 + 0.7j, -0.5 - 0.8j])):
+            for (a, b), pgf in laws.items():
+                np.testing.assert_allclose(_katz_pgf(a, b, w), pgf(w), rtol=1e-14, atol=0.0)
 
     def test_invalid_frequency_pairs_rejected(self):
         sev = (exponential_severity(1.0),)
@@ -262,12 +271,6 @@ class TestKatzCompound:
             KatzCompoundSpec(a=(0.0,), b=(2.0,), severities=(exponential_severity(1.0),))
         )
         assert model.transform(1.3)[0] == pytest.approx(only.transform(1.3)[0], rel=1e-15)
-
-    def test_pgf_pole_guarded(self):
-        from cmrs.models import _katz_pgf
-
-        with pytest.raises(EvaluationError, match="too close to 1"):
-            _katz_pgf("negbin", 0.5, 0.5, 2.0)
 
     def test_severity_rate_validated(self):
         with pytest.raises(ModelSpecError):
