@@ -13,13 +13,14 @@ modules and, for every seed, builds every leg of the benchmark workloads
 every ``configs/*.yaml`` of its tree, with the request ``cmrs allocate``
 builds from the file.
 
-A leg is equal when ``density``, ``raw_xi`` and ``h`` are ``np.array_equal``
-(NaN equal to NaN), ``status`` is the same list, the CSV bytes are the same
-and so are the ``breakdown_scan`` fields (``first_violation``,
-``breakdown_s`` and the three counts).  The script prints the legs that
-differ and exits 1 when there is any (2 when a tree cannot be run).  A
-change that passes it needs no fade gate (``scripts/fade_gate.py``).  The
-five default seeds take about five seconds per tree.
+A leg is equal when every result array (``density``, ``raw_xi``, ``xi``,
+``h``, ``sum_h`` and ``balance_residual``) is ``np.array_equal`` (NaN equal
+to NaN), ``status`` is the same list, the CSV bytes are the same and so are
+the ``breakdown_scan`` fields (``first_violation``, ``breakdown_s`` and the
+three counts).  The script prints the legs that differ, naming the fields
+that differ in each, and exits 1 when there is any (2 when a tree cannot be
+run).  A change that passes it needs no fade gate (``scripts/fade_gate.py``).
+The five default seeds take about five seconds per tree.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ import numpy as np
 
 from fade_gate import _seeds
 
-ARRAYS = ("density", "raw_xi", "h")
+ARRAYS = ("density", "raw_xi", "xi", "h", "sum_h", "balance_residual")
 SCAN = ("first_violation", "breakdown_s", "n_ok", "n_degraded", "n_failed")
 
 

@@ -73,7 +73,6 @@ from .oracles import (
     cscp_series_oracle,
     make_sampler,
     mc_conditional_mean,
-    me_example_equal_rates_oracle,
     me_example_oracle,
     mixed_exp_oracle,
 )
@@ -140,7 +139,6 @@ __all__ = [
     "load_config",
     "make_sampler",
     "mc_conditional_mean",
-    "me_example_equal_rates_oracle",
     "me_example_oracle",
     "mixed_exp_oracle",
     "parse_config",

@@ -3,9 +3,11 @@
 For each gridpoint s the engine inverts the aggregate density f_S and all
 allocation densities xi_i = h_i f_S from one shared set of transform nodes,
 then forms h_i = xi_i / f_S.  The origin atom's mass P(S = 0) is subtracted
-from L_S before inversion (the continuous remainder is what the contour rules
-can recover) and reported as a separate row at s = 0, where every share is
-exactly 0: X_i >= 0 forces E[X_i 1{S = 0}] = 0, no inversion involved.
+from the real parts of L_S at the nodes before inversion (the continuous
+remainder is what the contour rules can recover), in the copy of the block
+that the finiteness mask gathers, never in the array the model returned.  It
+is reported as a separate row at s = 0, where every share is exactly 0:
+X_i >= 0 forces E[X_i 1{S = 0}] = 0, no inversion involved.
 
 The model is called once per block of gridpoints, with the nodes of every
 point in the block stacked into one array, and the kernel inverts the whole
@@ -32,7 +34,9 @@ violation at s = 199.2 demotes 20 later points whose residuals are at most
 2.1e-4.  Roundoff is forgiven without penalty: small
 negative allocation values in [-1e-8, 0) are clamped to zero, and a share
 above s by at most balance_tol * s is clipped to s (with one risk, h_1 = s
-exactly).  ``breakdown_scan`` summarises the stored statuses.
+exactly).  sum_h and the budget residual are numpy row sums, within about
+n eps relative of the exact sums of nonnegative shares, far inside any
+balance_tol.  ``breakdown_scan`` summarises the stored statuses.
 """
 
 from __future__ import annotations
@@ -90,28 +94,6 @@ class AllocationRequest:
         object.__setattr__(self, "s_grid", grid)
 
 
-@dataclass(frozen=True)
-class AtomicTransformRemainder:
-    """Transforms of the continuous part of a model: the origin atom's mass
-    P(S = 0) subtracted from L_S.  The atom carries no allocation mass, so
-    the L_i are the model's own; with no atom this is the model itself."""
-
-    model: JointTransformModel
-
-    def transform(self, z) -> np.ndarray:
-        """The continuous parts of (L_S, L_1 .. L_n) at an array of nodes z,
-        shape z.shape + (n+1,)."""
-        vals = node_values(self.model, np.asarray(z))
-        if self.model.atom_mass:
-            vals = vals.copy()
-            vals[..., 0] -= self.model.atom_mass
-        return vals
-
-    def values_at(self, z) -> np.ndarray:
-        """Real parts of ``transform(z)``, the values the kernel inverts."""
-        return self.transform(z).real
-
-
 @dataclass
 class AllocationResult:
     request: AllocationRequest
@@ -156,7 +138,6 @@ def allocate(request: AllocationRequest) -> AllocationResult:
     alone, so one bad node fails its gridpoint, never its block or the run."""
     model = request.model
     scheme = request.scheme
-    remainder = AtomicTransformRemainder(model)
     s_grid = np.array(request.s_grid)
     values = np.full((len(s_grid), model.n + 1), np.nan)
 
@@ -170,9 +151,13 @@ def allocate(request: AllocationRequest) -> AllocationResult:
         block = pending.pop()
         points = kept[block]
         try:
-            V = remainder.values_at(nodes[block])
+            V = node_values(model, nodes[block]).real
             good = np.isfinite(V).all(axis=(1, 2))
-            values[points[good]] = invert_values(V[good], s_grid[points[good]], scheme)
+            # V may be the model's own array, even a read-only view: the atom
+            # leaves L_S only in the copy that the mask gathers
+            V = V[good]
+            V[..., 0] -= model.atom_mass
+            values[points[good]] = invert_values(V, s_grid[points[good]], scheme)
         except _POINT_ERRORS:
             # one bad node (or a wrong shape) fails its gridpoint, never its block
             if len(points) > 1:
@@ -189,24 +174,21 @@ def allocate(request: AllocationRequest) -> AllocationResult:
     # the floor governs f outright: a zero, subnormal or negative density
     # cannot support a ratio, even though xi-level roundoff is forgiven
     failed = unusable | (density <= request.density_floor)
-    good = ~failed
     tol = request.balance_tol
-    s, f = s_grid[good], density[good]
-    hrow = xi[good] / f[:, None]
-    sh = np.array([math.fsum(row) for row in hrow.tolist()])
-    target = s * f
-    r = np.abs(np.array([math.fsum(row) for row in xi[good].tolist()]) - target) / target
-    h = np.zeros_like(raw_xi)
-    h[good] = np.clip(hrow, 0.0, s[:, None])
-    sum_h = np.full(len(s_grid), np.nan)
-    sum_h[good] = sh
-    resid = np.full(len(s_grid), np.nan)
-    resid[good] = r
-    violated = failed.copy()
+    target = s_grid * density
+    # a failed row may divide by a zero or non-finite density; it keeps NaN
+    # sums and zero shares
+    with np.errstate(all="ignore"):
+        hrow = xi / density[:, None]
+        sum_h = np.where(failed, np.nan, hrow.sum(axis=1))
+        resid = np.where(failed, np.nan, np.abs(xi.sum(axis=1) - target) / target)
+    h = np.where(failed[:, None], 0.0, np.clip(hrow, 0.0, s_grid[:, None]))
     # shares are >= 0 here, so one above s by more than tol * s fails the
     # sum test; one above s by less is roundoff (with one risk, h_1 = s
     # exactly) and is clipped to s without penalty
-    violated[good] = ~np.isfinite(sh) | (r > tol) | (np.abs(sh - s) > tol * s)
+    violated = (
+        failed | ~np.isfinite(sum_h) | (resid > tol) | (np.abs(sum_h - s_grid) > tol * s_grid)
+    )
     # once any point has violated, every later one is at best degraded
     after_break = np.concatenate([[False], np.logical_or.accumulate(violated)[:-1]])
     code = np.where(failed, 2, violated | after_break)

@@ -46,7 +46,6 @@ from .oracles import (
     cscp_series_oracle,
     make_sampler,
     mc_conditional_mean,
-    me_example_equal_rates_oracle,
     me_example_oracle,
     mixed_exp_oracle,
 )
@@ -175,8 +174,6 @@ def _closed_form_reference(spec):
             and _same_risk(first, erlang_me_spec(2, lam))
             and _same_risk(second, exponential_me_spec(mu))
         ):
-            if abs(lam - mu) <= 1e-8 * max(lam, mu):
-                return me_example_equal_rates_oracle(lam)
             return me_example_oracle(lam, mu)
     raise ConfigError(
         "closed_form verification is only available for mixed_exp_frailty and "

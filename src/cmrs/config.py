@@ -4,7 +4,8 @@ A config file has blocks ``model``, ``grid``, ``scheme`` and optionally
 ``output``, ``verify``, ``tolerance``, ``bench``.  Loading is strict: unknown
 keys are errors, not warnings, since a typo in a tolerance name should not
 silently run with defaults, a missing key is named, not a traceback, and so
-is a boolean, which no field takes.
+is a boolean, which no field takes, and a scheme key that only the other
+rule reads.
 
 Loading parses the model block once, into its family spec
 (``RunConfig.model``), whose constructor checks the values.  The model
@@ -146,6 +147,22 @@ class SchemeSpec:
         return EulerScheme(A=self.A, N=self.N, m=self.m, theta=self.theta)
 
 
+# the keys of one rule that the other rule would ignore; theta has its own rule
+_OTHER_RULE_KEYS = {"euler": {"M"}, "gaver-stehfest": {"A", "N", "m"}}
+
+
+def _parse_scheme(block) -> SchemeSpec:
+    """The scheme block as a SchemeSpec; a key that only the other rule
+    reads is refused, not silently dropped.  The check is on the file's
+    block: ``dataclasses.replace`` may switch a spec's rule and keep its
+    fields."""
+    spec = _parse_block(SchemeSpec, block, "scheme")
+    stray = sorted(_OTHER_RULE_KEYS[spec.rule] & set(block))
+    if stray:
+        raise ConfigError(f"scheme keys {stray} do not apply to rule {spec.rule!r}")
+    return spec
+
+
 @dataclass(frozen=True)
 class OutputSpec:
     path: Optional[str] = None
@@ -272,7 +289,7 @@ def parse_config(data: dict) -> RunConfig:
     cfg = RunConfig(
         model=_checked("model", lambda: _parse_model(data["model"])),
         grid=_parse_block(GridSpec, data["grid"], "grid"),
-        scheme=_parse_block(SchemeSpec, data.get("scheme", {}), "scheme"),
+        scheme=_parse_scheme(data.get("scheme", {})),
         output=_parse_block(OutputSpec, data.get("output", {}), "output"),
         verify=_parse_block(VerifySpec, data.get("verify", {}), "verify"),
         tolerance=_parse_block(ToleranceSpec, data.get("tolerance", {}), "tolerance"),

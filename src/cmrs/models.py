@@ -169,8 +169,15 @@ class MixedExpFrailtySpec:
 def build_mixed_exp_frailty(spec: MixedExpFrailtySpec) -> JointTransformModel:
     """Transform model for a mixed-exponential frailty portfolio.
 
-    Expectations over Theta use the mixing law's quadrature nodes; with the
-    shipped rules the node error is far below inversion error.
+    Expectations over Theta use the mixing law's quadrature nodes, so the
+    model is a mixture of as many pools of independent exponentials as the
+    rule has nodes.  That is accurate for a few risks, not for many small
+    ones: each pool's sum then sits near sum_j lambda_j / theta_k, and the
+    discrete model's f_S is spiky where the true one is smooth.  The discrete
+    model meets the budget identity exactly, so no status shows its error.
+    With gamma_mixing(3.0) (200 nodes), lambda_j = 3 U(0.5, 2)/n and 10
+    points over s in [0.5, 8], f_S is within 1.1e-7 relative of a quadrature
+    reference at n = 10, but off by up to 21% at n = 100, every point ``ok``.
     """
     lam = np.array(spec.lambdas)
     n = len(spec.lambdas)

@@ -130,22 +130,26 @@ def mixed_exp_oracle(spec: MixedExpFrailtySpec) -> ClosedFormOracle:
 
 
 def me_example_oracle(lam: float, mu: float) -> ClosedFormOracle:
-    """Closed form for S = Erlang(2, lam) + Exp(mu) with lam != mu.
+    """Closed form for S = Erlang(2, lam) + Exp(mu).
 
-    h_1 uses expm1-based differences that stay accurate for small delta*s;
-    rates within relative 1e-8 of each other are refused, use
-    ``me_example_equal_rates_oracle`` instead.
+    h_1 uses expm1-based differences that stay accurate for small delta*s.
+    Rates within relative 1e-8 of each other are tied, where the distinct-rate
+    form cancels catastrophically: the singularity is removable, and the
+    oracle takes its limit at rate lam, S ~ Erlang(3, lam) and h_1(s) = 2s/3.
     """
     if not (lam > 0.0 and mu > 0.0):
         raise OracleError(f"rates must be positive, got lam={lam}, mu={mu}")
-    if abs(lam - mu) <= 1e-8 * max(lam, mu):
-        raise OracleError("rates are tied; use me_example_equal_rates_oracle")
     delta = lam - mu
+    tied = abs(delta) <= 1e-8 * max(lam, mu)
 
     def f_S(s: float) -> float:
+        if tied:
+            return lam**3 * s**2 * math.exp(-lam * s) / 2.0
         return lam**2 * mu * math.exp(-mu * s) * (1.0 - (1.0 + delta * s) * math.exp(-delta * s)) / delta**2
 
     def h1(s: float) -> float:
+        if tied:
+            return 2.0 * s / 3.0
         x = delta * s
         den = math.expm1(x) - x
         num = den - x * x / 2.0
@@ -157,24 +161,6 @@ def me_example_oracle(lam: float, mu: float) -> ClosedFormOracle:
 
     return ClosedFormOracle(
         n=2, f_S=f_S, xi=xi, valid_range=(0.0, 60.0), label=f"me_example(lam={lam:g},mu={mu:g})"
-    )
-
-
-def me_example_equal_rates_oracle(rate: float) -> ClosedFormOracle:
-    """Same portfolio at the removable singularity lam = mu = rate: S is
-    Erlang(3, rate) and h_1(s) = 2s/3 exactly."""
-    if not (rate > 0.0):
-        raise OracleError(f"rate must be positive, got {rate}")
-
-    def f_S(s: float) -> float:
-        return rate**3 * s**2 * math.exp(-rate * s) / 2.0
-
-    def xi(i: int, s: float) -> float:
-        f = f_S(s)
-        return (2.0 * s / 3.0) * f if i == 0 else (s / 3.0) * f
-
-    return ClosedFormOracle(
-        n=2, f_S=f_S, xi=xi, valid_range=(0.0, 60.0), label=f"me_example_equal(rate={rate:g})"
     )
 
 

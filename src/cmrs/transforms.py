@@ -47,7 +47,9 @@ class JointTransformModel:
     values [L_S(z), L_1(z), ..., L_n(z)] with L_i(z) = E[X_i exp(-zS)] along a
     new last axis, shape z.shape + (n+1,).  The nodes are a real array on the
     real axis and a complex one on the contour; a scalar z is a 0-d array, so
-    ``transform(1.0)`` gives the n+1 values at one point.
+    ``transform(1.0)`` gives the n+1 values at one point.  Nothing in the
+    package writes into the returned array, so a read-only view or an array
+    cached across calls is a valid return.
 
     ``atom_mass`` is P(S = 0), the one atom a model can declare; its
     allocation masses E[X_i 1{S = 0}] vanish because every X_i >= 0.  The

@@ -15,7 +15,6 @@ from cmrs.allocation import (
     STATUS_FAILED,
     STATUS_OK,
     AllocationRequest,
-    AtomicTransformRemainder,
     TailContribution,
     allocate,
     breakdown_scan,
@@ -349,41 +348,75 @@ class TestAtomHandling:
         assert fade_result.atom_mass == pytest.approx(math.exp(-4.0), abs=1e-15)
 
     def test_atomless_remainder_is_the_model_itself(self):
+        # with no atom the engine inverts the model's own values
         model = build_matrix_exp([exponential_me_spec(1.0), exponential_me_spec(2.0)])
-        rem = AtomicTransformRemainder(model)
-        for z in (0.5, 1.0 + 3.0j):
-            assert np.array_equal(rem.values_at(z), model.transform(z).real)
+        res = allocate(AllocationRequest(model=model, s_grid=(0.5, 2.0), scheme=EulerScheme()))
+        for k, s in enumerate(res.s_grid):
+            one = invert(lambda z: model.transform(z).real, s, EulerScheme())
+            assert res.density[k] == one[0]
+            assert res.raw_xi[k].tolist() == one[1:].tolist()
 
     def test_remainder_subtracts_the_atom(self):
         model = build_common_shock_cp(CS_REF)
-        rem = AtomicTransformRemainder(model)
         # at large real t the continuous part dies but the atom term does not
-        assert abs(complex(model.transform(1.0e4)[0]) - math.exp(-4.0)) < 1e-4
-        assert abs(rem.values_at(1.0e4)[0]) < 1e-4
-        assert abs(rem.values_at(1.0e4)[0]) < abs(rem.values_at(1.0e2)[0])
-
-    def test_values_at_stacks_aggregate_and_allocations(self):
-        model = build_common_shock_cp(CS_REF)
-        rem = AtomicTransformRemainder(model)
-        z = 0.8 + 2.0j
-        row = rem.values_at(z)
-        vals = model.transform(z)
-        assert row.shape == (4,)
-        # the origin atom carries mass e^{-4} and no allocation mass
-        assert row[0] == pytest.approx((vals[0] - math.exp(-4.0)).real, rel=1e-14)
-        assert np.array_equal(row[1:], vals[1:].real)
+        tail = model.transform(np.array([1.0e2, 1.0e4]))[:, 0].real - model.atom_mass
+        assert abs(model.atom_mass - math.exp(-4.0)) < 1e-15
+        assert abs(tail[1]) < 1e-4
+        assert abs(tail[1]) < abs(tail[0])
+        # the engine inverts L_S - P(S = 0), and the L_i as they are
+        res = allocate(AllocationRequest(model=model, s_grid=(2.0,), scheme=EulerScheme()))
+        one = _one_point(model, EulerScheme(), 2.0)
+        assert res.density[0] == one[0]
+        assert res.raw_xi[0].tolist() == one[1:]
 
     def test_pure_point_mass_remainder_vanishes(self):
-        # S identically 0: the origin atom is the whole law
+        # S identically 0: the origin atom is the whole law, so every point
+        # inverts zeros and fails on its zero density
         model = JointTransformModel(
             n=1,
             transform=lambda z: np.broadcast_to([1.0, 0.0], np.shape(z) + (2,)),
             atom_mass=1.0,
             label="point",
         )
-        rem = AtomicTransformRemainder(model)
-        for z in (0.1, 1.0, 3.0 + 5.0j):
-            assert np.array_equal(rem.values_at(z), [0.0, 0.0])
+        for scheme in (EulerScheme(), GsScheme()):
+            res = allocate(AllocationRequest(model=model, s_grid=(0.1, 1.0, 3.0), scheme=scheme))
+            assert res.density.tolist() == [0.0] * 3
+            assert res.raw_xi.tolist() == [[0.0]] * 3
+            assert res.status == [STATUS_FAILED] * 3
+
+    @pytest.mark.parametrize("scheme", [EulerScheme(), GsScheme()], ids=["euler", "gs"])
+    def test_model_arrays_stay_untouched(self, scheme):
+        # a transform may return a read-only view, or the same array on every
+        # call: allocate takes the atom off in its own copy, so repeated runs
+        # give the plain model's numbers and the cached array keeps its values
+        base = build_common_shock_cp(CS_REF)
+        cache = {}
+
+        def cached(z):
+            if z.shape not in cache:
+                cache[z.shape] = base.transform(z)
+            return cache[z.shape]
+
+        def read_only(z):
+            return np.broadcast_to(base.transform(z), z.shape + (base.n + 1,))
+
+        grid = (1.0, 2.0, 4.0)
+        want = allocate(AllocationRequest(model=base, s_grid=grid, scheme=scheme))
+        assert STATUS_FAILED not in want.status
+        for transform in (read_only, cached):
+            request = AllocationRequest(
+                model=dataclasses.replace(base, transform=transform), s_grid=grid, scheme=scheme
+            )
+            first = allocate(request)
+            kept = {shape: vals.copy() for shape, vals in cache.items()}
+            second = allocate(request)
+            for res in (first, second):
+                assert np.array_equal(res.density, want.density)
+                assert np.array_equal(res.raw_xi, want.raw_xi)
+                assert res.status == want.status
+            assert cache.keys() == kept.keys()
+            assert all(np.array_equal(cache[shape], kept[shape]) for shape in kept)
+        assert len(cache) == 1
 
 
 class TestTwoRiskProperty:
@@ -458,9 +491,13 @@ def test_binomial_katz_pool_with_gamma_claims():
 
 
 def _one_point(model, scheme, s):
-    """f_S and xi_1..xi_n at s, each column of the remainder inverted alone."""
-    rem = AtomicTransformRemainder(model)
-    return [invert(lambda z, c=c: rem.values_at(z)[..., c], s, scheme) for c in range(model.n + 1)]
+    """f_S and xi_1..xi_n at s, each column of the model's values inverted
+    alone, with P(S = 0) taken off L_S."""
+    shift = [model.atom_mass] + [0.0] * model.n
+    return [
+        invert(lambda z, c=c: model.transform(z).real[..., c] - shift[c], s, scheme)
+        for c in range(model.n + 1)
+    ]
 
 
 class TestBlockEngine:

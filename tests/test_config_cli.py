@@ -537,6 +537,18 @@ _CS_MODEL = {
             "verify points must be a nonempty list of finite values > 0, got [1.0, -2.0]",
         ),
         ({"verify": {"method": "mc", "points": [math.nan]}}, ["diagnose"], "got [nan]"),
+        (
+            {"scheme": {"rule": "gaver-stehfest", "N": 16}},
+            ["allocate"],
+            "scheme keys ['N'] do not apply to rule 'gaver-stehfest'",
+        ),
+        (
+            {"scheme": {"rule": "gaver-stehfest", "M": 10, "A": 30.4, "m": 15}},
+            ["diagnose"],
+            "scheme keys ['A', 'm'] do not apply to rule 'gaver-stehfest'",
+        ),
+        ({"scheme": {"rule": "euler", "M": 12}}, ["verify"], "scheme keys ['M'] do not apply to rule 'euler'"),
+        ({"scheme": {"M": 12}}, ["allocate"], "scheme keys ['M'] do not apply to rule 'euler'"),
     ],
     ids=[
         "model-not-a-mapping",
@@ -578,6 +590,10 @@ _CS_MODEL = {
         "empty-verify-points",
         "negative-verify-point",
         "nan-verify-point",
+        "euler-key-under-gaver-stehfest",
+        "euler-keys-beside-gs-order",
+        "gs-order-under-euler",
+        "gs-order-under-default-rule",
     ],
 )
 def test_bad_input_exits_one_without_traceback(tmp_path, capsys, change, argv, message):

@@ -29,8 +29,7 @@ from cmrs.models import (
     exponential_severity,
     is_phase_type,
 )
-from cmrs.allocation import AtomicTransformRemainder
-from cmrs.transforms import diagonal_diagnostic, eval_transform
+from cmrs.transforms import diagonal_diagnostic, eval_transform, node_values
 
 
 class TestComplexSolve:
@@ -86,12 +85,12 @@ class TestMixedExpFrailty:
         assert eval_transform(model, 1.0)[0] == pytest.approx(0.4619670665254551, abs=1e-12)
 
     def test_batch_matches_scalar_exactly(self):
-        # the engine's row at a node (``values_at``) and the checked
+        # the values the engine inverts (``node_values``) and the checked
         # evaluation the diagnostics use (``eval_transform``) agree exactly
         model = build_mixed_exp_frailty(MixedExpFrailtySpec((1.0, 0.5, 2.0), gamma_mixing(1.3)))
-        rem = AtomicTransformRemainder(model)
         for z in (0.4 + 0.0j, 1.0 + 0.0j, 2.0 + 3.0j):
-            assert np.array_equal(rem.values_at(z), eval_transform(model, z).real)
+            z = np.asarray(z)
+            assert np.array_equal(node_values(model, z).real, eval_transform(model, z).real)
 
     def test_degenerate_mixing_reduces_to_independent_exponentials(self):
         # point mass at theta0 means risk j is Exp(theta0 / lambda_j)
@@ -298,13 +297,13 @@ class TestCommonShockCP:
         assert abs(model.atom_mass - math.exp(-4.0)) < 1e-15
 
     def test_batch_matches_scalar_exactly(self):
-        # the engine's row at a node (``values_at``) and the checked
-        # evaluation the diagnostics use (``eval_transform``) agree exactly on
-        # the allocations; the origin atom only shifts L_S
+        # the values the engine inverts (``node_values``) and the checked
+        # evaluation the diagnostics use (``eval_transform``) agree exactly,
+        # the origin atom included
         model = build_common_shock_cp(CommonShockCPSpec(**CS_531))
-        rem = AtomicTransformRemainder(model)
         for z in (0.2 + 0.0j, 1.0 + 0.0j, 3.0 + 2.0j):
-            assert np.array_equal(rem.values_at(z)[1:], eval_transform(model, z)[1:].real)
+            z = np.asarray(z)
+            assert np.array_equal(node_values(model, z).real, eval_transform(model, z).real)
 
     def test_means(self):
         model = build_common_shock_cp(CommonShockCPSpec(**CS_531))
@@ -319,7 +318,7 @@ class TestCommonShockCP:
         # with all atomic mass removed the transform must decay; at the
         # reference parameter scale the t = 1e4 remainder sits near 8e-6
         model = build_common_shock_cp(CommonShockCPSpec(**CS_531))
-        rem = AtomicTransformRemainder(model).values_at(1.0e4)[0]
+        rem = model.transform(1.0e4)[0].real - model.atom_mass
         assert abs(rem) < 1e-5
 
     def test_small_severity_scale_tightens_tail_remainder(self):
@@ -331,7 +330,7 @@ class TestCommonShockCP:
             weights=(0.2, 0.3, 0.5),
         )
         model = build_common_shock_cp(spec)
-        rem = AtomicTransformRemainder(model).values_at(1.0e4)[0]
+        rem = model.transform(1.0e4)[0].real - model.atom_mass
         assert abs(rem) < 1e-6
 
     def test_split_weights_must_sum_to_one(self):

@@ -25,7 +25,6 @@ from cmrs.oracles import (
     cscp_series_oracle,
     make_sampler,
     mc_conditional_mean,
-    me_example_equal_rates_oracle,
     me_example_oracle,
     mixed_exp_oracle,
     philox_generator,
@@ -126,23 +125,28 @@ class TestMeExampleOracle:
         orc = me_example_oracle(2.0, 1.0)
         assert orc.h(0, 1e-4) == pytest.approx(2.0 / 3.0 * 1e-4, rel=1e-4)
 
-    def test_tied_rates_refused(self):
-        with pytest.raises(OracleError, match="tied"):
-            me_example_oracle(1.5, 1.5)
+    def test_tied_rates_split_two_to_one(self):
+        # tied rates, and rates within relative 1e-8, take the limit at rate
+        # lam: the Erlang(2) risk carries exactly 2/3 of every loss
+        for mu in (1.5, 1.5 * (1.0 + 1e-9)):
+            orc = me_example_oracle(1.5, mu)
+            for s in (1e-3, 0.5, 2.0, 10.0, 50.0):
+                assert orc.h(0, s) == pytest.approx(2.0 * s / 3.0, rel=1e-15)
+                assert orc.xi(0, s) + orc.xi(1, s) == pytest.approx(s * orc.f_S(s), rel=1e-15)
         with pytest.raises(OracleError):
             me_example_oracle(-1.0, 1.0)
 
     def test_equal_rates_oracle_is_the_removable_limit(self):
         # the singularity at lam = mu is removable: rates 1e-5 apart must
         # agree with the exact limit to first order in the separation
-        eq = me_example_equal_rates_oracle(1.5)
+        eq = me_example_oracle(1.5, 1.5)
         near = me_example_oracle(1.5 * (1.0 + 1e-5), 1.5)
         for s in (0.5, 2.0, 10.0):
             assert eq.h(0, s) == pytest.approx(2.0 * s / 3.0, rel=1e-14)
             assert near.h(0, s) == pytest.approx(eq.h(0, s), rel=1e-4)
 
     def test_equal_rates_density_is_erlang(self):
-        eq = me_example_equal_rates_oracle(2.0)
+        eq = me_example_oracle(2.0, 2.0)
         s = 1.3
         want = 2.0**3 * s**2 * math.exp(-2.0 * s) / 2.0
         assert eq.f_S(s) == pytest.approx(want, rel=1e-14)

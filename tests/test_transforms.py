@@ -3,13 +3,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cmrs.allocation import AtomicTransformRemainder
 from cmrs.errors import DomainError, EvaluationError, ModelSpecError
 from cmrs.models import build_matrix_exp, erlang_me_spec, exponential_me_spec
 from cmrs.transforms import (
     JointTransformModel,
     diagonal_diagnostic,
     eval_transform,
+    node_values,
     numerical_aggregate_derivative,
 )
 
@@ -20,17 +20,18 @@ def two_exp_model(lam=1.0, mu=2.0):
 
 class TestOriginAtom:
     def test_transform_terms(self):
-        # a model that is nothing but its origin atom (S = 0): stripping it
-        # subtracts P(S = 0) from L_S and nothing from the L_i, at every node
+        # a model that is nothing but its origin atom (S = 0): its transform
+        # includes the atom, so L_S - P(S = 0) and the L_i vanish at every node
         model = JointTransformModel(
             n=2,
             transform=lambda z: np.broadcast_to([1.0 + 0j, 0.0, 0.0], z.shape + (3,)),
             atom_mass=1.0,
         )
         z = np.array([[0.7 + 0.3j, 2.0 - 1.0j], [5.0 + 0j, 0.1 + 9.0j]])
-        vals = AtomicTransformRemainder(model).transform(z)
+        vals = node_values(model, z)
         assert vals.shape == (2, 2, 3)
-        assert np.abs(vals).max() < 1e-15
+        assert np.abs(vals[..., 0] - model.atom_mass).max() < 1e-15
+        assert np.abs(vals[..., 1:]).max() < 1e-15
 
     @pytest.mark.parametrize("mass", [-0.1, 1.1, float("nan"), float("inf")])
     def test_bad_atom_mass_rejected(self, mass):
