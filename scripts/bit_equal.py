@@ -19,8 +19,10 @@ to NaN), ``status`` is the same list, the CSV bytes are the same and so are
 the ``breakdown_scan`` fields (``first_violation``, ``breakdown_s`` and the
 three counts).  The script prints the legs that differ, naming the fields
 that differ in each, and exits 1 when there is any (2 when a tree cannot be
-run).  A change that passes it needs no fade gate (``scripts/fade_gate.py``).
-The five default seeds take about five seconds per tree.
+run).  For each differing array it also prints the largest |change - parent|
+over the entries finite in both trees, and whether the NaN positions match.
+A change that passes it needs no fade gate (``scripts/fade_gate.py``).  The
+five default seeds take about five seconds per tree.
 """
 
 from __future__ import annotations
@@ -88,6 +90,17 @@ def _run_tree(root: str, spec: str, out: str) -> dict[str, dict]:
         return pickle.load(fh)
 
 
+def _gap(name: str, p: np.ndarray, c: np.ndarray) -> str:
+    """The name of a differing array, with its largest |c - p| over the
+    entries finite in both and whether the NaN positions match."""
+    if p.shape != c.shape:
+        return f"{name} (shape {p.shape} against {c.shape})"
+    both = np.isfinite(p) & np.isfinite(c)
+    gap = np.abs(c[both] - p[both]).max(initial=0.0)
+    nans = "match" if np.array_equal(np.isnan(p), np.isnan(c)) else "differ"
+    return f"{name} (max |d| {gap:.3g}, NaN positions {nans})"
+
+
 def differences(parent: dict[str, dict], change: dict[str, dict]) -> list[str]:
     """One line per leg that differs or exists in one tree only."""
     out = []
@@ -96,7 +109,7 @@ def differences(parent: dict[str, dict], change: dict[str, dict]) -> list[str]:
             out.append(f"{key}: only in the {'change' if key in change else 'parent'}")
             continue
         p, c = parent[key], change[key]
-        fields = [f for f in ARRAYS if not np.array_equal(p[f], c[f], equal_nan=True)]
+        fields = [_gap(f, p[f], c[f]) for f in ARRAYS if not np.array_equal(p[f], c[f], equal_nan=True)]
         fields += [f for f in ("status", "csv", *SCAN) if p[f] != c[f]]
         if fields:
             out.append(f"{key}: {', '.join(fields)} differ")

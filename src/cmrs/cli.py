@@ -241,16 +241,23 @@ def run_verify(cfg: RunConfig, seed: Optional[int] = None) -> tuple[bool, list[s
         picks = np.linspace(0, len(ok_points) - 1, min(5, len(ok_points))).astype(int)
         targets = tuple(float(result.s_grid[ok_points[p]]) for p in picks)
     passed = True
-    sub = 0
-    for s in targets:
-        k = min(ok_points, key=lambda j: abs(result.s_grid[j] - s))
+    for t, s in enumerate(targets):
+        # the nearest gridpoint must be ok and within half the wider gap beside it
+        k = int(np.argmin(np.abs(result.s_grid - s)))
         s_k = float(result.s_grid[k])
+        half = 0.5 * np.diff(result.s_grid)[max(k - 1, 0) : k + 1].max(initial=0.0)
+        if result.status[k] != STATUS_OK or abs(s_k - s) > half:
+            passed = False
+            lines.append(
+                f"mc s={s:g}: nearest gridpoint s={s_k:g} is {result.status[k]} and "
+                f"{abs(s_k - s):.3g} away (half the grid step: {half:.3g}): FAIL"
+            )
+            continue
         for i in range(n):
-            sub += 1
             est = mc_conditional_mean(
                 sampler, i, s_k,
                 bandwidth=vf.bandwidth, n_samples=vf.n_samples,
-                seed=vf.seed, substream=sub,
+                seed=vf.seed, substream=t * n + i + 1,
             )
             gap = abs(result.h[k, i] - est.value)
             bound = max(tol, 3.0 * est.std_error)

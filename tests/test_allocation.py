@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,8 +31,6 @@ from cmrs.models import (
     LognormalPortfolioSpec,
     MixedExpFrailtySpec,
     SeverityHandle,
-    _lognormal_sums,
-    _product_rule,
     build_common_shock_cp,
     build_katz_compound,
     build_lognormal_portfolio,
@@ -591,17 +590,40 @@ class TestBlockEngine:
         assert np.isnan(res.density).all() and np.isnan(res.raw_xi).all()
         assert res.status == [STATUS_FAILED] * 21
 
-    def test_sliced_lognormal_call_equals_one_call(self):
-        # the lognormal transform takes its nodes in slices under the block
-        # budget; the slices give the values of one unsliced call, bit for bit
-        spec = LognormalPortfolioSpec.from_moments((1.0, 2.0, 2.0), (5.0, 2.0, 5.0))
-        model = build_lognormal_portfolio(spec)
-        z = EulerScheme().nodes([0.5, 2.0, 6.0, 10.0, 15.0])
-        assert z.size > 2 * (_BLOCK_BUDGET // (spec.n * spec.gh_order))
-        stats = {}
-        whole = _product_rule(
-            *_lognormal_sums(z, np.array(spec.mu), np.array(spec.sigma), spec.gh_order, stats)
-        )
-        before = model.stats.get("suppressed_terms", 0)
-        assert np.array_equal(model.transform(z), whole)
-        assert model.stats["suppressed_terms"] - before == stats["suppressed_terms"]
+    @pytest.mark.parametrize(
+        "model",
+        [
+            build_mixed_exp_frailty(MixedExpFrailtySpec((1.0, 0.5, 2.0), gamma_mixing(3.0))),
+            build_lognormal_portfolio(
+                LognormalPortfolioSpec.from_moments((1.0, 2.0, 2.0), (5.0, 2.0, 5.0))
+            ),
+        ],
+        ids=["frailty", "lognormal"],
+    )
+    def test_quadrature_blocks_match_one_point_inversions(self, model):
+        # the quadrature families sum over their nodes elementwise per
+        # transform node, so a block gives every point the numbers of a
+        # call on its own nodes, bit for bit
+        grid = _grid(0.1, 25.0, 0.1)
+        assert len(grid) > 2 * self.BLOCK
+        res = self._run(model, grid=grid)
+        for k, s in enumerate(grid):
+            one = self._run(model, grid=(s,))
+            assert res.density[k] == one.density[0]
+            assert np.array_equal(res.raw_xi[k], one.raw_xi[0])
+
+    def test_frailty_call_memory_is_nodes_by_risks(self):
+        # one Euler point of a 1000-risk gamma frailty on 200 quadrature
+        # nodes: the call holds a few (nodes, n+1) complex arrays, never one
+        # with a quadrature axis (that would be 200 times larger)
+        n = 1000
+        lam = 3.0 * np.random.default_rng(5).uniform(0.5, 2.0, n) / n
+        model = build_mixed_exp_frailty(MixedExpFrailtySpec(tuple(lam), gamma_mixing(3.0)))
+        z = EulerScheme().nodes(np.array([2.0]))
+        tracemalloc.start()
+        try:
+            model.transform(z)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * z.size * (n + 1) * 16

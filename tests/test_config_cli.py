@@ -711,6 +711,52 @@ class TestCliVerify:
         assert capsys.readouterr().out == first
         assert first.count("mc s=2") == 3
 
+    @pytest.mark.parametrize(
+        "grid, points, want",
+        [
+            (
+                "{start: 0.1, stop: 10.0, step: 0.1}",
+                "[1.0, 50.0]",
+                "mc s=50: nearest gridpoint s=10 is ok and 40 away (half the grid step: 0.05): FAIL",
+            ),
+            (
+                "{points: [1.0, 2.0, 40.0]}",
+                "[40.0]",
+                "mc s=40: nearest gridpoint s=40 is degraded and 0 away (half the grid step: 19): FAIL",
+            ),
+        ],
+        ids=["beyond-the-grid", "not-ok"],
+    )
+    def test_mc_level_off_its_gridpoint_fails(self, tmp_path, capsys, grid, points, want):
+        # a requested level is checked at its nearest gridpoint only: one
+        # that is not ok, or more than half a grid step away, is a FAIL line
+        # naming both levels, never a check at some other ok gridpoint
+        text = textwrap.dedent(
+            f"""
+            model:
+              family: matrix_exp
+              risks:
+                - kind: exponential
+                  rate: 1.0
+                - kind: exponential
+                  rate: 1.0
+                - kind: exponential
+                  rate: 1.0
+            grid: {grid}
+            verify:
+              method: mc
+              tolerance: 1.0e-3
+              points: {points}
+              n_samples: 20000
+              bandwidth: 0.1
+              seed: 7
+            """
+        )
+        cfg = _write(tmp_path, "cfg.yaml", text)
+        assert main(["verify", "--config", cfg]) == 2
+        out = capsys.readouterr().out.splitlines()
+        assert [line for line in out if "FAIL" in line] == [want]
+
     def test_method_none_is_an_error(self, tmp_path, capsys):
         text = ERLANG_YAML.replace("method: closed_form", "method: none")
         cfg = _write(tmp_path, "cfg.yaml", text)
