@@ -12,15 +12,20 @@ X_i >= 0 forces E[X_i 1{S = 0}] = 0, no inversion involved.
 The model is called once per block of gridpoints, with the nodes of every
 point in the block stacked into one array, and the kernel inverts the whole
 block in one pass; every point's numbers are those of a call on its own
-nodes, bit for bit.  A block holds max(1, 2**14 // (nodes x (n+1))) points.
+nodes, bit for bit.  The kernel inverts the model's m+1 columns, L_S and one
+column per class of identical risks (m = n without a ``risk_columns`` map),
+and the inverted columns are expanded to the n risks once, after the last
+block, so identical risks get identical shares.  A block holds
+max(1, 2**14 // (nodes x (m+1))) points.
 The budget of 2**14 elements was set by measurement (benchmark workloads,
 2-vCPU KVM guest, numpy 2.4): it takes the 750-point n=3 grid from 0.18 s
 to 0.037 s and the 26-point n=10 Erlang pool from 0.044 s to 0.021 s, while
-an n=1000 pool (41 x 1001 elements per point) keeps one point per block and
-its speed and memory.  Larger budgets cost memory for no time: at 2**16 the
-n=3 grid's peak RSS was 132 MB instead of 128 MB (127 MB one point at a
-time), and at 2**20 the n=1000 pool took 0.18 s instead of 0.15 s, its
-temporaries out of cache, and 232 MB instead of 184 MB.
+an n=1000 pool of distinct risks (41 x 1001 elements per point) keeps one
+point per block and its speed and memory.  Larger budgets cost memory for
+no time: at 2**16 the n=3 grid's peak RSS was 132 MB instead of 128 MB
+(127 MB one point at a time), and at 2**20 the n=1000 pool took 0.18 s
+instead of 0.15 s, its temporaries out of cache, and 232 MB instead of
+184 MB.
 
 Status policy per gridpoint, derived once, in ``allocate``: ``failed`` means
 the numbers are unusable (density at or below the floor, non-finite values,
@@ -50,7 +55,7 @@ import numpy as np
 
 from .errors import CmrsError, DomainError
 from .inversion import Scheme, admitted, invert, invert_values
-from .transforms import JointTransformModel, node_values
+from .transforms import JointTransformModel, column_values, node_values
 
 STATUS_OK = "ok"
 STATUS_DEGRADED = "degraded"
@@ -59,7 +64,7 @@ STATUS_ATOM = "atom"
 
 _XI_CLAMP = -1e-8
 
-# Elements, nodes x (n+1) per point, that one block of gridpoints may hold;
+# Elements, nodes x (m+1) per point, that one block of gridpoints may hold;
 # see the module docstring for the measurements behind the value.
 _BLOCK_BUDGET = 2**14
 
@@ -139,19 +144,19 @@ def allocate(request: AllocationRequest) -> AllocationResult:
     model = request.model
     scheme = request.scheme
     s_grid = np.array(request.s_grid)
-    values = np.full((len(s_grid), model.n + 1), np.nan)
+    values = np.full((len(s_grid), model.m + 1), np.nan)
 
     start = time.perf_counter()
     nodes = scheme.nodes(s_grid)
     kept = np.flatnonzero(admitted(nodes))
     nodes = nodes[kept]
-    size = max(1, _BLOCK_BUDGET // (nodes.shape[1] * (model.n + 1)))
+    size = max(1, _BLOCK_BUDGET // (nodes.shape[1] * (model.m + 1)))
     pending = [slice(lo, lo + size) for lo in range(0, len(kept), size)]
     while pending:
         block = pending.pop()
         points = kept[block]
         try:
-            V = node_values(model, nodes[block]).real
+            V = column_values(model, nodes[block]).real
             good = np.isfinite(V).all(axis=(1, 2))
             # V may be the model's own array, even a read-only view: the atom
             # leaves L_S only in the copy that the mask gathers
@@ -162,6 +167,7 @@ def allocate(request: AllocationRequest) -> AllocationResult:
             # one bad node (or a wrong shape) fails its gridpoint, never its block
             if len(points) > 1:
                 pending += [slice(j, j + 1) for j in range(*block.indices(len(kept)))]
+    values = model.expand(values)
     elapsed = time.perf_counter() - start
 
     # shares and statuses: the one place a status is derived

@@ -6,7 +6,11 @@ transforms L_i(z) = E[X_i exp(-zS)] for an array of nodes with Re z > 0, as
 an array of shape z.shape + (n+1,), together with the mass P(S = 0) of the
 origin atom, the one atom of S any family has.  Each family broadcasts over
 the node axes and computes every per-risk factor once, sharing it between
-L_S and the L_i.
+L_S and the L_i.  The builders of the common-shock, matrix-exponential, Katz
+and lognormal families find the classes of identical risks (by exact
+equality of each risk's parameters) and return one allocation column per
+class, shape z.shape + (m+1,), with the map from risks to classes as the
+model's ``risk_columns``; a pool of distinct risks has no map.
 
 Every builder returns through one constructor, which probes each factor of
 L_S at construction time: each risk's transform for independent risks, L_S
@@ -49,20 +53,23 @@ def _joint_model(
     risks: Optional[Callable] = None,
     atom_mass: float = 0.0,
     stats: Optional[dict] = None,
+    risk_columns: Optional[np.ndarray] = None,
 ) -> JointTransformModel:
     """The one constructor behind every builder.
 
-    Independent families pass ``risks``, mapping nodes z to the per-risk
-    transforms and mean transforms of ``_product_rule``; the others pass
-    ``transform`` itself.  ``atom_mass`` is P(S = 0), passed through
-    unchanged.  Each factor of L_S (each risk's transform, else L_S itself) is then
-    probed: it must equal 1 within 1e-6 at z = 0 and lie in (0, 1] at
-    z = 1e-6.
+    Independent families pass ``risks``, mapping nodes z to the transforms
+    and mean transforms of ``_product_rule``, one per class of identical
+    risks (``_risk_classes``); the others pass ``transform`` itself.
+    ``atom_mass`` is P(S = 0) and ``risk_columns`` the risk -> class map,
+    both passed through unchanged.  Each factor of L_S (each class's
+    transform, else L_S itself) is then probed: it must equal 1 within 1e-6
+    at z = 0 and lie in (0, 1] at z = 1e-6.
     """
     if risks is not None:
+        mult = None if risk_columns is None else np.bincount(risk_columns)
 
         def transform(z):
-            return _product_rule(*risks(z))
+            return _product_rule(*risks(z), mult)
 
         def factors(z):
             return risks(z)[0]
@@ -73,7 +80,9 @@ def _joint_model(
             return transform(z)[..., :1]
 
     stats = {} if stats is None else stats
-    model = JointTransformModel(n, transform, atom_mass=atom_mass, label=label, stats=stats)
+    model = JointTransformModel(
+        n, transform, atom_mass=atom_mass, label=label, stats=stats, risk_columns=risk_columns
+    )
     try:
         at0, near = factors(np.array([0.0, 1e-6]))
     except Exception as exc:
@@ -88,11 +97,21 @@ def _joint_model(
     return model
 
 
-def _product_rule(lsts: np.ndarray, mean_lsts: np.ndarray) -> np.ndarray:
+def _product_rule(
+    lsts: np.ndarray, mean_lsts: np.ndarray, mult: Optional[np.ndarray] = None
+) -> np.ndarray:
     """[prod_j L_j, (M_i prod_{j != i} L_j)_i] for independent risks with
     transforms L_j and mean transforms M_j = E[X_j exp(-z X_j)], the risks
     along the last axis; the products over j != i come from cumulative
-    prefix and suffix products."""
+    prefix and suffix products.
+
+    With multiplicities ``mult``, column c stands for m_c identical risks:
+    L_S = prod_c L_c^{m_c}, and column c is M_c L_c^{m_c - 1} prod_{c' != c}
+    L_{c'}^{m_{c'}}, the product rule on the powers L_c^{m_c} and the mean
+    transforms M_c L_c^{m_c - 1}.  At m_c = 1 the powers are exact (x**1 = x,
+    x**0 = 1), so a singleton class gets the numbers of the plain rule."""
+    if mult is not None:
+        lsts, mean_lsts = lsts**mult, mean_lsts * lsts ** (mult - 1)
     one = np.ones_like(lsts[..., :1])
     pre = np.cumprod(np.concatenate([one, lsts], axis=-1), axis=-1)  # prod_{j < i}
     suf = np.cumprod(np.concatenate([one, lsts[..., ::-1]], axis=-1), axis=-1)[..., ::-1]
@@ -106,6 +125,21 @@ def _positive_tuple(values: Sequence[float], what: str) -> tuple[float, ...]:
     if not all(math.isfinite(v) and v > 0.0 for v in out):
         raise ModelSpecError(f"{what} must be finite and positive, got {out}")
     return out
+
+
+def _risk_classes(keys) -> tuple[list[int], Optional[np.ndarray]]:
+    """Classes of identical risks by exact equality of their keys, in order
+    of first appearance: the first risk of each class and the risk -> class
+    map, which is None when every risk is its own class."""
+    index: dict = {}
+    first: list[int] = []
+    cols = []
+    for i, key in enumerate(keys):
+        if key not in index:
+            index[key] = len(first)
+            first.append(i)
+        cols.append(index[key])
+    return first, None if len(first) == len(cols) else np.array(cols)
 
 
 # ---------------------------------------------------------------------------
@@ -290,14 +324,18 @@ def build_matrix_exp(specs: Sequence[MatrixExpSpec]) -> JointTransformModel:
     if not specs:
         raise ModelSpecError("need at least one risk")
     n = len(specs)
+    first, cols = _risk_classes(
+        (sp.p0, tuple(sp.alpha.tolist()), tuple(map(tuple, sp.T.tolist())), tuple(sp.u.tolist()))
+        for sp in specs
+    )
+    classes = [specs[i] for i in first]
 
     def risks(z):
-        lsts, means = zip(*(sp.lst_pair(z) for sp in specs))
+        lsts, means = zip(*(sp.lst_pair(z) for sp in classes))
         return np.stack(lsts, axis=-1), np.stack(means, axis=-1)
 
-    return _joint_model(
-        f"matrix_exp(n={n})", n, risks=risks, atom_mass=math.prod(sp.p0 for sp in specs)
-    )
+    atom_mass = math.prod(sp.p0 for sp in specs)
+    return _joint_model(f"matrix_exp(n={n})", n, risks=risks, atom_mass=atom_mass, risk_columns=cols)
 
 
 # ---------------------------------------------------------------------------
@@ -382,8 +420,13 @@ def _katz_pgf(a: float, b: float, w):
 
 
 def build_katz_compound(spec: KatzCompoundSpec) -> JointTransformModel:
+    """Independent (a, b, 0) compound sums.  Risks with equal a and b and
+    the same severity handle object form one class; two handles are never
+    compared by their parameters or label."""
     n = spec.n
     freqs = tuple(zip(spec.a, spec.b, spec.severities))
+    first, cols = _risk_classes((a, b, id(sev)) for a, b, sev in freqs)
+    classes = [freqs[i] for i in first]
 
     def risk(a, b, sev, z):
         # P(phi) and -d/dz P(phi(z)) = P'(phi) E[Y e^{-zY}], P'(w) = (a+b)/(1-aw) P(w)
@@ -392,11 +435,13 @@ def build_katz_compound(spec: KatzCompoundSpec) -> JointTransformModel:
         return p, (a + b) / (1.0 - a * phi) * p * sev.mean_lst(z)
 
     def risks(z):
-        lsts, means = zip(*(risk(*f, z) for f in freqs))
+        lsts, means = zip(*(risk(*f, z) for f in classes))
         return np.stack(lsts, axis=-1), np.stack(means, axis=-1)
 
     atom_mass = math.prod(float(_katz_pgf(a, b, sev.zero_mass)) for a, b, sev in freqs)
-    return _joint_model(f"katz_compound(n={n})", n, risks=risks, atom_mass=atom_mass)
+    return _joint_model(
+        f"katz_compound(n={n})", n, risks=risks, atom_mass=atom_mass, risk_columns=cols
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -448,27 +493,35 @@ class CommonShockCPSpec:
 
 
 def build_common_shock_cp(spec: CommonShockCPSpec) -> JointTransformModel:
+    """Common-shock compound Poisson pool.  Risks with equal (lambda_i,
+    beta_i, w_i) form one class: the transform has one column per class, and
+    L_S sums each class's exponent term times its multiplicity."""
     n = spec.n
     lam0, b0 = spec.lambda0, spec.beta0
-    lam = np.array(spec.lambdas)
-    bet = np.array(spec.betas)
-    p = np.array(spec.weights)
+    first, cols = _risk_classes(zip(spec.lambdas, spec.betas, spec.weights))
+    m = len(first)
+    lam = np.array(spec.lambdas)[first]
+    bet = np.array(spec.betas)[first]
+    p = np.array(spec.weights)[first]
 
     lam_bet = lam * bet
     shock = lam0 * b0 * p
+    # each class's rate counts once per risk in the exponent of L_S
+    lam_sum = lam if cols is None else lam * np.bincount(cols)
 
     def transform(z):
-        # q = 1/(beta_i + z) is formed once per risk and node and then reused
-        # in place, which keeps large pools (n ~ 1e4) inside the cache
+        # q = 1/(beta_c + z) is formed once per class and node in the output
+        # array and then reused in place, so a call holds only a few
+        # (nodes..., m) complex arrays
         z = np.asarray(z)[..., None]
-        out = np.empty(z.shape[:-1] + (n + 1,), dtype=complex)
+        out = np.empty(z.shape[:-1] + (m + 1,), dtype=complex)
         q = out[..., 1:]
         np.add(bet, z, out=q)
         np.reciprocal(q, out=q)
         q0 = 1.0 / (b0 + z)
         t = bet * q
         t -= 1.0
-        t *= lam
+        t *= lam_sum
         ls = np.exp(lam0 * (b0 * q0 - 1.0) + t.sum(axis=-1, keepdims=True))
         q *= q
         q *= lam_bet
@@ -477,9 +530,8 @@ def build_common_shock_cp(spec: CommonShockCPSpec) -> JointTransformModel:
         out[..., :1] = ls
         return out
 
-    return _joint_model(
-        f"common_shock_cp(n={n})", n, transform, atom_mass=math.exp(-spec.total_rate)
-    )
+    atom_mass = math.exp(-spec.total_rate)
+    return _joint_model(f"common_shock_cp(n={n})", n, transform, atom_mass=atom_mass, risk_columns=cols)
 
 
 # ---------------------------------------------------------------------------
@@ -590,9 +642,14 @@ class LognormalPortfolioSpec:
 
 
 def build_lognormal_portfolio(spec: LognormalPortfolioSpec) -> JointTransformModel:
+    """Independent lognormal risks; risks with equal (mu, sigma) form one
+    class, whose sums are formed once."""
     n = spec.n
-    mu = np.array(spec.mu)
-    sigma = np.array(spec.sigma)
+    first, cols = _risk_classes(zip(spec.mu, spec.sigma))
+    mu = np.array(spec.mu)[first]
+    sigma = np.array(spec.sigma)[first]
     stats: dict = {}
     risks = partial(_lognormal_sums, mu=mu, sigma=sigma, order=spec.gh_order, stats=stats)
-    return _joint_model(f"lognormal(n={n},gh={spec.gh_order})", n, risks=risks, stats=stats)
+    return _joint_model(
+        f"lognormal(n={n},gh={spec.gh_order})", n, risks=risks, stats=stats, risk_columns=cols
+    )

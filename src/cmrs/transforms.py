@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -47,7 +47,8 @@ class JointTransformModel:
     values [L_S(z), L_1(z), ..., L_n(z)] with L_i(z) = E[X_i exp(-zS)] along a
     new last axis, shape z.shape + (n+1,).  The nodes are a real array on the
     real axis and a complex one on the contour; a scalar z is a 0-d array, so
-    ``transform(1.0)`` gives the n+1 values at one point.  Nothing in the
+    ``transform(1.0)`` gives the n+1 values at one point (m+1 with a
+    ``risk_columns`` map, below).  Nothing in the
     package writes into the returned array, so a read-only view or an array
     cached across calls is a valid return.
 
@@ -57,6 +58,15 @@ class JointTransformModel:
 
     ``stats`` is a mutable scratch dict for evaluation counters (e.g.
     underflow guards).
+
+    ``risk_columns`` maps risks to classes of identical risks: an int array
+    of shape (n,) sending risk i to class column risk_columns[i] in 0..m-1,
+    every column used.  ``transform`` then returns [L_S, L_(1), ..., L_(m)]
+    with one allocation column per class, shape z.shape + (m+1,), which the
+    class's risks share; ``expand`` gives the n+1 view.  The allocation
+    engine inverts the m+1 columns and expands them afterwards; the
+    diagnostics read the n+1 view.  With ``None`` (the default) every risk
+    is its own column and m = n.
     """
 
     n: int
@@ -64,25 +74,58 @@ class JointTransformModel:
     atom_mass: float = 0.0
     label: str = ""
     stats: dict = field(default_factory=dict, repr=False)
+    risk_columns: Optional[np.ndarray] = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ModelSpecError(f"need at least one risk, got n={self.n}")
         if not 0.0 <= self.atom_mass <= 1.0:
             raise ModelSpecError(f"atom_mass must be finite and in [0, 1], got {self.atom_mass}")
+        if self.risk_columns is not None:
+            cols = np.asarray(self.risk_columns)
+            if (
+                cols.shape != (self.n,)
+                or cols.dtype.kind not in "iu"
+                or cols.min() < 0
+                or not np.bincount(cols).all()
+            ):
+                raise ModelSpecError(
+                    f"risk_columns must map the {self.n} risks onto columns 0..m-1, "
+                    f"each column used, got {self.risk_columns!r}"
+                )
+            object.__setattr__(self, "risk_columns", cols)
+
+    @property
+    def m(self) -> int:
+        """The number of allocation columns ``transform`` returns."""
+        return self.n if self.risk_columns is None else int(self.risk_columns.max()) + 1
+
+    def expand(self, values: np.ndarray) -> np.ndarray:
+        """The n+1 view [L_S, L_1, ..., L_n] of values whose last axis holds
+        the m+1 columns [L_S, class columns]; the values themselves when
+        there is no map."""
+        if self.risk_columns is None:
+            return values
+        return np.take(values, np.append(0, self.risk_columns + 1), axis=-1)
 
 
-def node_values(model, z: np.ndarray) -> np.ndarray:
+def column_values(model, z: np.ndarray) -> np.ndarray:
     """``model.transform(z)``, refused with EvaluationError unless it has the
-    shape z.shape + (n+1,) (a transform that stacks its n+1 values first
+    shape z.shape + (m+1,) (a transform that stacks its m+1 values first
     would otherwise broadcast into wrong numbers)."""
     vals = np.asarray(model.transform(z))
-    want = z.shape + (model.n + 1,)
+    want = z.shape + (model.m + 1,)
     if vals.shape != want:
         raise EvaluationError(
             f"transform returned shape {vals.shape} for nodes of shape {z.shape}, expected {want}"
         )
     return vals
+
+
+def node_values(model, z: np.ndarray) -> np.ndarray:
+    """[L_S(z), L_1(z), ..., L_n(z)] along a new last axis: the checked
+    ``column_values``, one column per risk."""
+    return model.expand(column_values(model, z))
 
 
 def eval_transform(model, z) -> np.ndarray:

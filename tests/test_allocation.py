@@ -1,4 +1,5 @@
 import dataclasses
+import io
 import math
 import tracemalloc
 
@@ -22,7 +23,14 @@ from cmrs.allocation import (
     proportions,
     tail_contribution,
 )
-from cmrs.errors import DomainError, EvaluationError, InversionError, SingularMatrixError
+from cmrs.cli import _BENCH_GRID, _scaled_cscp, write_csv
+from cmrs.errors import (
+    DomainError,
+    EvaluationError,
+    InversionError,
+    ModelSpecError,
+    SingularMatrixError,
+)
 from cmrs.inversion import EulerScheme, GsScheme, invert
 from cmrs.mixing import gamma_mixing
 from cmrs.models import (
@@ -36,8 +44,10 @@ from cmrs.models import (
     build_lognormal_portfolio,
     build_matrix_exp,
     build_mixed_exp_frailty,
+    _product_rule,
     erlang_me_spec,
     exponential_me_spec,
+    exponential_severity,
 )
 from cmrs.oracles import (
     cscp_series_oracle,
@@ -50,6 +60,7 @@ from cmrs.transforms import (
     JointTransformModel,
     diagonal_diagnostic,
     eval_transform,
+    node_values,
 )
 
 CS_REF = CommonShockCPSpec(
@@ -627,3 +638,134 @@ class TestBlockEngine:
         finally:
             tracemalloc.stop()
         assert peak <= 8 * z.size * (n + 1) * 16
+
+
+def _per_risk_common_shock(spec):
+    """The common-shock transform with one column per risk, written out
+    plainly: the reference for a pool whose builder groups its risks."""
+    lam, bet, w = (np.array(v) for v in (spec.lambdas, spec.betas, spec.weights))
+
+    def transform(z):
+        z = np.asarray(z)[..., None]
+        q, q0 = 1.0 / (bet + z), 1.0 / (spec.beta0 + z)
+        t = (lam * (bet * q - 1.0)).sum(-1, keepdims=True)
+        ls = np.exp(spec.lambda0 * (spec.beta0 * q0 - 1.0) + t)
+        li = (lam * bet * q * q + spec.lambda0 * spec.beta0 * w * q0 * q0) * ls
+        return np.concatenate([ls, li], axis=-1)
+
+    return JointTransformModel(spec.n, transform, atom_mass=math.exp(-spec.total_rate))
+
+
+class TestRiskClasses:
+    """Pools of a few classes of identical risks: one column per class from
+    the model, inverted once and expanded to the risks."""
+
+    def test_distinct_risks_have_no_map(self):
+        assert build_common_shock_cp(CS_REF).risk_columns is None
+        assert build_matrix_exp([exponential_me_spec(1.0), exponential_me_spec(2.0)]).risk_columns is None
+        # the frailty keeps one column per risk, equal lambdas or not
+        frailty = build_mixed_exp_frailty(MixedExpFrailtySpec((1.0, 1.0), gamma_mixing(2.0)))
+        assert frailty.risk_columns is None
+
+    def test_classes_in_order_of_first_appearance(self):
+        model = build_common_shock_cp(_scaled_cscp(CS_REF, 10))
+        # cycled rates and severities, equal weights but the last one
+        assert model.risk_columns.tolist() == [0, 1, 2, 0, 1, 2, 0, 1, 2, 3]
+        assert model.m == 4
+        assert model.transform(np.array([1.0, 2.0])).shape == (2, 5)
+        assert eval_transform(model, np.array([1.0, 2.0])).shape == (2, 11)
+        assert diagonal_diagnostic(model, np.logspace(-2, 2, 25)).all_passed
+
+    def test_katz_classes_need_the_same_severity_object(self):
+        sev = exponential_severity(1.0)
+        shared = build_katz_compound(KatzCompoundSpec((0.0, 0.0), (2.0, 2.0), (sev, sev)))
+        assert shared.risk_columns.tolist() == [0, 0]
+        twins = (exponential_severity(1.0), exponential_severity(1.0))
+        assert build_katz_compound(KatzCompoundSpec((0.0, 0.0), (2.0, 2.0), twins)).risk_columns is None
+
+    @pytest.mark.parametrize(
+        "cols", [[0, 2, 2], [0, 1], [0, -1, 1], [0.0, 1.0, 1.0]], ids=["gap", "short", "negative", "float"]
+    )
+    def test_bad_map_refused(self, cols):
+        with pytest.raises(ModelSpecError, match="risk_columns"):
+            JointTransformModel(n=3, transform=lambda z: z, risk_columns=np.array(cols))
+
+    def test_replicated_common_shock_matches_per_risk_transform(self):
+        spec = _scaled_cscp(CS_REF, 30)
+        model = build_common_shock_cp(spec)
+        z = EulerScheme().nodes(np.array([0.5, 4.0, 12.0]))
+        want = _per_risk_common_shock(spec).transform(z)
+        assert np.abs(node_values(model, z) - want).max() <= 1e-13 * np.abs(want).max()
+        grid = _grid(0.5, 12.0, 0.5)
+        res = allocate(AllocationRequest(model=model, s_grid=grid, scheme=EulerScheme()))
+        ref = allocate(
+            AllocationRequest(model=_per_risk_common_shock(spec), s_grid=grid, scheme=EulerScheme())
+        )
+        assert res.status == ref.status == [STATUS_OK] * len(grid)
+        assert np.abs(res.density - ref.density).max() <= 1e-12
+        assert np.abs(res.h - ref.h).max() <= 1e-11
+
+    def test_class_product_rule_matches_per_risk_rule(self):
+        # ten Erlang(3) risks at four rates: L_c^{m_c} powers against the
+        # product over every risk
+        specs = [erlang_me_spec(3, r) for r in (1.0, 1.5, 2.0, 2.5, 1.0, 1.5, 2.0, 2.5, 1.0, 1.5)]
+        model = build_matrix_exp(specs)
+        assert model.m == 4
+        z = EulerScheme().nodes(np.array([1.0, 6.0]))
+        pairs = [sp.lst_pair(z) for sp in specs]
+        want = _product_rule(*(np.stack(v, axis=-1) for v in zip(*pairs)))
+        got = node_values(model, z)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    @pytest.mark.parametrize("pool", ["common_shock", "lognormal"])
+    def test_identical_risks_get_identical_shares(self, pool):
+        if pool == "common_shock":
+            model = build_common_shock_cp(_scaled_cscp(CS_REF, 100))
+            grid = _grid(0.5, 12.0, 0.5)
+        else:
+            # the 200-risk lognormal pool, E[S] = 332, on [0.6, 1.4] E[S]
+            means = (1.0, 2.0, 2.0) * 66 + (1.0, 1.0)
+            variances = (5.0, 2.0, 5.0) * 66 + (5.0, 5.0)
+            model = build_lognormal_portfolio(LognormalPortfolioSpec.from_moments(means, variances))
+            grid = tuple(332.0 * np.linspace(0.6, 1.4, 21))
+        res = allocate(AllocationRequest(model=model, s_grid=grid, scheme=EulerScheme()))
+        cols = model.risk_columns
+        first = np.unique(cols, return_index=True)[1]
+        for name in ("raw_xi", "xi", "h"):
+            values = getattr(res, name)
+            assert np.array_equal(values, values[:, first[cols]], equal_nan=True)
+        tail = np.array(tail_contribution(res, grid[len(grid) // 2]).per_risk)
+        assert np.array_equal(tail, tail[first[cols]])
+
+    def test_class_csv_is_the_per_value_csv(self):
+        # with an origin atom and a degraded tail: the class writer's bytes
+        # are those of formatting every value
+        model = build_common_shock_cp(_scaled_cscp(CS_REF, 50))
+        res = allocate(AllocationRequest(model=model, s_grid=_grid(0.5, 60.0, 0.5), scheme=EulerScheme()))
+        assert model.atom_mass > 0.0 and res.worst_status != STATUS_OK
+        plain = dataclasses.replace(
+            res,
+            request=dataclasses.replace(
+                res.request, model=dataclasses.replace(model, risk_columns=None)
+            ),
+        )
+        bufs = io.StringIO(), io.StringIO()
+        assert write_csv(res, bufs[0]) == write_csv(plain, bufs[1]) == len(res.status) + 1
+        assert bufs[0].getvalue() == bufs[1].getvalue()
+
+    def test_block_budget_counts_class_columns(self):
+        # n = 10^4 risks in m = 4 classes on the bench grid: 2**14 // (41 x 5)
+        # = 79 points per block, so two model calls of m + 1 = 5 columns
+        base = build_common_shock_cp(_scaled_cscp(CS_REF, 10**4))
+        shapes = []
+
+        def transform(z):
+            out = base.transform(z)
+            shapes.append(out.shape)
+            return out
+
+        model = dataclasses.replace(base, transform=transform)
+        res = allocate(AllocationRequest(model=model, s_grid=_BENCH_GRID, scheme=EulerScheme()))
+        assert sorted(shapes) == [(21, 41, 5), (79, 41, 5)]
+        assert res.h.shape == (100, 10**4)
+        assert res.status == [STATUS_OK] * 100

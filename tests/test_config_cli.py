@@ -757,6 +757,32 @@ class TestCliVerify:
         out = capsys.readouterr().out.splitlines()
         assert [line for line in out if "FAIL" in line] == [want]
 
+    def test_mc_line_names_its_bound(self, tmp_path, capsys):
+        # iid_exponential.yaml at s = 10, where the 200,000-sample window
+        # holds few samples: 3se is far above the 1e-3 tolerance, so every
+        # line says the tolerance is not resolved, and the pass rule
+        # max(tol, 3se) still passes it
+        doc = yaml.safe_load((CONFIGS / "iid_exponential.yaml").read_text())
+        doc["verify"]["points"] = [10.0]
+        cfg = _write(tmp_path, "cfg.yaml", yaml.safe_dump(doc))
+        assert main(["verify", "--config", cfg]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert len(out) == 4
+        for i, line in enumerate(out[:3], start=1):
+            assert line.startswith(f"mc s=10 risk {i}: |h - est| = ")
+            assert ", bound 3se = " in line
+            assert line.endswith(" (tolerance 0.001 not resolved): pass")
+        assert out[3] == "mc: tolerance 0.001 not resolved at 3 of 3 compared shares (3se > tol)"
+
+    def test_mc_line_names_a_resolved_tolerance(self, tmp_path, capsys):
+        doc = yaml.safe_load((CONFIGS / "iid_exponential.yaml").read_text())
+        doc["verify"].update(points=[3.0], tolerance=1.0)
+        cfg = _write(tmp_path, "cfg.yaml", yaml.safe_dump(doc))
+        assert main(["verify", "--config", cfg]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert all(", bound tol = 1 (3se = " in line for line in out[:3])
+        assert out[3] == "mc: tolerance 1 not resolved at 0 of 3 compared shares (3se > tol)"
+
     def test_method_none_is_an_error(self, tmp_path, capsys):
         text = ERLANG_YAML.replace("method: closed_form", "method: none")
         cfg = _write(tmp_path, "cfg.yaml", text)
