@@ -354,8 +354,8 @@ def run_bench(cfg: RunConfig) -> list[BenchRow]:
     The host's speed varies in spells of seconds, so the sizes are visited
     in rounds whose order reverses each time: per visit, one untimed call
     that brings the size's arrays back into the cache, then
-    ``_BENCH_BURST`` pairs of calls, the leading leg alternating.  The
-    number of rounds, at least two, makes the sweep take about ``reps`` x
+    ``_BENCH_BURST`` pairs of calls, the leading leg alternating.  Rounds
+    run, at least two of them, until the sweep has taken ``reps`` x
     ``_BENCH_SAMPLE_S`` per leg and size.  A sweep that straddles a calm and
     a slow spell has two clusters of call times (about 1.4 and 2.1 ms at
     n = 5 on a 2-vCPU KVM guest); their median falls between them and
@@ -383,15 +383,12 @@ def run_bench(cfg: RunConfig) -> list[BenchRow]:
                 for theta in thetas
             ]
         )
-    t0 = time.perf_counter()
-    for pair in legs:
-        allocate(pair[0])
-    round_s = (time.perf_counter() - t0) * (1 + 2 * _BENCH_BURST)
-    budget = 2 * cfg.bench.reps * _BENCH_SAMPLE_S * len(legs)
-    rounds = max(2, math.ceil(budget / round_s))
+    deadline = time.perf_counter() + 2 * cfg.bench.reps * _BENCH_SAMPLE_S * len(legs)
     calls = [{theta: [] for theta in thetas} for _ in legs]
     order = list(range(len(legs)))
-    for _ in range(rounds):
+    rounds = 0
+    while rounds < 2 or time.perf_counter() < deadline:
+        rounds += 1
         for k in order:
             pair = legs[k]
             allocate(pair[0])

@@ -349,11 +349,16 @@ def _build_me_risk(block: dict) -> MatrixExpSpec:
     )
 
 
-def _build_severity(block: dict):
+def _build_severity(block: dict, shared: dict):
+    """The severity handle a block describes: one handle per rate in
+    ``shared``, so that equal risks of a model block form one class."""
     _require_keys(block, {"kind", "rate"}, "severity")
     if block.get("kind") != "exponential":
         raise ConfigError(f"unknown severity kind {block.get('kind')!r}")
-    return exponential_severity(float(block["rate"]))
+    rate = float(block["rate"])
+    if rate not in shared:
+        shared[rate] = exponential_severity(rate)
+    return shared[rate]
 
 
 def _parse_model(p: dict) -> ModelSpec:
@@ -373,10 +378,11 @@ def _parse_model(p: dict) -> ModelSpec:
         risks = p["risks"]
         for r in risks:
             _require_keys(r, {"a", "b", "severity"}, "katz risk")
+        shared: dict = {}
         return KatzCompoundSpec(
             tuple(float(r["a"]) for r in risks),
             tuple(float(r["b"]) for r in risks),
-            tuple(_build_severity(r["severity"]) for r in risks),
+            tuple(_build_severity(r["severity"], shared) for r in risks),
         )
     if fam == "common_shock_cp":
         _require_keys(p, {"family", "lambda0", "lambdas", "beta0", "betas", "weights"}, "model")

@@ -23,7 +23,8 @@ class InversionError(CmrsError):
 
 
 class SingularMatrixError(CmrsError):
-    """Pivot below the singularity threshold in the linear solver."""
+    """A matrix-exponential solve refused at a node: a pivot below the
+    singularity threshold or a residual above its bound."""
 
 
 class OracleError(CmrsError):

@@ -10,7 +10,9 @@ L_S and the L_i.  The builders of the common-shock, matrix-exponential, Katz
 and lognormal families find the classes of identical risks (by exact
 equality of each risk's parameters) and return one allocation column per
 class, shape z.shape + (m+1,), with the map from risks to classes as the
-model's ``risk_columns``; a pool of distinct risks has no map.
+model's ``risk_columns``; a pool of distinct risks has no map.  A
+matrix-exponential risk keeps the complex Schur form of its T, computed on
+first use, and solves by back-substitution over the node array.
 
 Every builder returns through one constructor, which probes each factor of
 L_S at construction time: each risk's transform for independent risks, L_S
@@ -26,7 +28,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial, reduce
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -143,48 +145,6 @@ def _risk_classes(keys) -> tuple[list[int], Optional[np.ndarray]]:
 
 
 # ---------------------------------------------------------------------------
-# linear solves
-
-
-def checked_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve A x = b for each matrix along the leading axes of A (b is one
-    vector or one per matrix), by LAPACK's LU with partial pivoting.
-
-    Raises SingularMatrixError when A has a non-finite entry, when any pivot
-    falls below 1e-14 * max|A| (a zero matrix included) or when a residual
-    fails |Ax - b| <= 1e-10 (|A| |x| + |b|) in the max norm.
-    """
-    A = np.asarray(A)
-    b = np.asarray(b)
-    d = A.shape[-1]
-    if A.ndim < 2 or A.shape[-2] != d or b.shape[-1:] != (d,):
-        raise ModelSpecError(f"shape mismatch: A {A.shape}, b {b.shape}")
-    scale = np.abs(A).max(axis=(-2, -1))
-    if not np.isfinite(scale).all():
-        raise SingularMatrixError(f"matrix has a non-finite entry (max |A| = {scale.max()})")
-    try:
-        x = np.linalg.solve(A, b[..., None])[..., 0]
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError(f"zero pivot: {exc}") from exc
-    # |det A| is the product of the pivots, and partial pivoting keeps the
-    # k-th one below 2^(k-1) max|A|; so a determinant at least
-    # 1e-14 2^(d(d-1)/2) max|A|^d leaves no pivot below 1e-14 max|A|, and
-    # only the other matrices are factored to read their pivots
-    suspect = np.linalg.slogdet(A)[1] < math.log(1e-14 * 2.0 ** (d * (d - 1) / 2)) + d * np.log(scale)
-    if suspect.any():
-        lu, _ = scipy.linalg.lu_factor(A[suspect], check_finite=False)
-        ratio = np.abs(np.diagonal(lu, axis1=-2, axis2=-1)).min(axis=-1) / scale[suspect]
-        if (ratio < 1e-14).any():
-            raise SingularMatrixError(f"pivot {ratio.min():.3e} max|A|, below 1e-14 max|A|")
-    resid = np.abs((A @ x[..., None])[..., 0] - b).max(axis=-1)
-    if not (resid <= 1e-10 * (scale * np.abs(x).max(axis=-1) + np.abs(b).max(axis=-1))).all():
-        raise SingularMatrixError(
-            f"solve residual {resid.max():.3e} exceeds its bound 1e-10 (|A| |x| + |b|)"
-        )
-    return x
-
-
-# ---------------------------------------------------------------------------
 # mixed-exponential frailty
 
 
@@ -274,13 +234,70 @@ class MatrixExpSpec:
     def dim(self) -> int:
         return self.alpha.shape[0]
 
+    @cached_property
+    def _schur(self) -> tuple[np.ndarray, Optional[np.ndarray]]:
+        """(R, Q) with T = Q R Q^H, R upper triangular and Q unitary (the
+        complex Schur form), computed on first use; an upper-triangular T is
+        its own, and Q is then None for the identity."""
+        if not np.tril(self.T, -1).any():
+            return self.T, None
+        return scipy.linalg.schur(self.T, output="complex")
+
     def lst_pair(self, z) -> tuple[np.ndarray, np.ndarray]:
         """(E[exp(-zX)], E[X exp(-zX)]) = (p0 + alpha y, alpha (zI - T)^{-1} y)
-        with y = (zI - T)^{-1} u, for an array of nodes z: two batched solves
-        for both."""
-        M = np.asarray(z)[..., None, None] * np.eye(self.dim) - self.T
-        y = checked_solve(M, self.u)
-        return self.p0 + y @ self.alpha, checked_solve(M, y) @ self.alpha
+        with y = (zI - T)^{-1} u, for an array of nodes z, in z's shape (real
+        for real z).
+
+        With T = Q R Q^H, both solves are back-substitutions in zI - R, d
+        stages of elementwise operations over the whole node array: O(d^2)
+        flops per node, no factorization, and each node gets the numbers of
+        a call on that node alone.  Raises SingularMatrixError where a pivot
+        |z - r_ii| is not above 1e-14 max|zI - T| (a non-finite node
+        included), or where the first solve's residual, in the original
+        basis, fails |(zI - T) Q y - u| <= 1e-10 (|zI - T| |Q y| + |u|) in
+        the max norm.
+        """
+        z = np.asarray(z)
+        R, Q = self._schur
+        d = self.dim
+        a, b = (self.alpha, self.u) if Q is None else (self.alpha @ Q, Q.conj().T @ self.u)
+        pivots = [z - R[i, i] for i in range(d)]
+        # zI - T in the original basis: its diagonal, off-diagonal part and largest entry
+        diag = pivots if Q is None else [z - self.T[i, i] for i in range(d)]
+        off = self.T - np.diag(np.diag(self.T))
+        scale = reduce(np.maximum, (np.abs(v) for v in diag), np.abs(off).max())
+        bad = ~(reduce(np.minimum, (np.abs(v) for v in pivots)) > 1e-14 * scale)
+        if bad.any():
+            raise SingularMatrixError(f"pivot not above 1e-14 max|zI - T| at z = {z[bad][0]}")
+
+        def solve(rhs):
+            out = [None] * d
+            for i in reversed(range(d)):
+                out[i] = _dot(R[i, i + 1 :], out[i + 1 :], rhs[i]) / pivots[i]
+            return out
+
+        y = solve(b)
+        yq = y if Q is None else [_dot(Q[i], y, 0.0) for i in range(d)]
+        resid = reduce(
+            np.maximum, (np.abs(diag[i] * yq[i] - _dot(off[i], yq, self.u[i])) for i in range(d))
+        )
+        bound = 1e-10 * (scale * reduce(np.maximum, (np.abs(v) for v in yq)) + np.abs(self.u).max())
+        if not (resid <= bound).all():
+            raise SingularMatrixError(
+                f"solve residual {np.max(resid):.3e} exceeds 1e-10 (|zI - T| |Q y| + |u|)"
+            )
+        zero = np.zeros_like(pivots[0])
+        pair = _dot(a, y, zero + self.p0), _dot(a, solve(y), zero)
+        return pair if np.iscomplexobj(z) else (pair[0].real, pair[1].real)
+
+
+def _dot(coeffs: np.ndarray, arrays: list, start):
+    """start + sum_i coeffs[i] arrays[i] over the nonzero coefficients, added
+    elementwise in index order."""
+    for c, v in zip(coeffs, arrays):
+        if c != 0.0:
+            start = start + c * v
+    return start
 
 
 def is_phase_type(spec: MatrixExpSpec) -> bool:

@@ -37,6 +37,7 @@ from cmrs.models import (
     CommonShockCPSpec,
     KatzCompoundSpec,
     LognormalPortfolioSpec,
+    MatrixExpSpec,
     MixedExpFrailtySpec,
     SeverityHandle,
     build_common_shock_cp,
@@ -510,6 +511,17 @@ def _one_point(model, scheme, s):
     ]
 
 
+# a phase-type risk whose phases 1 -> 2 -> 3 -> 1 form a cycle: T is not
+# triangular and has the complex eigenvalue pair -5.5 +- 1.5 sqrt(3) i
+CYCLIC_ME = MatrixExpSpec(
+    np.array([0.5, 0.2, 0.2, 0.1]),
+    np.array(
+        [[-4.0, 3.0, 0.0, 0.0], [0.0, -4.0, 3.0, 0.0], [3.0, 0.0, -4.0, 0.5], [0.0, 0.0, 0.0, -2.0]]
+    ),
+    np.array([1.0, 1.0, 0.5, 2.0]),
+)
+
+
 class TestBlockEngine:
     # n = 3 on 41 Euler nodes: 164 elements per point, so 320 points fill
     # more than three blocks
@@ -608,11 +620,15 @@ class TestBlockEngine:
             build_lognormal_portfolio(
                 LognormalPortfolioSpec.from_moments((1.0, 2.0, 2.0), (5.0, 2.0, 5.0))
             ),
+            # the cyclic phase-type risk has a non-triangular T with a
+            # complex eigenvalue pair, so it goes through its Schur form
+            build_matrix_exp([erlang_me_spec(3, 1.0), CYCLIC_ME, exponential_me_spec(2.0)]),
         ],
-        ids=["frailty", "lognormal"],
+        ids=["frailty", "lognormal", "matrix_exp"],
     )
     def test_quadrature_blocks_match_one_point_inversions(self, model):
-        # the quadrature families sum over their nodes elementwise per
+        # the quadrature families sum over their nodes, and the
+        # matrix-exponential solves over their stages, elementwise per
         # transform node, so a block gives every point the numbers of a
         # call on its own nodes, bit for bit
         grid = _grid(0.1, 25.0, 0.1)
@@ -622,6 +638,25 @@ class TestBlockEngine:
             one = self._run(model, grid=(s,))
             assert res.density[k] == one.density[0]
             assert np.array_equal(res.raw_xi[k], one.raw_xi[0])
+
+    def test_singular_solve_fails_only_its_point(self):
+        # Exp(1) written with a second, unobservable phase whose rate is
+        # minus the first Euler node at s = 2: zI - T is singular there, so
+        # that point fails alone and the others get the plain Exp(1) numbers
+        z_bad = EulerScheme().nodes(2.0)[0].real
+        hidden = MatrixExpSpec([1.0, 0.0], np.diag([-1.0, z_bad]), [1.0, 0.0])
+        with pytest.raises(SingularMatrixError, match="pivot"):
+            hidden.lst_pair(np.array([1.0, z_bad]))
+        grid = (0.5, 1.0, 2.0)
+        res = self._run(build_matrix_exp([hidden, exponential_me_spec(2.0)]), grid=grid)
+        plain = self._run(
+            build_matrix_exp([exponential_me_spec(1.0), exponential_me_spec(2.0)]), grid=grid
+        )
+        assert res.status == [STATUS_OK, STATUS_OK, STATUS_FAILED]
+        assert plain.status == [STATUS_OK] * 3
+        keep = [0, 1]
+        assert np.array_equal(res.density[keep], plain.density[keep])
+        assert np.array_equal(res.raw_xi[keep], plain.raw_xi[keep])
 
     def test_frailty_call_memory_is_nodes_by_risks(self):
         # one Euler point of a 1000-risk gamma frailty on 200 quadrature

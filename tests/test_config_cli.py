@@ -28,7 +28,14 @@ from cmrs.config import (
 )
 from cmrs.errors import ConfigError, InversionError, ModelSpecError
 from cmrs.inversion import EulerScheme, GsScheme
-from cmrs.models import CommonShockCPSpec, MatrixExpSpec, build_common_shock_cp
+from cmrs.models import (
+    CommonShockCPSpec,
+    KatzCompoundSpec,
+    MatrixExpSpec,
+    build_common_shock_cp,
+    build_katz_compound,
+    exponential_severity,
+)
 
 ERLANG_YAML = textwrap.dedent(
     """
@@ -255,6 +262,26 @@ class TestConfigParsing:
         cfg = parse_config(data)
         model, _ = build_model_from_config(cfg.model)
         assert model.n == 2
+
+    def test_katz_risks_share_a_severity_per_rate(self):
+        # three equal risks form one class: one inverted column, the shares
+        # of three distinct handles with equal parameters
+        risk = {"a": 0.0, "b": 2.0, "severity": {"kind": "exponential", "rate": 1.0}}
+        data = {"model": {"family": "katz_compound", "risks": [risk] * 3}, "grid": {"points": [1.0]}}
+        spec = parse_config(data).model
+        assert len({id(sev) for sev in spec.severities}) == 1
+        model, _ = build_model_from_config(spec)
+        assert model.m == 1 and model.risk_columns.tolist() == [0, 0, 0]
+        twins = tuple(exponential_severity(1.0) for _ in range(3))
+        plain = build_katz_compound(KatzCompoundSpec(spec.a, spec.b, twins))
+        assert plain.risk_columns is None
+        grid = tuple(np.arange(0.5, 15.0, 0.5))
+        res, ref = (
+            allocate(AllocationRequest(model=m, s_grid=grid, scheme=EulerScheme()))
+            for m in (model, plain)
+        )
+        assert res.status == ref.status
+        assert np.abs(res.h - ref.h).max() <= 1e-12
 
     def test_lognormal_moment_and_parameter_blocks_conflict(self):
         data = yaml.safe_load(ERLANG_YAML)

@@ -11,6 +11,7 @@ from cmrs.errors import (
     ModelSpecError,
     SingularMatrixError,
 )
+from cmrs.inversion import EulerScheme, GsScheme
 from cmrs.mixing import gamma_mixing, levy_mixing, point_mass_mixing
 from cmrs.models import (
     CommonShockCPSpec,
@@ -23,7 +24,6 @@ from cmrs.models import (
     build_lognormal_portfolio,
     build_matrix_exp,
     build_mixed_exp_frailty,
-    checked_solve,
     erlang_me_spec,
     exponential_me_spec,
     exponential_severity,
@@ -32,50 +32,87 @@ from cmrs.models import (
 from cmrs.transforms import diagonal_diagnostic, eval_transform, node_values
 
 
-class TestComplexSolve:
-    def test_recovers_known_solution(self):
-        A = np.array([[2.0, 1.0], [1.0, 3.0 + 1.0j]], dtype=complex)
-        x_true = np.array([1.5, -0.5j])
-        x = checked_solve(A, A @ x_true)
-        assert np.abs(x - x_true).max() < 1e-13
+# a phase-type risk whose phases 1 -> 2 -> 3 -> 1 form a cycle: T is not
+# triangular and has the complex eigenvalue pair -5.5 +- 1.5 sqrt(3) i
+CYCLIC = MatrixExpSpec(
+    np.array([0.5, 0.2, 0.2, 0.1]),
+    np.array(
+        [[-4.0, 3.0, 0.0, 0.0], [0.0, -4.0, 3.0, 0.0], [3.0, 0.0, -4.0, 0.5], [0.0, 0.0, 0.0, -2.0]]
+    ),
+    np.array([1.0, 1.0, 0.5, 2.0]),
+)
 
-    def test_solves_a_stack_of_systems(self):
-        # one matrix per node along the leading axes, one shared right-hand side
-        z = np.array([[0.5, 1.0 + 2.0j], [3.0 - 1.0j, 7.0]])
-        T = np.array([[-2.0, 2.0], [0.0, -2.0]])
-        A = z[..., None, None] * np.eye(2) - T
-        b = np.array([0.0, 2.0])
-        x = checked_solve(A, b)
-        assert x.shape == (2, 2, 2)
-        assert np.abs(np.einsum("...ij,...j->...i", A, x) - b).max() < 1e-14
 
-    def test_singular_matrix_rejected(self):
+def _dense_pair(spec, z):
+    """(p0 + alpha y, alpha x) from np.linalg.solve on each node's zI - T."""
+    M = np.asarray(z, dtype=complex)[..., None, None] * np.eye(spec.dim) - spec.T
+    y = np.linalg.solve(M, np.broadcast_to(spec.u, M.shape[:-1])[..., None])
+    x = np.linalg.solve(M, y)
+    return spec.p0 + y[..., 0] @ spec.alpha, x[..., 0] @ spec.alpha
+
+
+class TestMatrixExpSolve:
+    """Both solves of ``lst_pair`` run as back-substitutions in the Schur
+    form of T, over the whole node array."""
+
+    def test_schur_form(self):
+        R, Q = CYCLIC._schur
+        assert np.abs(Q @ R @ Q.conj().T - CYCLIC.T).max() <= 1e-14 * np.abs(CYCLIC.T).max()
+        assert not np.tril(R, -1).any()
+        eig = np.sort_complex(np.linalg.eigvals(CYCLIC.T))
+        assert np.abs(eig[:2] - (-5.5 + np.array([-1.5, 1.5]) * math.sqrt(3) * 1j)).max() < 1e-12
+        # computed once per spec; a triangular T is its own Schur form
+        assert CYCLIC._schur is CYCLIC._schur
+        erlang = erlang_me_spec(3, 2.0)
+        R, Q = erlang._schur
+        assert Q is None and R is erlang.T
+
+    @pytest.mark.parametrize(
+        "nodes",
+        [
+            EulerScheme().nodes(np.array([0.5, 4.0, 20.0])),
+            GsScheme().nodes(np.array([0.5, 4.0, 20.0])),
+            np.asarray(1.0 + 2.0j),
+        ],
+        ids=["euler", "gaver_stehfest", "0d"],
+    )
+    @pytest.mark.parametrize(
+        "spec",
+        [CYCLIC, erlang_me_spec(3, 1.5), MatrixExpSpec([0.6], [[-2.0]], [2.0], p0=0.4)],
+        ids=["cyclic", "erlang", "atom"],
+    )
+    def test_matches_dense_solve(self, spec, nodes):
+        got = spec.lst_pair(nodes)
+        for g, w in zip(got, _dense_pair(spec, nodes)):
+            assert g.shape == nodes.shape
+            assert np.abs(g - w).max() <= 1e-14 * np.abs(w).max()
+        # real nodes give real values, complex Schur form or not
+        assert all(not np.iscomplexobj(v) for v in spec.lst_pair(np.array([0.0, 0.5])))
+
+    def test_node_at_an_eigenvalue_refused(self):
+        for z in np.linalg.eigvals(CYCLIC.T):
+            with pytest.raises(SingularMatrixError, match="pivot"):
+                CYCLIC.lst_pair(np.array([1.0, z]))
+        # Erlang(2, 1): max|zI - T| = 1 near z = -1, so the pivot z + 1 is
+        # refused below 1e-14 and kept above it
+        erlang = erlang_me_spec(2, 1.0)
         with pytest.raises(SingularMatrixError, match="pivot"):
-            checked_solve(np.array([[1.0, 2.0], [2.0, 4.0]]), np.array([1.0, 1.0]))
+            erlang.lst_pair(-1.0 + 5e-15)
+        assert np.isfinite(erlang.lst_pair(-1.0 + 1.5e-14)).all()
 
-    def test_near_singular_matrix_rejected(self):
-        # LAPACK solves this one (its second pivot, ~4.4e-16 = 1.1e-16 max|A|,
-        # is not zero), but a pivot that small leaves the solution meaningless
-        A = np.array([[1.0, 2.0], [2.0, 4.0 * (1.0 + 2.0**-51)]])
-        assert np.isfinite(np.linalg.solve(A, np.ones(2))).all()
-        with pytest.raises(SingularMatrixError, match="pivot"):
-            checked_solve(A, np.ones(2))
-        # one such matrix in a stack refuses the whole stack
-        stack = np.stack([np.eye(2), A])
-        with pytest.raises(SingularMatrixError, match="pivot"):
-            checked_solve(stack, np.ones(2))
-        # a pivot just above the bound passes, although the determinant
-        # (here the pivot itself) is small enough to have the pivots read
-        x = checked_solve(np.stack([np.eye(2), np.diag([1.0, 1.5e-14])]), np.ones(2))
-        assert x[1, 1] == pytest.approx(1.0 / 1.5e-14, rel=1e-15)
+    def test_overflowing_solve_refused_by_its_residual(self):
+        # every pivot is 1e-10 max|zI - T|, above the pivot bound, but y
+        # overflows, and (zI - T) y - u is inf - inf in the first row
+        spec = MatrixExpSpec([1.0, 0.0], [[-1.0, 1.0], [0.0, -1.0]], [0.0, 1e300])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(SingularMatrixError, match="residual"):
+                spec.lst_pair(np.array([1.0, -1.0 + 1e-10]))
 
-    def test_zero_matrix_rejected(self):
+    def test_nonfinite_node_and_zero_matrix_refused(self):
         with pytest.raises(SingularMatrixError):
-            checked_solve(np.zeros((2, 2)), np.ones(2))
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ModelSpecError, match="shape"):
-            checked_solve(np.eye(3), np.ones(2))
+            erlang_me_spec(2, 1.0).lst_pair(np.array([1.0, np.nan]))
+        with pytest.raises(SingularMatrixError):
+            MatrixExpSpec([1.0], [[0.0]], [0.0]).lst_pair(0.0)
 
 
 class TestMixedExpFrailty:
