@@ -93,6 +93,8 @@ class TestMatrixExpSolve:
         for z in np.linalg.eigvals(CYCLIC.T):
             with pytest.raises(SingularMatrixError, match="pivot"):
                 CYCLIC.lst_pair(np.array([1.0, z]))
+
+    def test_node_near_an_eigenvalue_refused_below_the_pivot_bound(self):
         # Erlang(2, 1): max|zI - T| = 1 near z = -1, so the pivot z + 1 is
         # refused below 1e-14 and kept above it
         erlang = erlang_me_spec(2, 1.0)
