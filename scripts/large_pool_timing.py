@@ -1,20 +1,26 @@
 #!/usr/bin/env python3
-"""Raw timing of one large heterogeneous common-shock pool, in one process.
+"""Raw timing of one large heterogeneous pool, in one process.
 
-    python3 scripts/large_pool_timing.py ROOT [--n 10000] [--points 100] [--reps 5]
+    python3 scripts/large_pool_timing.py ROOT [--family common_shock_cp]
+        [--n N] [--points P] [--reps 5]
 
-ROOT is a checkout with ``src/cmrs``; its package is the one imported.  The
-pool has no two identical risks, so it runs without a risk map:
-lambda_i ~ U(0.5, 1.5) rescaled to sum 3, beta_i ~ U(0.6, 2.0) and
-w_i ~ U(0.5, 1.5) normalised, drawn in that order from
-``np.random.default_rng(3)``, with lambda0 = 1.5 and beta0 = 0.9, on the grid
-``np.linspace(0.5, 12, points)`` under default Euler.
+ROOT is a checkout with ``src/cmrs``; its package is the one imported.  Each
+pool has no two identical risks, so it runs without a risk map, under
+default Euler.
+
+* ``common_shock_cp`` (default n = 10000, 100 points): lambda_i ~ U(0.5, 1.5)
+  rescaled to sum 3, beta_i ~ U(0.6, 2.0) and w_i ~ U(0.5, 1.5) normalised,
+  drawn in that order from ``np.random.default_rng(3)``, with lambda0 = 1.5
+  and beta0 = 0.9, on the grid ``np.linspace(0.5, 12, points)``.
+* ``mixed_exp_frailty`` (default n = 1000, 10 points): the gamma frailty
+  ``gamma_mixing(3.0)`` with lambda_j = 3 U(0.5, 2)/n drawn from
+  ``np.random.default_rng(5)``, on the grid ``np.linspace(0.5, 8, points)``.
 
 One untimed ``allocate`` comes first.  Then each rep times ``allocate`` and
 ``write_csv`` (into an in-memory buffer) separately.  The script prints one
-JSON object: the per-rep seconds of each, their medians, the CSV size, the
-status counts and the process's peak RSS in MB.  Run parent and change in
-alternating fresh processes to compare two trees.
+JSON object: the family, the per-rep seconds of each, their medians, the CSV
+size, the status counts and the process's peak RSS in MB.  Run parent and
+change in alternating fresh processes to compare two trees.
 """
 
 from __future__ import annotations
@@ -30,28 +36,39 @@ import time
 
 import numpy as np
 
+# family: (n, points, last gridpoint)
+DEFAULTS = {"common_shock_cp": (10_000, 100, 12.0), "mixed_exp_frailty": (1000, 10, 8.0)}
+
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("root")
-    ap.add_argument("--n", type=int, default=10_000)
-    ap.add_argument("--points", type=int, default=100)
+    ap.add_argument("--family", choices=sorted(DEFAULTS), default="common_shock_cp")
+    ap.add_argument("--n", type=int, help="pool size (default per family)")
+    ap.add_argument("--points", type=int, help="gridpoints (default per family)")
     ap.add_argument("--reps", type=int, default=5)
     args = ap.parse_args(argv)
+    n, points, top = DEFAULTS[args.family]
+    n = args.n or n
+    points = args.points or points
     sys.path.insert(0, os.path.join(os.path.abspath(args.root), "src"))
-    from cmrs import AllocationRequest, CommonShockCPSpec, EulerScheme, allocate
-    from cmrs import build_common_shock_cp
+    from cmrs import AllocationRequest, CommonShockCPSpec, EulerScheme, MixedExpFrailtySpec
+    from cmrs import allocate, build_common_shock_cp, build_mixed_exp_frailty, gamma_mixing
     from cmrs.cli import write_csv
 
-    rng = np.random.default_rng(3)
-    lam = rng.uniform(0.5, 1.5, args.n)
-    lam *= 3.0 / lam.sum()
-    bet = rng.uniform(0.6, 2.0, args.n)
-    w = rng.uniform(0.5, 1.5, args.n)
-    w /= w.sum()
-    model = build_common_shock_cp(CommonShockCPSpec(1.5, tuple(lam), 0.9, tuple(bet), tuple(w)))
+    if args.family == "common_shock_cp":
+        rng = np.random.default_rng(3)
+        lam = rng.uniform(0.5, 1.5, n)
+        lam *= 3.0 / lam.sum()
+        bet = rng.uniform(0.6, 2.0, n)
+        w = rng.uniform(0.5, 1.5, n)
+        w /= w.sum()
+        model = build_common_shock_cp(CommonShockCPSpec(1.5, tuple(lam), 0.9, tuple(bet), tuple(w)))
+    else:
+        lam = 3.0 * np.random.default_rng(5).uniform(0.5, 2.0, n) / n
+        model = build_mixed_exp_frailty(MixedExpFrailtySpec(tuple(lam), gamma_mixing(3.0)))
     request = AllocationRequest(
-        model=model, s_grid=tuple(np.linspace(0.5, 12.0, args.points)), scheme=EulerScheme()
+        model=model, s_grid=tuple(np.linspace(0.5, top, points)), scheme=EulerScheme()
     )
     allocate(request)
     alloc_s, csv_s = [], []
@@ -66,8 +83,9 @@ def main(argv=None) -> int:
     print(
         json.dumps(
             {
-                "n": args.n,
-                "points": args.points,
+                "family": args.family,
+                "n": n,
+                "points": points,
                 "allocate_s": alloc_s,
                 "allocate_s_median": statistics.median(alloc_s),
                 "write_csv_s": csv_s,

@@ -170,9 +170,10 @@ def allocate(request: AllocationRequest) -> AllocationResult:
     values = model.expand(values)
     elapsed = time.perf_counter() - start
 
-    # shares and statuses: the one place a status is derived
-    density = values[:, 0].copy()
-    raw_xi = values[:, 1:].copy()
+    # shares and statuses: the one place a status is derived; values is this
+    # call's own array (np.full, or expand's np.take), so the results view it
+    density = values[:, 0]
+    raw_xi = values[:, 1:]
     unusable = (
         ~np.isfinite(density) | ~np.isfinite(raw_xi).all(axis=1) | (raw_xi < _XI_CLAMP).any(axis=1)
     )

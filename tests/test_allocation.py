@@ -522,6 +522,29 @@ CYCLIC_ME = MatrixExpSpec(
 )
 
 
+def _distinct_common_shock(m):
+    """A common-shock pool of m distinct risks, so m class columns."""
+    rng = np.random.default_rng(3)
+    lam, bet, w = rng.uniform(0.5, 1.5, m), rng.uniform(0.6, 2.0, m), rng.uniform(0.5, 1.5, m)
+    spec = CommonShockCPSpec(1.5, tuple(3.0 * lam / lam.sum()), 0.9, tuple(bet), tuple(w / w.sum()))
+    return build_common_shock_cp(spec)
+
+
+def _gamma_frailty(n):
+    lam = 3.0 * np.random.default_rng(5).uniform(0.5, 2.0, n) / n
+    return build_mixed_exp_frailty(MixedExpFrailtySpec(tuple(lam), gamma_mixing(3.0, n_nodes=40)))
+
+
+# both families on both sides of the layout rule: m = 4 and n = 2 lie below
+# every scheme's nodes per point (41 Euler, 16 Gaver-Stehfest), 60 above
+CLASS_LAYOUT_MODELS = {
+    "common_shock_m4": (lambda: _distinct_common_shock(4), True),
+    "common_shock_m60": (lambda: _distinct_common_shock(60), False),
+    "frailty_n2": (lambda: _gamma_frailty(2), True),
+    "frailty_n60": (lambda: _gamma_frailty(60), False),
+}
+
+
 class TestBlockEngine:
     # n = 3 on 41 Euler nodes: 164 elements per point, so 320 points fill
     # more than three blocks
@@ -638,6 +661,42 @@ class TestBlockEngine:
             one = self._run(model, grid=(s,))
             assert res.density[k] == one.density[0]
             assert np.array_equal(res.raw_xi[k], one.raw_xi[0])
+
+    @pytest.mark.parametrize("scheme", [EulerScheme(), GsScheme()], ids=["euler", "gs"])
+    @pytest.mark.parametrize("name", list(CLASS_LAYOUT_MODELS))
+    def test_class_layouts_match_one_point_inversions(self, name, scheme):
+        # the layout follows m and the nodes per point alone, so a block and
+        # each of its points share it and every point gets its own numbers
+        make, class_major = CLASS_LAYOUT_MODELS[name]
+        model = make()
+        grid = _grid(0.05, 20.0, 0.05)
+        k = scheme.nodes(1.0).shape[-1]
+        assert len(grid) > _BLOCK_BUDGET // (k * (model.m + 1))  # two blocks or more
+        # the class-major view strides its class axis across the node rows
+        vals = model.transform(scheme.nodes(np.array(grid[:2])))
+        assert (vals.strides[-1] != vals.itemsize) == class_major
+        res = self._run(model, scheme, grid)
+        for j, s in enumerate(grid):
+            one = self._run(model, scheme, (s,))
+            assert np.array_equal(res.density[j], one.density[0], equal_nan=True)
+            assert np.array_equal(res.raw_xi[j], one.raw_xi[0], equal_nan=True)
+
+    @pytest.mark.parametrize("name", list(CLASS_LAYOUT_MODELS))
+    def test_class_layouts_keep_the_protocol_shape(self, name):
+        model = CLASS_LAYOUT_MODELS[name][0]()
+        z = EulerScheme().nodes(np.array([0.5, 2.0, 6.0]))
+        block = model.transform(z)
+        assert block.shape == (3, 41, model.m + 1)
+        for nodes, want in [
+            (z[1, 7], block[1, 7]),
+            (z[1], block[1]),
+            (z, block),
+            (z[:, None], block[:, None]),
+        ]:
+            got = model.transform(nodes)
+            assert got.shape == np.shape(nodes) + (model.m + 1,)
+            # a 0-d call may sum its classes in another order than the block
+            np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
 
     def test_singular_solve_fails_only_its_point(self):
         # Exp(1) written with a second, unobservable phase whose rate is
