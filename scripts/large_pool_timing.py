@@ -2,11 +2,11 @@
 """Raw timing of one large heterogeneous pool, in one process.
 
     python3 scripts/large_pool_timing.py ROOT [--family common_shock_cp]
-        [--n N] [--points P] [--reps 5]
+        [--n N] [--points P] [--scheme euler] [--reps 5]
 
 ROOT is a checkout with ``src/cmrs``; its package is the one imported.  Each
 pool has no two identical risks, so it runs without a risk map, under
-default Euler.
+default Euler (41 nodes per point) or default Gaver-Stehfest (16 nodes).
 
 * ``common_shock_cp`` (default n = 10000, 100 points): lambda_i ~ U(0.5, 1.5)
   rescaled to sum 3, beta_i ~ U(0.6, 2.0) and w_i ~ U(0.5, 1.5) normalised,
@@ -18,9 +18,9 @@ default Euler.
 
 One untimed ``allocate`` comes first.  Then each rep times ``allocate`` and
 ``write_csv`` (into an in-memory buffer) separately.  The script prints one
-JSON object: the family, the per-rep seconds of each, their medians, the CSV
-size, the status counts and the process's peak RSS in MB.  Run parent and
-change in alternating fresh processes to compare two trees.
+JSON object: the family, the scheme, the per-rep seconds of each, their
+medians, the CSV size, the status counts and the process's peak RSS in MB.
+Run parent and change in alternating fresh processes to compare two trees.
 """
 
 from __future__ import annotations
@@ -46,13 +46,14 @@ def main(argv=None) -> int:
     ap.add_argument("--family", choices=sorted(DEFAULTS), default="common_shock_cp")
     ap.add_argument("--n", type=int, help="pool size (default per family)")
     ap.add_argument("--points", type=int, help="gridpoints (default per family)")
+    ap.add_argument("--scheme", choices=["euler", "gaver-stehfest"], default="euler")
     ap.add_argument("--reps", type=int, default=5)
     args = ap.parse_args(argv)
     n, points, top = DEFAULTS[args.family]
     n = args.n or n
     points = args.points or points
     sys.path.insert(0, os.path.join(os.path.abspath(args.root), "src"))
-    from cmrs import AllocationRequest, CommonShockCPSpec, EulerScheme, MixedExpFrailtySpec
+    from cmrs import AllocationRequest, CommonShockCPSpec, EulerScheme, GsScheme, MixedExpFrailtySpec
     from cmrs import allocate, build_common_shock_cp, build_mixed_exp_frailty, gamma_mixing
     from cmrs.cli import write_csv
 
@@ -68,7 +69,9 @@ def main(argv=None) -> int:
         lam = 3.0 * np.random.default_rng(5).uniform(0.5, 2.0, n) / n
         model = build_mixed_exp_frailty(MixedExpFrailtySpec(tuple(lam), gamma_mixing(3.0)))
     request = AllocationRequest(
-        model=model, s_grid=tuple(np.linspace(0.5, top, points)), scheme=EulerScheme()
+        model=model,
+        s_grid=tuple(np.linspace(0.5, top, points)),
+        scheme=EulerScheme() if args.scheme == "euler" else GsScheme(),
     )
     allocate(request)
     alloc_s, csv_s = [], []
@@ -84,6 +87,7 @@ def main(argv=None) -> int:
         json.dumps(
             {
                 "family": args.family,
+                "scheme": args.scheme,
                 "n": n,
                 "points": points,
                 "allocate_s": alloc_s,

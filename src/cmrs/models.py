@@ -12,8 +12,8 @@ equality of each risk's parameters) and return one allocation column per
 class, shape z.shape + (m+1,), with the map from risks to classes as the
 model's ``risk_columns``; a pool of distinct risks has no map.  The
 common-shock and frailty transforms work on one (m+1, N) array over the N
-nodes, one contiguous row per column while m is below a point's node count
-and node-major otherwise (``_class_rows``), and return its transposed view.
+nodes, one contiguous row per column up to m = 2048 and node-major above
+(``_class_rows``), and return its transposed view.
 A matrix-exponential risk keeps the complex Schur form of its T, computed on
 first use, and solves by back-substitution over the node array.
 
@@ -147,26 +147,37 @@ def _risk_classes(keys) -> tuple[list[int], Optional[np.ndarray]]:
     return first, None if len(first) == len(cols) else np.array(cols)
 
 
-def _class_rows(z: np.ndarray, m: int, fill: Callable = np.empty) -> np.ndarray:
-    """The (m+1, N) complex work array of a transform over the N nodes of z
-    with m class columns: row 0 for L_S, row c for class c.
+# the widest class axis the common-shock and frailty transforms lay out
+# class-major, from timing both layouts at m = 8 to 5000 (numpy 2.4, a
+# 2-vCPU Xeon guest).  A node-major ufunc loop over the strided class rows
+# is buffered while m is at most a quarter of numpy's 8192-element buffer:
+# ``np.add(bet, zf, out=q)`` over 41 nodes took 205 us at m = 2048 and 46 us
+# at m = 2049.  Above that the node-major common shock is faster, as the
+# class-major rows of a one-point block pay a per-row overhead m times
+_CLASS_MAJOR_MAX = 2048
 
-    Class-major, each row contiguous over the nodes, while m is below a
-    point's node count z.shape[-1]; otherwise node-major, the transpose of a
-    C-order (N, m+1) array, so a wide class axis keeps its contiguous loops.
-    The rule reads only m and z.shape[-1], so a block of points and each
-    point alone take the same layout.  Temporaries made from the rows by
-    ``np.empty_like`` or as ufunc outputs follow the layout.  A sum over the
-    class rows (``sum(axis=0)``) then adds the rows in order in the
-    class-major layout (z.shape[-1] > m >= 1, so there are N >= 2 nodes) and
-    pairwise along each node's contiguous row in the node-major one: either
-    way each node gets the numbers of a call on its own point.
-    ``W.T.reshape(z.shape + (m + 1,))`` is the protocol's view of the
-    result, a copy in neither layout.
+
+def _class_rows(z: np.ndarray, m: int) -> np.ndarray:
+    """The uninitialised (m+1, N) complex work array of a transform over the
+    N nodes of z with m class columns: row 0 for L_S, row c for class c.
+
+    Class-major, each row contiguous over the nodes, while m <= 2048, and
+    node-major above, the transpose of a C-order (N, m+1) array; the rule
+    reads m alone.  Temporaries made from the rows by ``np.empty_like`` or
+    as ufunc outputs follow the layout.  A sum or product over the class
+    rows (``sum(axis=0)``, ``prod(axis=0)``) takes the rows in order in the
+    class-major layout, and in the node-major one runs numpy's reduction of
+    each node's contiguous row (pairwise, for a sum).  A lone node gets a
+    second class-major column, to which its (1,) array of nodes broadcasts,
+    as an axis-0 reduction over one column would be a contiguous one.  So
+    any call gives each node the numbers of a call on that node alone,
+    whatever the shape of z.
+    ``W.T[: z.size].reshape(z.shape + (m + 1,))`` is the protocol's view of
+    the result, a copy in neither layout.
     """
-    if m < (z.shape[-1] if z.ndim else 1):
-        return fill((m + 1, z.size), dtype=complex)
-    return fill((z.size, m + 1), dtype=complex).T
+    if m <= _CLASS_MAJOR_MAX:
+        return np.empty((m + 1, 2 if z.size == 1 else z.size), dtype=complex)
+    return np.empty((z.size, m + 1), dtype=complex).T
 
 
 # ---------------------------------------------------------------------------
@@ -190,8 +201,8 @@ def build_mixed_exp_frailty(spec: MixedExpFrailtySpec) -> JointTransformModel:
 
     Expectations over Theta use the mixing law's quadrature nodes theta_k,
     summed one at a time, so every array is (n+1, N) over the N transform
-    nodes, one row per risk while n is below a point's node count and
-    node-major otherwise (``_class_rows``).  The model is a
+    nodes, one row per risk up to n = 2048 and node-major above
+    (``_class_rows``).  The model is a
     mixture of as many pools of independent exponentials as the rule has
     nodes: accurate for a few risks, not for many small ones, whose pool sums
     sit near sum_j lambda_j / theta_k, so f_S is spiky where the true one is
@@ -199,8 +210,9 @@ def build_mixed_exp_frailty(spec: MixedExpFrailtySpec) -> JointTransformModel:
     With gamma_mixing(3.0) (200 nodes), lambda_j = 3 U(0.5, 2)/n and 10
     points over s in [0.5, 8], f_S is within 1.1e-7 relative of a quadrature
     reference at n = 10, but off by up to 21% at n = 100, every point ``ok``.
-    One Euler point (41 nodes) of that pool takes about 0.15 s and traces
-    2.2 MB at n = 1000; ten points at n = 3000 take 4.0 s at 114 MB peak RSS.
+    One Euler point (41 nodes) of that pool takes about 0.11 s and traces
+    2.2 MB at n = 1000; ten points at n = 3000 take 4.2-4.6 s at 121 MB peak
+    RSS, 9.6 MB of it the model's complex rates.
     """
     lam = np.array(spec.lambdas)
     n = len(spec.lambdas)
@@ -208,22 +220,25 @@ def build_mixed_exp_frailty(spec: MixedExpFrailtySpec) -> JointTransformModel:
     w = spec.mixing.weights
     if (theta <= 0.0).any():
         raise ModelSpecError("frailty mixing needs strictly positive quadrature locations")
-    r = (theta[:, None] / lam[None, :])[:, :, None]  # (nodes, risks, 1)
+    # (nodes, risks, 1), complex once so that no ufunc loop casts it; real
+    # nodes read its real parts
+    r = (theta[:, None] / lam[None, :])[:, :, None].astype(complex)
 
     def transform(z):
         z = np.asarray(z)
-        W = _class_rows(z, n, np.zeros)
+        W = _class_rows(z, n)
+        W[...] = 0.0
         zf = z.reshape(-1)
         # real nodes keep real arithmetic; q and p are (risks, N) in W's layout
-        q = np.empty_like(W[1:], dtype=np.result_type(zf, float))
+        cplx = np.iscomplexobj(zf)
+        q = np.empty_like(W[1:], dtype=complex if cplx else float)
         p = np.empty_like(q)
-        for rk, wk in zip(r, w):
-            rk = rk.astype(q.dtype)
+        for rk, wk in zip(r if cplx else r.real, w):
             np.divide(1.0, np.add(rk, zf, out=q), out=q)
             fk = wk * np.multiply(rk, q, out=p).prod(axis=0)
             W[0] += fk
             W[1:] += np.multiply(fk, q, out=p)
-        return W.T.reshape(z.shape + (n + 1,))
+        return W.T[: z.size].reshape(z.shape + (n + 1,))
 
     return _joint_model(f"mixed_exp_frailty(n={n},{spec.mixing.label})", n, transform)
 
@@ -545,9 +560,8 @@ def build_common_shock_cp(spec: CommonShockCPSpec) -> JointTransformModel:
     """Common-shock compound Poisson pool.  Risks with equal (lambda_i,
     beta_i, w_i) form one class: the transform has one column per class, and
     L_S sums each class's exponent term times its multiplicity.  The work is
-    an (m+1, N) array over the N transform nodes, one row per class while m
-    is below a point's node count and node-major otherwise
-    (``_class_rows``)."""
+    an (m+1, N) array over the N transform nodes, one row per class up to
+    m = 2048 and node-major above (``_class_rows``)."""
     n = spec.n
     lam0, b0 = spec.lambda0, spec.beta0
     first, cols = _risk_classes(zip(spec.lambdas, spec.betas, spec.weights))
@@ -581,7 +595,7 @@ def build_common_shock_cp(spec: CommonShockCPSpec) -> JointTransformModel:
         q *= lam_bet
         q += np.multiply(shock, q0 * q0, out=t)
         q *= ls
-        return W.T.reshape(z.shape + (m + 1,))
+        return W.T[: z.size].reshape(z.shape + (m + 1,))
 
     atom_mass = math.exp(-spec.total_rate)
     return _joint_model(f"common_shock_cp(n={n})", n, transform, atom_mass=atom_mass, risk_columns=cols)

@@ -34,6 +34,7 @@ from cmrs.errors import (
 from cmrs.inversion import EulerScheme, GsScheme, invert
 from cmrs.mixing import gamma_mixing
 from cmrs.models import (
+    _CLASS_MAJOR_MAX,
     CommonShockCPSpec,
     KatzCompoundSpec,
     LognormalPortfolioSpec,
@@ -535,13 +536,16 @@ def _gamma_frailty(n):
     return build_mixed_exp_frailty(MixedExpFrailtySpec(tuple(lam), gamma_mixing(3.0, n_nodes=40)))
 
 
-# both families on both sides of the layout rule: m = 4 and n = 2 lie below
-# every scheme's nodes per point (41 Euler, 16 Gaver-Stehfest), 60 above
+# both families on both sides of the layout rule: up to _CLASS_MAJOR_MAX
+# classes class-major, one more node-major
+WIDE = _CLASS_MAJOR_MAX + 1
 CLASS_LAYOUT_MODELS = {
     "common_shock_m4": (lambda: _distinct_common_shock(4), True),
-    "common_shock_m60": (lambda: _distinct_common_shock(60), False),
+    "common_shock_m60": (lambda: _distinct_common_shock(60), True),
+    f"common_shock_m{WIDE}": (lambda: _distinct_common_shock(WIDE), False),
     "frailty_n2": (lambda: _gamma_frailty(2), True),
-    "frailty_n60": (lambda: _gamma_frailty(60), False),
+    "frailty_n60": (lambda: _gamma_frailty(60), True),
+    f"frailty_n{WIDE}": (lambda: _gamma_frailty(WIDE), False),
 }
 
 
@@ -662,19 +666,32 @@ class TestBlockEngine:
             assert res.density[k] == one.density[0]
             assert np.array_equal(res.raw_xi[k], one.raw_xi[0])
 
+    @pytest.mark.parametrize(
+        "scheme", [EulerScheme(), GsScheme(), GsScheme(M=1)], ids=["euler", "gs", "gs_2_nodes"]
+    )
+    @pytest.mark.parametrize("name", list(CLASS_LAYOUT_MODELS))
+    def test_class_layouts_give_each_point_its_own_numbers(self, name, scheme):
+        # a block of several points in either layout (above the threshold
+        # allocate forms one only for a scheme of at most 3 nodes per point):
+        # each point gets the numbers of its own call
+        make, class_major = CLASS_LAYOUT_MODELS[name]
+        model = make()
+        z = scheme.nodes(np.array([0.5, 2.0, 6.0]))
+        block = model.transform(z)
+        # the class-major view strides its class axis across the node rows
+        assert (block.strides[-1] != block.itemsize) == class_major
+        for j in range(len(z)):
+            assert np.array_equal(model.transform(z[j]), block[j], equal_nan=True)
+
     @pytest.mark.parametrize("scheme", [EulerScheme(), GsScheme()], ids=["euler", "gs"])
     @pytest.mark.parametrize("name", list(CLASS_LAYOUT_MODELS))
     def test_class_layouts_match_one_point_inversions(self, name, scheme):
-        # the layout follows m and the nodes per point alone, so a block and
-        # each of its points share it and every point gets its own numbers
-        make, class_major = CLASS_LAYOUT_MODELS[name]
-        model = make()
-        grid = _grid(0.05, 20.0, 0.05)
-        k = scheme.nodes(1.0).shape[-1]
-        assert len(grid) > _BLOCK_BUDGET // (k * (model.m + 1))  # two blocks or more
-        # the class-major view strides its class axis across the node rows
-        vals = model.transform(scheme.nodes(np.array(grid[:2])))
-        assert (vals.strides[-1] != vals.itemsize) == class_major
+        # the layout follows m alone, so a block and each of its points share
+        # it and every point gets its own numbers
+        model = CLASS_LAYOUT_MODELS[name][0]()
+        block = max(1, _BLOCK_BUDGET // (scheme.nodes(1.0).shape[-1] * (model.m + 1)))
+        grid = tuple(np.linspace(0.05, 20.0, min(400, 2 * block + 1)))
+        assert len(grid) > block  # two blocks or more
         res = self._run(model, scheme, grid)
         for j, s in enumerate(grid):
             one = self._run(model, scheme, (s,))
@@ -695,8 +712,8 @@ class TestBlockEngine:
         ]:
             got = model.transform(nodes)
             assert got.shape == np.shape(nodes) + (model.m + 1,)
-            # a 0-d call may sum its classes in another order than the block
-            np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
+            # a lone node sums its classes in the block's order
+            assert np.array_equal(got, want)
 
     def test_singular_solve_fails_only_its_point(self):
         # Exp(1) written with a second, unobservable phase whose rate is
