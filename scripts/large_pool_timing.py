@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
-"""Raw timing of one large heterogeneous pool, in one process.
+"""Raw timing of one large pool, in one process.
 
     python3 scripts/large_pool_timing.py ROOT [--family common_shock_cp]
         [--n N] [--points P] [--scheme euler] [--reps 5]
 
-ROOT is a checkout with ``src/cmrs``; its package is the one imported.  Each
-pool has no two identical risks, so it runs without a risk map, under
-default Euler (41 nodes per point) or default Gaver-Stehfest (16 nodes).
+ROOT is a checkout with ``src/cmrs``; its package is the one imported.  The
+pools run under default Euler (41 nodes per point) or default
+Gaver-Stehfest (16 nodes).  The first two have no two identical risks, so
+they run without a risk map; the third is a class pool.
 
 * ``common_shock_cp`` (default n = 10000, 100 points): lambda_i ~ U(0.5, 1.5)
   rescaled to sum 3, beta_i ~ U(0.6, 2.0) and w_i ~ U(0.5, 1.5) normalised,
@@ -15,6 +16,13 @@ default Euler (41 nodes per point) or default Gaver-Stehfest (16 nodes).
 * ``mixed_exp_frailty`` (default n = 1000, 10 points): the gamma frailty
   ``gamma_mixing(3.0)`` with lambda_j = 3 U(0.5, 2)/n drawn from
   ``np.random.default_rng(5)``, on the grid ``np.linspace(0.5, 8, points)``.
+* ``common_shock_replicated`` (default n = 10000, 100 points): the three
+  base risks of the ``cs_large_pool`` workload (lambda = 0.8, 1.1, 0.6,
+  beta = 1.4, 0.7, 1.9, lambda0 = 1.5, beta0 = 0.9) cycled to n by
+  ``cmrs.cli._scaled_cscp``, the way ``cmrs bench`` replicates a pool: the
+  rates rescaled to the base total, equal weights.  Its builder finds
+  m = 4 classes (the last weight absorbs the rounding), on the grid
+  ``np.linspace(0.5, 12, points)``.
 
 One untimed ``allocate`` comes first.  Then each rep times ``allocate`` and
 ``write_csv`` (into an in-memory buffer) separately.  The script prints one
@@ -37,7 +45,11 @@ import time
 import numpy as np
 
 # family: (n, points, last gridpoint)
-DEFAULTS = {"common_shock_cp": (10_000, 100, 12.0), "mixed_exp_frailty": (1000, 10, 8.0)}
+DEFAULTS = {
+    "common_shock_cp": (10_000, 100, 12.0),
+    "mixed_exp_frailty": (1000, 10, 8.0),
+    "common_shock_replicated": (10_000, 100, 12.0),
+}
 
 
 def main(argv=None) -> int:
@@ -55,7 +67,7 @@ def main(argv=None) -> int:
     sys.path.insert(0, os.path.join(os.path.abspath(args.root), "src"))
     from cmrs import AllocationRequest, CommonShockCPSpec, EulerScheme, GsScheme, MixedExpFrailtySpec
     from cmrs import allocate, build_common_shock_cp, build_mixed_exp_frailty, gamma_mixing
-    from cmrs.cli import write_csv
+    from cmrs.cli import _scaled_cscp, write_csv
 
     if args.family == "common_shock_cp":
         rng = np.random.default_rng(3)
@@ -65,6 +77,9 @@ def main(argv=None) -> int:
         w = rng.uniform(0.5, 1.5, n)
         w /= w.sum()
         model = build_common_shock_cp(CommonShockCPSpec(1.5, tuple(lam), 0.9, tuple(bet), tuple(w)))
+    elif args.family == "common_shock_replicated":
+        base = CommonShockCPSpec(1.5, (0.8, 1.1, 0.6), 0.9, (1.4, 0.7, 1.9), (0.2, 0.3, 0.5))
+        model = build_common_shock_cp(_scaled_cscp(base, n))
     else:
         lam = 3.0 * np.random.default_rng(5).uniform(0.5, 2.0, n) / n
         model = build_mixed_exp_frailty(MixedExpFrailtySpec(tuple(lam), gamma_mixing(3.0)))

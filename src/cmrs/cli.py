@@ -55,25 +55,29 @@ from .transforms import diagonal_diagnostic
 def write_csv(result: AllocationResult, fh: TextIO) -> int:
     """The origin atom's row first, if the model has one (P(S = 0) in the
     density column, zero allocation masses and shares), then one row per
-    gridpoint; every number as ``%.12g``.  With a ``risk_columns`` map on
-    the model, identical risks have identical values, so each class's xi, h
-    and pi are formatted once per row and their strings placed by the map:
-    the bytes are those of formatting every value."""
+    gridpoint; every number as ``%.12g``.
+
+    With a ``risk_columns`` map on the model, identical risks have identical
+    values, so each class's xi, h and pi are formatted once per row and
+    their strings placed by the map: the bytes are those of formatting every
+    value.  The 3n positions the map reads are cut into chunks of
+    ``isqrt(3n)`` positions (the last takes the remainder), and each
+    distinct chunk is joined once per row, so a map that repeats a stretch,
+    cycled or grouped, joins that stretch once.  When the distinct chunks
+    and their sequence would hold as many positions as the map itself, as a
+    shuffled map's do, the whole map is one chunk."""
     n = result.n
-    header = (
-        ["s", "f_S"]
-        + [f"xi_{i}" for i in range(1, n + 1)]
-        + [f"h_{i}" for i in range(1, n + 1)]
-        + [f"pi_{i}" for i in range(1, n + 1)]
-        + ["sum_h", "balance_residual", "status"]
+    nums = list(map(str, range(1, n + 1)))
+    fh.write(
+        "s,f_S,xi_%s,h_%s,pi_%s,sum_h,balance_residual,status\n"
+        % (",xi_".join(nums), ",h_".join(nums), ",pi_".join(nums))
     )
-    fh.write(",".join(header) + "\n")
-    line = ",".join(["%.12g"] * (3 * n + 4)) + ",%s\n"
     atoms = int(result.atom_mass > 0.0)
     if atoms:
-        fh.write(line % (0.0, result.atom_mass, *[0.0] * (3 * n + 2), STATUS_ATOM))
+        fh.write("0,%.12g,%s0,0,%s\n" % (result.atom_mass, "0," * (3 * n), STATUS_ATOM))
     cols = result.request.model.risk_columns
     if cols is None:
+        line = ",".join(["%.12g"] * (3 * n + 4)) + ",%s\n"
         table = np.column_stack(
             [
                 result.s_grid,
@@ -91,13 +95,27 @@ def write_csv(result: AllocationResult, fh: TextIO) -> int:
     # formatted once per row, and the strings placed in risk order by the map
     first = np.unique(cols, return_index=True)[1]
     m = len(first)
-    place = itemgetter(*np.concatenate([cols, cols + m, cols + 2 * m]).tolist())
+    idx = np.concatenate([cols, cols + m, cols + 2 * m]).tolist()
+    size = math.isqrt(len(idx))
+    cuts = [*range(0, len(idx) - size + 1, size), len(idx)]
+    chunks = {}
+    seq = [chunks.setdefault(tuple(idx[a:b]), len(chunks)) for a, b in zip(cuts, cuts[1:])]
+    if len(chunks) * size + len(seq) >= len(idx):
+        chunks, seq = {tuple(idx): 0}, [0]
+    # each getter gives a tuple: a chunk of one position needs isqrt(3n) = 1,
+    # and then the sequence alone is as long as the map.  The empty last
+    # piece makes ``order``'s a tuple too, and ends the risk columns with
+    # their comma
+    getters = [itemgetter(*chunk) for chunk in chunks]
+    order = itemgetter(*seq, len(chunks))
     shares = ",".join(["%.12g"] * (3 * m))
     classes = np.column_stack([result.xi[:, first], result.h[:, first], proportions(result)[:, first]])
     ends = np.column_stack([result.s_grid, result.density, result.sum_h, result.balance_residual])
     for (s, f, sum_h, resid), row, status in zip(ends.tolist(), classes.tolist(), result.status):
-        strs = ",".join(place((shares % tuple(row)).split(",")))
-        fh.write("%.12g,%.12g,%s,%.12g,%.12g,%s\n" % (s, f, strs, sum_h, resid, status))
+        strs = (shares % tuple(row)).split(",")
+        pieces = [",".join(get(strs)) for get in getters]
+        pieces.append("")
+        fh.write("%.12g,%.12g,%s%.12g,%.12g,%s\n" % (s, f, ",".join(order(pieces)), sum_h, resid, status))
     return atoms + len(result.status)
 
 
@@ -115,6 +133,7 @@ def _build_request(cfg: RunConfig) -> AllocationRequest:
 def cmd_allocate(cfg: RunConfig, out: Optional[str]) -> int:
     result = allocate(_build_request(cfg))
     path = out or cfg.output.path
+    start = time.perf_counter()
     if path:
         with open(path, "w") as fh:
             nrows = write_csv(result, fh)
@@ -122,12 +141,13 @@ def cmd_allocate(cfg: RunConfig, out: Optional[str]) -> int:
     else:
         nrows = write_csv(result, sys.stdout)
         dest = sys.stderr
+    csv_s = time.perf_counter() - start
     scan = breakdown_scan(result)
     print(
         f"{'wrote ' + path + ': ' if path else ''}{nrows} rows "
         f"({scan.n_ok} ok, {scan.n_degraded} degraded, "
         f"{scan.n_failed} failed, {int(result.atom_mass > 0.0)} atoms), "
-        f"scheme {result.scheme.describe()}, {result.elapsed:.2f}s",
+        f"scheme {result.scheme.describe()}, allocate {result.elapsed:.3f}s, csv {csv_s:.3f}s",
         file=dest,
     )
     return 0 if scan.clean else 2

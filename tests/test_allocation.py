@@ -767,6 +767,36 @@ def _per_risk_common_shock(spec):
     return JointTransformModel(spec.n, transform, atom_mass=math.exp(-spec.total_rate))
 
 
+def _exponential_classes(cols, atom=0.1):
+    """Risks that are all 0 with probability ``atom`` and otherwise
+    independent exponentials, risk i at rate n (1 + cols[i]/2): a
+    hand-built model with any risk map ``cols``."""
+    cols = np.array(cols)
+    n = len(cols)
+    rates = n * (1.0 + 0.5 * np.arange(cols.max() + 1))
+    counts = np.bincount(cols)
+
+    def transform(z):
+        z = np.asarray(z)[..., None]
+        q = 1.0 / (rates + z)
+        body = (1.0 - atom) * np.prod((rates * q) ** counts, axis=-1, keepdims=True)
+        return np.concatenate([atom + body, body * q], axis=-1)
+
+    return JointTransformModel(n, transform, atom_mass=atom, risk_columns=cols)
+
+
+def _csv_pair(res):
+    """The class writer's bytes and the per-value writer's bytes of ``res``."""
+    model = res.request.model
+    plain = dataclasses.replace(
+        res,
+        request=dataclasses.replace(res.request, model=dataclasses.replace(model, risk_columns=None)),
+    )
+    bufs = io.StringIO(), io.StringIO()
+    assert write_csv(res, bufs[0]) == write_csv(plain, bufs[1]) == len(res.status) + (model.atom_mass > 0.0)
+    return bufs[0].getvalue(), bufs[1].getvalue()
+
+
 class TestRiskClasses:
     """Pools of a few classes of identical risks: one column per class from
     the model, inverted once and expanded to the risks."""
@@ -854,15 +884,58 @@ class TestRiskClasses:
         model = build_common_shock_cp(_scaled_cscp(CS_REF, 50))
         res = allocate(AllocationRequest(model=model, s_grid=_grid(0.5, 60.0, 0.5), scheme=EulerScheme()))
         assert model.atom_mass > 0.0 and res.worst_status != STATUS_OK
-        plain = dataclasses.replace(
-            res,
-            request=dataclasses.replace(
-                res.request, model=dataclasses.replace(model, risk_columns=None)
-            ),
+        by_class, by_value = _csv_pair(res)
+        assert by_class == by_value
+
+    @pytest.mark.parametrize(
+        "cols",
+        [
+            [0] * 100 + [1] * 100 + [2] * 100,
+            ([0] * 60 + [1] * 60) * 2,
+            np.random.default_rng(4).permutation([0, 1, 2, 3] * 75).tolist(),
+            [0] * 50,
+            [0],
+            [0, 1],
+            [0, 0],
+            [0, 1, 0],
+            [0, 1, 2, 0, 1, 2, 0],
+            [2, 0, 1] * 40,
+            [2, 2, 0, 1, 1, 0, 2, 1, 0, 2, 0, 1, 1],
+        ],
+        ids=[
+            "grouped", "grouped_twice", "shuffled", "one_class", "n1", "n2", "n2_one_class", "n3", "n7",
+            "unordered_cycled", "unordered_mixed",
+        ],
+    )
+    def test_class_csv_layouts_are_the_per_value_csv(self, cols):
+        # the grouped, one-class and cycled maps repeat stretches, so they
+        # are cut into chunks: one_class's last chunk takes a remainder, and
+        # a chunk of grouped_twice comes back after another.  The shuffled
+        # and the small maps are one chunk.  The grid spans the bulk of S
+        # and its fading tails.
+        model = _exponential_classes(cols)
+        grid = model.transform(0.0)[1:][model.risk_columns].sum() * np.linspace(0.3, 2.0, 9)
+        res = allocate(AllocationRequest(model=model, s_grid=tuple(grid), scheme=EulerScheme()))
+        by_class, by_value = _csv_pair(res)
+        assert by_class == by_value
+
+    def test_csv_header_and_atom_row_at_n1000(self):
+        n = 1000
+        model = build_common_shock_cp(_scaled_cscp(CS_REF, n))
+        res = allocate(AllocationRequest(model=model, s_grid=(1.0,), scheme=EulerScheme()))
+        buf = io.StringIO()
+        write_csv(res, buf)
+        header, atom = buf.getvalue().split("\n")[:2]
+        names = (
+            ["s", "f_S"]
+            + [f"xi_{i}" for i in range(1, n + 1)]
+            + [f"h_{i}" for i in range(1, n + 1)]
+            + [f"pi_{i}" for i in range(1, n + 1)]
+            + ["sum_h", "balance_residual", "status"]
         )
-        bufs = io.StringIO(), io.StringIO()
-        assert write_csv(res, bufs[0]) == write_csv(plain, bufs[1]) == len(res.status) + 1
-        assert bufs[0].getvalue() == bufs[1].getvalue()
+        assert header == ",".join(names)
+        line = ",".join(["%.12g"] * (3 * n + 4)) + ",%s"
+        assert atom == line % (0.0, model.atom_mass, *[0.0] * (3 * n + 2), STATUS_ATOM)
 
     def test_block_budget_counts_class_columns(self):
         # n = 10^4 risks in m = 4 classes on the bench grid: 2**14 // (41 x 5)

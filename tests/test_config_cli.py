@@ -3,6 +3,7 @@ import importlib
 import io
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -356,6 +357,8 @@ class TestCliAllocate:
         assert code == 0
         summary = capsys.readouterr().out
         assert "wrote" in summary and "10 rows" in summary and "10 ok" in summary
+        # the CSV write time is reported next to the engine's
+        assert re.search(r"allocate \d+\.\d{3}s, csv \d+\.\d{3}s$", summary.strip())
         with open(out) as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == [
