@@ -6,8 +6,8 @@
 
 ROOT is a checkout with ``src/cmrs``; its package is the one imported.  The
 pools run under default Euler (41 nodes per point) or default
-Gaver-Stehfest (16 nodes).  The first two have no two identical risks, so
-they run without a risk map; the third is a class pool.
+Gaver-Stehfest (16 nodes).  All but ``common_shock_replicated`` have no two
+identical risks, so they run without a risk map; that one is a class pool.
 
 * ``common_shock_cp`` (default n = 10000, 100 points): lambda_i ~ U(0.5, 1.5)
   rescaled to sum 3, beta_i ~ U(0.6, 2.0) and w_i ~ U(0.5, 1.5) normalised,
@@ -23,6 +23,10 @@ they run without a risk map; the third is a class pool.
   rates rescaled to the base total, equal weights.  Its builder finds
   m = 4 classes (the last weight absorbs the rounding), on the grid
   ``np.linspace(0.5, 12, points)``.
+* ``matrix_exp`` (default n = 300, 10 points): distinct Erlang(3) risks
+  with rates U(0.5, 2) n / 3 drawn from ``np.random.default_rng(7)``, on
+  ``points`` levels evenly over E[S] +- 2.5 sd(S).  Every risk is its own
+  class, and all of them share one solve group.
 
 One untimed ``allocate`` comes first.  Then each rep times ``allocate`` and
 ``write_csv`` (into an in-memory buffer) separately.  The script prints one
@@ -36,6 +40,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import os
 import resource
 import statistics
@@ -44,11 +49,12 @@ import time
 
 import numpy as np
 
-# family: (n, points, last gridpoint)
+# family: (n, points, last gridpoint; None where the pool sets the grid)
 DEFAULTS = {
     "common_shock_cp": (10_000, 100, 12.0),
     "mixed_exp_frailty": (1000, 10, 8.0),
     "common_shock_replicated": (10_000, 100, 12.0),
+    "matrix_exp": (300, 10, None),
 }
 
 
@@ -67,6 +73,7 @@ def main(argv=None) -> int:
     sys.path.insert(0, os.path.join(os.path.abspath(args.root), "src"))
     from cmrs import AllocationRequest, CommonShockCPSpec, EulerScheme, GsScheme, MixedExpFrailtySpec
     from cmrs import allocate, build_common_shock_cp, build_mixed_exp_frailty, gamma_mixing
+    from cmrs.models import build_matrix_exp, erlang_me_spec
     from cmrs.cli import _scaled_cscp, write_csv
 
     if args.family == "common_shock_cp":
@@ -80,12 +87,19 @@ def main(argv=None) -> int:
     elif args.family == "common_shock_replicated":
         base = CommonShockCPSpec(1.5, (0.8, 1.1, 0.6), 0.9, (1.4, 0.7, 1.9), (0.2, 0.3, 0.5))
         model = build_common_shock_cp(_scaled_cscp(base, n))
+    elif args.family == "matrix_exp":
+        rates = np.random.default_rng(7).uniform(0.5, 2.0, n) * n / 3.0
+        model = build_matrix_exp([erlang_me_spec(3, r) for r in rates])
+        mean, sd = (3.0 / rates).sum(), math.sqrt((3.0 / rates**2).sum())
+        grid = np.linspace(mean - 2.5 * sd, mean + 2.5 * sd, points)
     else:
         lam = 3.0 * np.random.default_rng(5).uniform(0.5, 2.0, n) / n
         model = build_mixed_exp_frailty(MixedExpFrailtySpec(tuple(lam), gamma_mixing(3.0)))
+    if top is not None:
+        grid = np.linspace(0.5, top, points)
     request = AllocationRequest(
         model=model,
-        s_grid=tuple(np.linspace(0.5, top, points)),
+        s_grid=tuple(grid),
         scheme=EulerScheme() if args.scheme == "euler" else GsScheme(),
     )
     allocate(request)

@@ -10,12 +10,15 @@ L_S and the L_i.  The builders of the common-shock, matrix-exponential, Katz
 and lognormal families find the classes of identical risks (by exact
 equality of each risk's parameters) and return one allocation column per
 class, shape z.shape + (m+1,), with the map from risks to classes as the
-model's ``risk_columns``; a pool of distinct risks has no map.  The
-common-shock and frailty transforms work on one (m+1, N) array over the N
-nodes, one contiguous row per column up to m = 2048 and node-major above
-(``_class_rows``), and return its transposed view.
-A matrix-exponential risk keeps the complex Schur form of its T, computed on
-first use, and solves by back-substitution over the node array.
+model's ``risk_columns``; a pool of distinct risks has no map.  Every
+family works on (m+1, N) class rows over the N flattened nodes and returns
+their transposed view.  The common-shock and frailty transforms fill one
+such array, one contiguous row per column up to m = 2048 and node-major
+above (``_class_rows``).  The independent families (matrix-exponential,
+Katz, lognormal) hand their per-class transforms to ``_product_rule`` as
+contiguous (m, N) rows.  A matrix-exponential risk keeps the complex Schur
+form of its T, and the classes whose forms share a dimension and zero
+patterns are solved together, by one back-substitution over a (g, N) array.
 
 Every builder returns through one constructor, which probes each factor of
 L_S at construction time: each risk's transform for independent risks, L_S
@@ -62,22 +65,27 @@ def _joint_model(
 ) -> JointTransformModel:
     """The one constructor behind every builder.
 
-    Independent families pass ``risks``, mapping nodes z to the transforms
-    and mean transforms of ``_product_rule``, one per class of identical
-    risks (``_risk_classes``); the others pass ``transform`` itself.
+    Independent families pass ``risks``, mapping the (N,) flattened nodes to
+    the transforms and mean transforms of ``_product_rule``, two (m, N)
+    arrays with one row per class of identical risks (``_risk_classes``);
+    the model's transform is then the transposed view of the rule's
+    (m+1, N) rows in the shape z.shape + (m+1,).  The others pass
+    ``transform`` itself.
     ``atom_mass`` is P(S = 0) and ``risk_columns`` the risk -> class map,
     both passed through unchanged.  Each factor of L_S (each class's
     transform, else L_S itself) is then probed: it must equal 1 within 1e-6
     at z = 0 and lie in (0, 1] at z = 1e-6.
     """
     if risks is not None:
-        mult = None if risk_columns is None else np.bincount(risk_columns)
+        mult = None if risk_columns is None else np.bincount(risk_columns)[:, None]
 
         def transform(z):
-            return _product_rule(*risks(z), mult)
+            z = np.asarray(z)
+            vals = _product_rule(*risks(z.reshape(-1)), mult)
+            return vals.T.reshape(z.shape + vals.shape[:1])
 
         def factors(z):
-            return risks(z)[0]
+            return risks(z)[0].T
 
     else:
 
@@ -107,20 +115,22 @@ def _product_rule(
 ) -> np.ndarray:
     """[prod_j L_j, (M_i prod_{j != i} L_j)_i] for independent risks with
     transforms L_j and mean transforms M_j = E[X_j exp(-z X_j)], the risks
-    along the last axis; the products over j != i come from cumulative
-    prefix and suffix products.
+    along the first axis (class rows, (m, N) -> (m+1, N)); the products over
+    j != i come from cumulative prefix and suffix products along that axis,
+    which accumulate row by row in any layout.
 
     With multiplicities ``mult``, column c stands for m_c identical risks:
     L_S = prod_c L_c^{m_c}, and column c is M_c L_c^{m_c - 1} prod_{c' != c}
     L_{c'}^{m_{c'}}, the product rule on the powers L_c^{m_c} and the mean
-    transforms M_c L_c^{m_c - 1}.  At m_c = 1 the powers are exact (x**1 = x,
-    x**0 = 1), so a singleton class gets the numbers of the plain rule."""
+    transforms M_c L_c^{m_c - 1}, with ``mult`` an (m, 1) column.  At
+    m_c = 1 the powers are exact (x**1 = x, x**0 = 1), so a singleton class
+    gets the numbers of the plain rule."""
     if mult is not None:
         lsts, mean_lsts = lsts**mult, mean_lsts * lsts ** (mult - 1)
-    one = np.ones_like(lsts[..., :1])
-    pre = np.cumprod(np.concatenate([one, lsts], axis=-1), axis=-1)  # prod_{j < i}
-    suf = np.cumprod(np.concatenate([one, lsts[..., ::-1]], axis=-1), axis=-1)[..., ::-1]
-    return np.concatenate([pre[..., -1:], mean_lsts * pre[..., :-1] * suf[..., 1:]], axis=-1)
+    one = np.ones_like(lsts[:1])
+    pre = np.cumprod(np.concatenate([one, lsts]), axis=0)  # prod_{j < i}
+    suf = np.cumprod(np.concatenate([one, lsts[::-1]]), axis=0)[::-1]
+    return np.concatenate([pre[-1:], mean_lsts * pre[:-1] * suf[1:]])
 
 
 def _positive_tuple(values: Sequence[float], what: str) -> tuple[float, ...]:
@@ -291,59 +301,115 @@ class MatrixExpSpec:
         return scipy.linalg.schur(self.T, output="complex")
 
     def lst_pair(self, z) -> tuple[np.ndarray, np.ndarray]:
-        """(E[exp(-zX)], E[X exp(-zX)]) = (p0 + alpha y, alpha (zI - T)^{-1} y)
-        with y = (zI - T)^{-1} u, for an array of nodes z, in z's shape (real
-        for real z).
+        """(E[exp(-zX)], E[X exp(-zX)]) for an array of nodes z, in z's shape
+        (real for real z): the solve of ``_MatrixExpGroup`` for a group of
+        one."""
+        z = np.asarray(z)
+        pair = _MatrixExpGroup([self]).pair(z.reshape(-1))
+        return pair[0][0].reshape(z.shape), pair[1][0].reshape(z.shape)
+
+
+class _MatrixExpGroup:
+    """Matrix-exponential risks solved together: g risks of one dimension d
+    whose Schur forms have the same zero patterns (``key``), each
+    coefficient a (g, 1) column over a (g, N) array of the nodes.  Equal
+    patterns give every risk the same sequence of elementwise operations, so
+    each row gets the numbers of a group of one, bit for bit."""
+
+    @staticmethod
+    def key(spec: MatrixExpSpec) -> tuple:
+        """What decides a risk's sequence of operations: d, whether Q is the
+        identity, and the zero patterns of R's strict upper triangle, T's
+        off-diagonal, the entry vector alpha Q and Q."""
+        R, Q = spec._schur
+        a = spec.alpha if Q is None else spec.alpha @ Q
+        coeffs = (np.triu(R, 1), _off_diagonal(spec.T), a) + (() if Q is None else (Q,))
+        return (spec.dim, Q is None) + tuple((v != 0.0).tobytes() for v in coeffs)
+
+    def __init__(self, specs: Sequence[MatrixExpSpec]) -> None:
+        def col(values):  # g arrays -> (..., g, 1): each entry a contiguous (g, 1) column
+            return np.ascontiguousarray(np.moveaxis(np.stack(values), 0, -1)[..., None])
+
+        def terms(row, js):  # the (j, column) pairs of the nonzero entries row[j]
+            return [(j, row[j]) for j in js if row[j].any()]
+
+        R, Q = zip(*(sp._schur for sp in specs))
+        self.d = d = specs[0].dim
+        self.schur = Q[0] is not None
+        a = col([sp.alpha if q is None else sp.alpha @ q for sp, q in zip(specs, Q)])
+        self.b = col([sp.u if q is None else q.conj().T @ sp.u for sp, q in zip(specs, Q)])
+        self.u = col([sp.u for sp in specs])
+        self.u_max = col([np.abs(sp.u).max() for sp in specs])
+        self.p0 = col([sp.p0 for sp in specs])
+        off = [_off_diagonal(sp.T) for sp in specs]
+        self.off_max = col([np.abs(v).max() for v in off])
+        R, T, off = col(R), col([sp.T for sp in specs]), col(off)
+        self.pivot_shift = [R[i, i] for i in range(d)]
+        self.diag_shift = [T[i, i] for i in range(d)]
+        self.r_terms = [terms(R[i], range(i + 1, d)) for i in range(d)]
+        self.off_terms = [terms(off[i], range(d)) for i in range(d)]
+        self.q_terms = [terms(q, range(d)) for q in col(Q)] if self.schur else None
+        self.a_terms = terms(a, range(d))
+
+    def pair(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(p0 + alpha y, alpha (zI - T)^{-1} y) with y = (zI - T)^{-1} u for
+        the (N,) nodes z: two (g, N) arrays, real for real z.
 
         With T = Q R Q^H, both solves are back-substitutions in zI - R, d
-        stages of elementwise operations over the whole node array: O(d^2)
+        stages of elementwise operations over the whole (g, N) array: O(d^2)
         flops per node, no factorization, and each node gets the numbers of
-        a call on that node alone.  Raises SingularMatrixError where a pivot
-        |z - r_ii| is not above 1e-14 max|zI - T| (a non-finite node
-        included), or where the first solve's residual, in the original
-        basis, fails |(zI - T) Q y - u| <= 1e-10 (|zI - T| |Q y| + |u|) in
-        the max norm.
+        a call on that node alone.  Raises SingularMatrixError, naming one
+        offending node, where a pivot |z - r_ii| is not above
+        1e-14 max|zI - T| (a non-finite node included), or where the first
+        solve's residual, in the original basis, fails
+        |(zI - T) Q y - u| <= 1e-10 (|zI - T| |Q y| + |u|) in the max norm.
         """
-        z = np.asarray(z)
-        R, Q = self._schur
-        d = self.dim
-        a, b = (self.alpha, self.u) if Q is None else (self.alpha @ Q, Q.conj().T @ self.u)
-        pivots = [z - R[i, i] for i in range(d)]
+        d = self.d
+        pivots = [z - r for r in self.pivot_shift]
         # zI - T in the original basis: its diagonal, off-diagonal part and largest entry
-        diag = pivots if Q is None else [z - self.T[i, i] for i in range(d)]
-        off = self.T - np.diag(np.diag(self.T))
-        scale = reduce(np.maximum, (np.abs(v) for v in diag), np.abs(off).max())
-        bad = ~(reduce(np.minimum, (np.abs(v) for v in pivots)) > 1e-14 * scale)
+        diag = [z - t for t in self.diag_shift] if self.schur else pivots
+        abs_pivots = [np.abs(v) for v in pivots]
+        abs_diag = [np.abs(v) for v in diag] if self.schur else abs_pivots
+        scale = reduce(np.maximum, abs_diag, self.off_max)
+        bad = ~(reduce(np.minimum, abs_pivots) > 1e-14 * scale)
         if bad.any():
-            raise SingularMatrixError(f"pivot not above 1e-14 max|zI - T| at z = {z[bad][0]}")
+            raise SingularMatrixError(
+                f"pivot not above 1e-14 max|zI - T| at z = {z[bad.any(axis=0)][0]}"
+            )
 
         def solve(rhs):
             out = [None] * d
             for i in reversed(range(d)):
-                out[i] = _dot(R[i, i + 1 :], out[i + 1 :], rhs[i]) / pivots[i]
+                out[i] = _dot(self.r_terms[i], out, rhs[i]) / pivots[i]
             return out
 
-        y = solve(b)
-        yq = y if Q is None else [_dot(Q[i], y, 0.0) for i in range(d)]
+        y = solve(self.b)
+        yq = [_dot(q, y, 0.0) for q in self.q_terms] if self.schur else y
         resid = reduce(
-            np.maximum, (np.abs(diag[i] * yq[i] - _dot(off[i], yq, self.u[i])) for i in range(d))
+            np.maximum,
+            (np.abs(diag[i] * yq[i] - _dot(self.off_terms[i], yq, self.u[i])) for i in range(d)),
         )
-        bound = 1e-10 * (scale * reduce(np.maximum, (np.abs(v) for v in yq)) + np.abs(self.u).max())
-        if not (resid <= bound).all():
+        bound = 1e-10 * (scale * reduce(np.maximum, (np.abs(v) for v in yq)) + self.u_max)
+        bad = ~(resid <= bound)
+        if bad.any():
             raise SingularMatrixError(
-                f"solve residual {np.max(resid):.3e} exceeds 1e-10 (|zI - T| |Q y| + |u|)"
+                f"solve residual {np.max(resid):.3e} exceeds 1e-10 (|zI - T| |Q y| + |u|) "
+                f"at z = {z[bad.any(axis=0)][0]}"
             )
         zero = np.zeros_like(pivots[0])
-        pair = _dot(a, y, zero + self.p0), _dot(a, solve(y), zero)
+        pair = _dot(self.a_terms, y, zero + self.p0), _dot(self.a_terms, solve(y), zero)
         return pair if np.iscomplexobj(z) else (pair[0].real, pair[1].real)
 
 
-def _dot(coeffs: np.ndarray, arrays: list, start):
-    """start + sum_i coeffs[i] arrays[i] over the nonzero coefficients, added
-    elementwise in index order."""
-    for c, v in zip(coeffs, arrays):
-        if c != 0.0:
-            start = start + c * v
+def _off_diagonal(T: np.ndarray) -> np.ndarray:
+    return T - np.diag(np.diag(T))
+
+
+def _dot(terms: list, arrays: list, start):
+    """start + sum_j c_j arrays[j] over the (j, c_j) terms, added elementwise
+    in order."""
+    for j, c in terms:
+        start = start + c * arrays[j]
     return start
 
 
@@ -352,7 +418,7 @@ def is_phase_type(spec: MatrixExpSpec) -> bool:
     sub-generator T, nonnegative entry vector, exit rates u = -T 1, each
     within _PHASE_TYPE_TOL."""
     T = spec.T
-    off = T - np.diag(np.diag(T))
+    off = _off_diagonal(T)
     if (off < -_PHASE_TYPE_TOL).any() or (np.diag(T) > _PHASE_TYPE_TOL).any():
         return False
     if (spec.alpha < -_PHASE_TYPE_TOL).any():
@@ -383,7 +449,16 @@ def erlang_me_spec(k: int, rate: float) -> MatrixExpSpec:
 
 
 def build_matrix_exp(specs: Sequence[MatrixExpSpec]) -> JointTransformModel:
-    """Independent sum of matrix-exponential risks."""
+    """Independent sum of matrix-exponential risks.
+
+    The classes of identical risks fall into groups of like classes, by
+    ``_MatrixExpGroup.key``: the dimension, whether the Schur Q is the
+    identity, and the zero patterns of the Schur coefficients.  Each group
+    is solved once per call, over a (g, N) array of the nodes, and its rows
+    go to their classes' rows of the (m, N) arrays ``_product_rule`` takes.
+    A pool of Erlang(k) risks at any rates is one group, so a call costs a
+    fixed number of numpy operations on (m, N) arrays rather than that many
+    per class."""
     specs = tuple(specs)
     if not specs:
         raise ModelSpecError("need at least one risk")
@@ -393,10 +468,16 @@ def build_matrix_exp(specs: Sequence[MatrixExpSpec]) -> JointTransformModel:
         for sp in specs
     )
     classes = [specs[i] for i in first]
+    groups: dict = {}
+    for c, sp in enumerate(classes):
+        groups.setdefault(_MatrixExpGroup.key(sp), []).append(c)
+    solvers = [(rows, _MatrixExpGroup([classes[c] for c in rows])) for rows in groups.values()]
 
     def risks(z):
-        lsts, means = zip(*(sp.lst_pair(z) for sp in classes))
-        return np.stack(lsts, axis=-1), np.stack(means, axis=-1)
+        out = np.empty((2, len(classes), z.size), dtype=complex if np.iscomplexobj(z) else float)
+        for rows, group in solvers:
+            out[0, rows], out[1, rows] = group.pair(z)
+        return out
 
     atom_mass = math.prod(sp.p0 for sp in specs)
     return _joint_model(f"matrix_exp(n={n})", n, risks=risks, atom_mass=atom_mass, risk_columns=cols)
@@ -500,7 +581,7 @@ def build_katz_compound(spec: KatzCompoundSpec) -> JointTransformModel:
 
     def risks(z):
         lsts, means = zip(*(risk(*f, z) for f in classes))
-        return np.stack(lsts, axis=-1), np.stack(means, axis=-1)
+        return np.stack(lsts), np.stack(means)
 
     atom_mass = math.prod(float(_katz_pgf(a, b, sev.zero_mass)) for a, b, sev in freqs)
     return _joint_model(
@@ -619,7 +700,8 @@ _EXP_UNDERFLOW = -700.0
 
 def _lognormal_sums(z, mu: np.ndarray, sigma: np.ndarray, order: int, stats: dict):
     """(E[exp(-z Y_j)], E[Y_j exp(-z Y_j)]) for independent Y_j lognormal(mu_j,
-    sigma_j) at an array of nodes with Re z >= 0, each of shape z.shape + (n,).
+    sigma_j) at the (N,) nodes z with Re z >= 0, each an (m, N) array of
+    class rows, with mu and sigma (m, 1) columns.
 
     Plain quadrature in the normal variable loses all digits once |Im z| is
     large, because exp(-z e^(mu + sigma x)) oscillates with unbounded local
@@ -633,8 +715,8 @@ def _lognormal_sums(z, mu: np.ndarray, sigma: np.ndarray, order: int, stats: dic
     (no rotation, no shift) is the accurate one, chosen per node and risk.
     Terms with exponent real part below -700 are zeroed (they underflow
     anyway) and counted in ``stats['suppressed_terms']``.  The sums run over
-    the Gauss-Hermite nodes one at a time: every array is (nodes..., risks)."""
-    z = np.asarray(z)[..., None]
+    the Gauss-Hermite nodes one at a time: every array is (risks, nodes)."""
+    z = np.asarray(z)[None, :]
     refused = (z.real < 0.0) | ((z.real == 0.0) & (z.imag != 0.0))
     if refused.any():
         raise DomainError(f"lognormal transform needs Re z >= 0, got {z[refused][0]}")
@@ -713,8 +795,8 @@ def build_lognormal_portfolio(spec: LognormalPortfolioSpec) -> JointTransformMod
     class, whose sums are formed once."""
     n = spec.n
     first, cols = _risk_classes(zip(spec.mu, spec.sigma))
-    mu = np.array(spec.mu)[first]
-    sigma = np.array(spec.sigma)[first]
+    mu = np.array(spec.mu)[first][:, None]
+    sigma = np.array(spec.sigma)[first][:, None]
     stats: dict = {}
     risks = partial(_lognormal_sums, mu=mu, sigma=sigma, order=spec.gh_order, stats=stats)
     return _joint_model(

@@ -46,6 +46,7 @@ from cmrs.models import (
     build_lognormal_portfolio,
     build_matrix_exp,
     build_mixed_exp_frailty,
+    _MatrixExpGroup,
     _product_rule,
     erlang_me_spec,
     exponential_me_spec,
@@ -536,10 +537,20 @@ def _gamma_frailty(n):
     return build_mixed_exp_frailty(MixedExpFrailtySpec(tuple(lam), gamma_mixing(3.0, n_nodes=40)))
 
 
+def _matrix_exp_groups():
+    """Matrix-exponential classes in three solve groups, interleaved: Erlang(3)
+    at two rates, CYCLIC_ME at one and two times its rates, and an Erlang(2)."""
+    doubled = MatrixExpSpec(CYCLIC_ME.alpha, 2.0 * CYCLIC_ME.T, 2.0 * CYCLIC_ME.u)
+    specs = [erlang_me_spec(3, 1.0), CYCLIC_ME, erlang_me_spec(2, 1.5), doubled]
+    return build_matrix_exp(specs + [erlang_me_spec(3, 2.0), CYCLIC_ME])
+
+
 # both families on both sides of the layout rule: up to _CLASS_MAJOR_MAX
-# classes class-major, one more node-major
+# classes class-major, one more node-major; the independent families take
+# class rows at every m
 WIDE = _CLASS_MAJOR_MAX + 1
 CLASS_LAYOUT_MODELS = {
+    "matrix_exp_groups": (_matrix_exp_groups, True),
     "common_shock_m4": (lambda: _distinct_common_shock(4), True),
     "common_shock_m60": (lambda: _distinct_common_shock(60), True),
     f"common_shock_m{WIDE}": (lambda: _distinct_common_shock(WIDE), False),
@@ -718,15 +729,21 @@ class TestBlockEngine:
     def test_singular_solve_fails_only_its_point(self):
         # Exp(1) written with a second, unobservable phase whose rate is
         # minus the first Euler node at s = 2: zI - T is singular there, so
-        # that point fails alone and the others get the plain Exp(1) numbers
+        # that point fails alone and the others get the plain Exp(1) numbers.
+        # Exp(3) written the same way shares the hidden risk's solve group
         z_bad = EulerScheme().nodes(2.0)[0].real
         hidden = MatrixExpSpec([1.0, 0.0], np.diag([-1.0, z_bad]), [1.0, 0.0])
-        with pytest.raises(SingularMatrixError, match="pivot"):
+        with pytest.raises(SingularMatrixError, match=f"pivot .* at z = {z_bad}"):
             hidden.lst_pair(np.array([1.0, z_bad]))
+        partner = MatrixExpSpec([1.0, 0.0], np.diag([-3.0, -5.0]), [3.0, 0.0])
+        assert _MatrixExpGroup.key(partner) == _MatrixExpGroup.key(hidden)
+        with pytest.raises(SingularMatrixError, match=f"pivot .* at z = {z_bad}"):
+            _MatrixExpGroup([partner, hidden]).pair(np.array([1.0, z_bad]))
         grid = (0.5, 1.0, 2.0)
-        res = self._run(build_matrix_exp([hidden, exponential_me_spec(2.0)]), grid=grid)
+        pool = [hidden, exponential_me_spec(2.0), partner]
+        res = self._run(build_matrix_exp(pool), grid=grid)
         plain = self._run(
-            build_matrix_exp([exponential_me_spec(1.0), exponential_me_spec(2.0)]), grid=grid
+            build_matrix_exp([exponential_me_spec(r) for r in (1.0, 2.0, 3.0)]), grid=grid
         )
         assert res.status == [STATUS_OK, STATUS_OK, STATUS_FAILED]
         assert plain.status == [STATUS_OK] * 3
@@ -854,7 +871,7 @@ class TestRiskClasses:
         assert model.m == 4
         z = EulerScheme().nodes(np.array([1.0, 6.0]))
         pairs = [sp.lst_pair(z) for sp in specs]
-        want = _product_rule(*(np.stack(v, axis=-1) for v in zip(*pairs)))
+        want = np.moveaxis(_product_rule(*(np.stack(v) for v in zip(*pairs))), 0, -1)
         got = node_values(model, z)
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 

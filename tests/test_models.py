@@ -14,6 +14,8 @@ from cmrs.errors import (
 from cmrs.inversion import EulerScheme, GsScheme
 from cmrs.mixing import gamma_mixing, levy_mixing, point_mass_mixing
 from cmrs.models import (
+    _MatrixExpGroup,
+    _product_rule,
     CommonShockCPSpec,
     KatzCompoundSpec,
     LognormalPortfolioSpec,
@@ -88,6 +90,35 @@ class TestMatrixExpSolve:
             assert np.abs(g - w).max() <= 1e-14 * np.abs(w).max()
         # real nodes give real values, complex Schur form or not
         assert all(not np.iscomplexobj(v) for v in spec.lst_pair(np.array([0.0, 0.5])))
+
+    @pytest.mark.parametrize(
+        "nodes",
+        [
+            EulerScheme().nodes(np.array([0.5, 4.0, 20.0])),
+            GsScheme().nodes(np.array([0.5, 4.0, 20.0])),
+            np.asarray(1.0 + 2.0j),
+        ],
+        ids=["euler", "gaver_stehfest", "0d"],
+    )
+    def test_grouped_solve_is_the_solve_of_each_risk_alone(self, nodes):
+        # Erlang(3) at three rates (one group), CYCLIC and CYCLIC at twice
+        # its rates (one group with a dense Q), an Erlang(2) and an
+        # exponential with an atom: four groups, interleaved in risk order
+        specs = [
+            erlang_me_spec(3, 1.0),
+            CYCLIC,
+            erlang_me_spec(3, 1.5),
+            erlang_me_spec(2, 1.0),
+            MatrixExpSpec(CYCLIC.alpha, 2.0 * CYCLIC.T, 2.0 * CYCLIC.u),
+            erlang_me_spec(3, 2.5),
+            MatrixExpSpec([0.6], [[-2.0]], [2.0], p0=0.4),
+        ]
+        assert len({_MatrixExpGroup.key(sp) for sp in specs}) == 4
+        got = build_matrix_exp(specs).transform(nodes)
+        rows = [np.stack([sp.lst_pair(nodes) for sp in specs])[:, k] for k in (0, 1)]
+        want = np.moveaxis(_product_rule(*rows), 0, -1)
+        assert got.shape == want.shape == nodes.shape + (len(specs) + 1,)
+        assert np.array_equal(got, want)
 
     def test_node_at_an_eigenvalue_refused(self):
         for z in np.linalg.eigvals(CYCLIC.T):
