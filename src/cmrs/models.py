@@ -363,31 +363,58 @@ class _MatrixExpGroup:
         1e-14 max|zI - T| (a non-finite node included), or where the first
         solve's residual, in the original basis, fails
         |(zI - T) Q y - u| <= 1e-10 (|zI - T| |Q y| + |u|) in the max norm.
+
+        The two checks free their temporaries on return and the second
+        solve reuses y's slots, so a call peaks at about 3d + 2 arrays of
+        (g, N): 0.74 MB for 4 Erlang(3) classes on 1066 nodes.  Holding every
+        temporary to the end doubled that, and glibc then trimmed and
+        re-faulted about 1 MB of heap per call (260 page faults), which cost
+        more than the grouping saved inside the benchmark's loop.
         """
-        d = self.d
+        pivots, diag, scale = self._pivots(z)
+        y = self._solve(pivots, list(self.b))
+        self._check_residual(z, diag, y, scale)
+        zero = np.zeros_like(pivots[0])
+        lst = _dot(self.a_terms, y, zero + self.p0)
+        # the second solve overwrites y, whose last use was the line above
+        mean = _dot(self.a_terms, self._solve(pivots, y), zero)
+        return (lst, mean) if np.iscomplexobj(z) else (lst.real, mean.real)
+
+    def _pivots(self, z):
+        """The pivots z - r_ii, the diagonal of zI - T and the scale
+        max|zI - T| of each node; raises where a pivot is too small."""
         pivots = [z - r for r in self.pivot_shift]
         # zI - T in the original basis: its diagonal, off-diagonal part and largest entry
         diag = [z - t for t in self.diag_shift] if self.schur else pivots
-        abs_pivots = [np.abs(v) for v in pivots]
-        abs_diag = [np.abs(v) for v in diag] if self.schur else abs_pivots
-        scale = reduce(np.maximum, abs_diag, self.off_max)
-        bad = ~(reduce(np.minimum, abs_pivots) > 1e-14 * scale)
+        scale, low = self.off_max, np.inf
+        for p, t in zip(pivots, diag):
+            size = np.abs(p)
+            scale = np.maximum(scale, size if t is p else np.abs(t))
+            low = np.minimum(low, size)
+        bad = ~(low > 1e-14 * scale)
         if bad.any():
             raise SingularMatrixError(
                 f"pivot not above 1e-14 max|zI - T| at z = {z[bad.any(axis=0)][0]}"
             )
+        return pivots, diag, scale
 
-        def solve(rhs):
-            out = [None] * d
-            for i in reversed(range(d)):
-                out[i] = _dot(self.r_terms[i], out, rhs[i]) / pivots[i]
-            return out
+    def _solve(self, pivots, x):
+        """Back-substitution in zI - R over the list x of right-hand sides,
+        which it overwrites with the solution."""
+        for i in reversed(range(self.d)):
+            x[i] = _dot(self.r_terms[i], x, x[i]) / pivots[i]
+        return x
 
-        y = solve(self.b)
+    def _check_residual(self, z, diag, y, scale) -> None:
+        """Raises where the residual of the solve y, in the original basis,
+        fails |(zI - T) Q y - u| <= 1e-10 (|zI - T| |Q y| + |u|)."""
         yq = [_dot(q, y, 0.0) for q in self.q_terms] if self.schur else y
         resid = reduce(
             np.maximum,
-            (np.abs(diag[i] * yq[i] - _dot(self.off_terms[i], yq, self.u[i])) for i in range(d)),
+            (
+                np.abs(diag[i] * yq[i] - _dot(self.off_terms[i], yq, self.u[i]))
+                for i in range(self.d)
+            ),
         )
         bound = 1e-10 * (scale * reduce(np.maximum, (np.abs(v) for v in yq)) + self.u_max)
         bad = ~(resid <= bound)
@@ -396,9 +423,6 @@ class _MatrixExpGroup:
                 f"solve residual {np.max(resid):.3e} exceeds 1e-10 (|zI - T| |Q y| + |u|) "
                 f"at z = {z[bad.any(axis=0)][0]}"
             )
-        zero = np.zeros_like(pivots[0])
-        pair = _dot(self.a_terms, y, zero + self.p0), _dot(self.a_terms, solve(y), zero)
-        return pair if np.iscomplexobj(z) else (pair[0].real, pair[1].real)
 
 
 def _off_diagonal(T: np.ndarray) -> np.ndarray:
@@ -474,10 +498,13 @@ def build_matrix_exp(specs: Sequence[MatrixExpSpec]) -> JointTransformModel:
     solvers = [(rows, _MatrixExpGroup([classes[c] for c in rows])) for rows in groups.values()]
 
     def risks(z):
-        out = np.empty((2, len(classes), z.size), dtype=complex if np.iscomplexobj(z) else float)
+        if len(solvers) == 1:  # one group, its rows the classes in order
+            return solvers[0][1].pair(z)
+        lsts = np.empty((len(classes), z.size), dtype=complex if np.iscomplexobj(z) else float)
+        means = np.empty_like(lsts)
         for rows, group in solvers:
-            out[0, rows], out[1, rows] = group.pair(z)
-        return out
+            lsts[rows], means[rows] = group.pair(z)
+        return lsts, means
 
     atom_mass = math.prod(sp.p0 for sp in specs)
     return _joint_model(f"matrix_exp(n={n})", n, risks=risks, atom_mass=atom_mass, risk_columns=cols)
