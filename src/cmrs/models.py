@@ -364,12 +364,9 @@ class _MatrixExpGroup:
         solve's residual, in the original basis, fails
         |(zI - T) Q y - u| <= 1e-10 (|zI - T| |Q y| + |u|) in the max norm.
 
-        The two checks free their temporaries on return and the second
-        solve reuses y's slots, so a call peaks at about 3d + 2 arrays of
-        (g, N): 0.74 MB for 4 Erlang(3) classes on 1066 nodes.  Holding every
-        temporary to the end doubled that, and glibc then trimmed and
-        re-faulted about 1 MB of heap per call (260 page faults), which cost
-        more than the grouping saved inside the benchmark's loop.
+        The checks free their temporaries on return and the second solve
+        reuses y's slots: holding them all doubles the peak, and glibc then
+        trims and re-faults the heap on every call (ROADMAP, Settled).
         """
         pivots, diag, scale = self._pivots(z)
         y = self._solve(pivots, list(self.b))

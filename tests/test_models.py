@@ -102,18 +102,24 @@ class TestMatrixExpSolve:
     )
     def test_grouped_solve_is_the_solve_of_each_risk_alone(self, nodes):
         # Erlang(3) at three rates (one group), CYCLIC and CYCLIC at twice
-        # its rates (one group with a dense Q), an Erlang(2) and an
-        # exponential with an atom: four groups, interleaved in risk order
+        # its rates (one group with a dense Q), an Erlang(2), an exponential
+        # with an atom, and a triangular d = 3 risk whose R and alpha have
+        # other zero patterns than Erlang(3)'s: five groups, interleaved
         specs = [
             erlang_me_spec(3, 1.0),
             CYCLIC,
             erlang_me_spec(3, 1.5),
             erlang_me_spec(2, 1.0),
             MatrixExpSpec(CYCLIC.alpha, 2.0 * CYCLIC.T, 2.0 * CYCLIC.u),
+            MatrixExpSpec(
+                [0.5, 0.5, 0.0],
+                [[-2.0, 1.0, 1.0], [0.0, -3.0, 3.0], [0.0, 0.0, -1.0]],
+                [0.0, 0.0, 1.0],
+            ),
             erlang_me_spec(3, 2.5),
             MatrixExpSpec([0.6], [[-2.0]], [2.0], p0=0.4),
         ]
-        assert len({_MatrixExpGroup.key(sp) for sp in specs}) == 4
+        assert len({_MatrixExpGroup.key(sp) for sp in specs}) == 5
         got = build_matrix_exp(specs).transform(nodes)
         rows = [np.stack([sp.lst_pair(nodes) for sp in specs])[:, k] for k in (0, 1)]
         want = np.moveaxis(_product_rule(*rows), 0, -1)
