@@ -28,10 +28,12 @@ identical risks, so they run without a risk map; that one is a class pool.
   ``points`` levels evenly over E[S] +- 2.5 sd(S).  Every risk is its own
   class, and all of them share one solve group.
 
-One untimed ``allocate`` comes first.  Then each rep times ``allocate`` and
-``write_csv`` (into an in-memory buffer) separately.  The script prints one
-JSON object: the family, the scheme, the per-rep seconds of each, their
-medians, the CSV size, the status counts and the process's peak RSS in MB.
+One untimed ``allocate`` comes first.  Then each rep times ``allocate``,
+``write_csv`` (into an in-memory buffer) and
+``diagonal_diagnostic(model, np.logspace(-2, 2, 25))`` separately.  The
+script prints one JSON object: the family, the scheme, the per-rep seconds
+of each, their medians, the CSV size, the status counts and the process's
+peak RSS in MB.
 Run parent and change in alternating fresh processes to compare two trees.
 """
 
@@ -75,6 +77,7 @@ def main(argv=None) -> int:
     from cmrs import allocate, build_common_shock_cp, build_mixed_exp_frailty, gamma_mixing
     from cmrs.models import build_matrix_exp, erlang_me_spec
     from cmrs.cli import _scaled_cscp, write_csv
+    from cmrs.transforms import diagonal_diagnostic
 
     if args.family == "common_shock_cp":
         rng = np.random.default_rng(3)
@@ -103,7 +106,8 @@ def main(argv=None) -> int:
         scheme=EulerScheme() if args.scheme == "euler" else GsScheme(),
     )
     allocate(request)
-    alloc_s, csv_s = [], []
+    t_grid = np.logspace(-2, 2, 25)
+    alloc_s, csv_s, diag_s = [], [], []
     for _ in range(args.reps):
         t0 = time.perf_counter()
         result = allocate(request)
@@ -112,6 +116,9 @@ def main(argv=None) -> int:
         t0 = time.perf_counter()
         write_csv(result, buf)
         csv_s.append(time.perf_counter() - t0)
+        t0 = time.perf_counter()
+        diagonal_diagnostic(model, t_grid)
+        diag_s.append(time.perf_counter() - t0)
     print(
         json.dumps(
             {
@@ -123,6 +130,8 @@ def main(argv=None) -> int:
                 "allocate_s_median": statistics.median(alloc_s),
                 "write_csv_s": csv_s,
                 "write_csv_s_median": statistics.median(csv_s),
+                "diagnostic_s": diag_s,
+                "diagnostic_s_median": statistics.median(diag_s),
                 "csv_bytes": len(buf.getvalue()),
                 "status_counts": {st: result.status.count(st) for st in sorted(set(result.status))},
                 "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,

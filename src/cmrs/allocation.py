@@ -13,9 +13,10 @@ The model is called once per block of gridpoints, with the nodes of every
 point in the block stacked into one array, and the kernel inverts the whole
 block in one pass; every point's numbers are those of a call on its own
 nodes, bit for bit.  The kernel inverts the model's m+1 columns, L_S and one
-column per class of identical risks (m = n without a ``risk_columns`` map),
-and the inverted columns are expanded to the n risks once, after the last
-block, so identical risks get identical shares.  A block holds
+column per class of identical risks (m = n without a ``risk_columns`` map).
+Shares, sums and statuses are derived on those class columns, and only
+``raw_xi``, ``xi`` and ``h`` are expanded to the n risks, once, at the end,
+so identical risks get identical shares.  A block holds
 max(1, 2**14 // (nodes x (m+1))) points.
 The budget of 2**14 elements was set by measurement (benchmark workloads,
 2-vCPU KVM guest, numpy 2.4): it takes the 750-point n=3 grid from 0.18 s
@@ -39,9 +40,11 @@ violation at s = 199.2 demotes 20 later points whose residuals are at most
 2.1e-4.  Roundoff is forgiven without penalty: small
 negative allocation values in [-1e-8, 0) are clamped to zero, and a share
 above s by at most balance_tol * s is clipped to s (with one risk, h_1 = s
-exactly).  sum_h and the budget residual are numpy row sums, within about
-n eps relative of the exact sums of nonnegative shares, far inside any
-balance_tol.  ``breakdown_scan`` summarises the stored statuses.
+exactly).  sum_h and the budget residual are numpy row sums over the m
+class columns, each weighed by its number of risks (exactly 1 without a
+map), within about n eps relative of the exact sums of nonnegative shares,
+far inside any balance_tol.  ``breakdown_scan`` summarises the stored
+statuses.
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ import numpy as np
 
 from .errors import CmrsError, DomainError
 from .inversion import Scheme, admitted, invert, invert_values
-from .transforms import JointTransformModel, column_values, node_values
+from .transforms import JointTransformModel, column_values
 
 STATUS_OK = "ok"
 STATUS_DEGRADED = "degraded"
@@ -167,29 +170,32 @@ def allocate(request: AllocationRequest) -> AllocationResult:
             # one bad node (or a wrong shape) fails its gridpoint, never its block
             if len(points) > 1:
                 pending += [slice(j, j + 1) for j in range(*block.indices(len(kept)))]
-    values = model.expand(values)
-    elapsed = time.perf_counter() - start
 
-    # shares and statuses: the one place a status is derived; values is this
-    # call's own array (np.full, or expand's np.take), so the results view it
+    # shares and statuses, the one place a status is derived, on the m class
+    # columns: a class's masks and shares are each of its risks', and a sum
+    # over risks weighs each class by its multiplicity
     density = values[:, 0]
     raw_xi = values[:, 1:]
     unusable = (
         ~np.isfinite(density) | ~np.isfinite(raw_xi).all(axis=1) | (raw_xi < _XI_CLAMP).any(axis=1)
     )
-    xi = np.where(~unusable[:, None] & (raw_xi > _XI_CLAMP) & (raw_xi < 0.0), 0.0, raw_xi)
+    roundoff = (raw_xi > _XI_CLAMP) & (raw_xi < 0.0)
+    roundoff[unusable] = False
+    xi = np.where(roundoff, 0.0, raw_xi)
     # the floor governs f outright: a zero, subnormal or negative density
     # cannot support a ratio, even though xi-level roundoff is forgiven
     failed = unusable | (density <= request.density_floor)
     tol = request.balance_tol
     target = s_grid * density
+    mult = model.multiplicity
     # a failed row may divide by a zero or non-finite density; it keeps NaN
     # sums and zero shares
     with np.errstate(all="ignore"):
         hrow = xi / density[:, None]
-        sum_h = np.where(failed, np.nan, hrow.sum(axis=1))
-        resid = np.where(failed, np.nan, np.abs(xi.sum(axis=1) - target) / target)
-    h = np.where(failed[:, None], 0.0, np.clip(hrow, 0.0, s_grid[:, None]))
+        sum_h = np.where(failed, np.nan, (hrow * mult).sum(axis=1))
+        resid = np.where(failed, np.nan, np.abs((xi * mult).sum(axis=1) - target) / target)
+    h = np.clip(hrow, 0.0, s_grid[:, None], out=hrow)
+    h[failed] = 0.0
     # shares are >= 0 here, so one above s by more than tol * s fails the
     # sum test; one above s by less is roundoff (with one risk, h_1 = s
     # exactly) and is clipped to s without penalty
@@ -199,6 +205,10 @@ def allocate(request: AllocationRequest) -> AllocationResult:
     # once any point has violated, every later one is at best degraded
     after_break = np.concatenate([[False], np.logical_or.accumulate(violated)[:-1]])
     code = np.where(failed, 2, violated | after_break)
+    # values is this call's own array (np.full), so the results view it;
+    # only the per-risk arrays are expanded to the n risks
+    raw_xi, xi, h = model.per_risk(raw_xi), model.per_risk(xi), model.per_risk(h)
+    elapsed = time.perf_counter() - start
     return AllocationResult(
         request=request,
         s_grid=s_grid,
@@ -257,8 +267,9 @@ class TailContribution:
 
 def tail_contribution(result: AllocationResult, s_star: float) -> TailContribution:
     """E[X_i 1{S >= s*}] per risk, by one inversion at s* with the run's
-    model and scheme; the grid is not read.  ``invert`` takes all n columns
-    of (L_i(0) - L_i(z)) / z, L_i(z) = E[X_i exp(-zS)], with its refusals
+    model and scheme; the grid is not read.  ``invert`` takes the m class
+    columns of (L_i(0) - L_i(z)) / z, L_i(z) = E[X_i exp(-zS)], expanded to
+    the n risks afterwards, with its refusals
     (DomainError for s* <= 0, InversionError for a contour that reaches
     Re z <= 0).  The origin atom lies below every s* > 0 and carries no
     allocation mass, so it adds nothing.  The error is the scheme's, about
@@ -270,10 +281,10 @@ def tail_contribution(result: AllocationResult, s_star: float) -> TailContributi
     model = result.request.model
 
     def tail_transform(z):
-        vals = node_values(model, np.append(0.0, z))[:, 1:]
+        vals = column_values(model, np.append(0.0, z))[:, 1:]
         return (vals[0] - vals[1:]) / z[:, None]
 
-    per = invert(tail_transform, s_star, result.scheme)
+    per = model.per_risk(invert(tail_transform, s_star, result.scheme))
     return TailContribution(
         s_star=float(s_star),
         per_risk=tuple(float(v) for v in per),

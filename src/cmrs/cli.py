@@ -109,7 +109,8 @@ def write_csv(result: AllocationResult, fh: TextIO) -> int:
     getters = [itemgetter(*chunk) for chunk in chunks]
     order = itemgetter(*seq, len(chunks))
     shares = ",".join(["%.12g"] * (3 * m))
-    classes = np.column_stack([result.xi[:, first], result.h[:, first], proportions(result)[:, first]])
+    h = result.h[:, first]
+    classes = np.column_stack([result.xi[:, first], h, h / result.s_grid[:, None]])
     ends = np.column_stack([result.s_grid, result.density, result.sum_h, result.balance_residual])
     for (s, f, sum_h, resid), row, status in zip(ends.tolist(), classes.tolist(), result.status):
         strs = (shares % tuple(row)).split(",")

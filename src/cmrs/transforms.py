@@ -64,9 +64,10 @@ class JointTransformModel:
     every column used.  ``transform`` then returns [L_S, L_(1), ..., L_(m)]
     with one allocation column per class, shape z.shape + (m+1,), which the
     class's risks share; ``expand`` gives the n+1 view.  The allocation
-    engine inverts the m+1 columns and expands them afterwards; the
-    diagnostics read the n+1 view.  With ``None`` (the default) every risk
-    is its own column and m = n.
+    engine and the diagnostics work on the class columns, weighing a class
+    by its ``multiplicity`` where they sum over risks, and expand only what
+    they hand out per risk.  With ``None`` (the default) every risk is its
+    own column and m = n.
     """
 
     n: int
@@ -100,6 +101,14 @@ class JointTransformModel:
         """The number of allocation columns ``transform`` returns."""
         return self.n if self.risk_columns is None else int(self.risk_columns.max()) + 1
 
+    @property
+    def multiplicity(self) -> np.ndarray:
+        """The number of risks in each of the m class columns: ones without
+        a map."""
+        if self.risk_columns is None:
+            return np.ones(self.n)
+        return np.bincount(self.risk_columns)
+
     def expand(self, values: np.ndarray) -> np.ndarray:
         """The n+1 view [L_S, L_1, ..., L_n] of values whose last axis holds
         the m+1 columns [L_S, class columns]; the values themselves when
@@ -107,6 +116,13 @@ class JointTransformModel:
         if self.risk_columns is None:
             return values
         return np.take(values, np.append(0, self.risk_columns + 1), axis=-1)
+
+    def per_risk(self, classes: np.ndarray) -> np.ndarray:
+        """The n risk columns of an array whose last axis holds the m class
+        columns; the array itself when there is no map."""
+        if self.risk_columns is None:
+            return classes
+        return np.take(classes, self.risk_columns, axis=-1)
 
 
 def column_values(model, z: np.ndarray) -> np.ndarray:
@@ -122,26 +138,27 @@ def column_values(model, z: np.ndarray) -> np.ndarray:
     return vals
 
 
-def node_values(model, z: np.ndarray) -> np.ndarray:
-    """[L_S(z), L_1(z), ..., L_n(z)] along a new last axis: the checked
-    ``column_values``, one column per risk."""
-    return model.expand(column_values(model, z))
+def _risk_entry(model, k: int) -> int:
+    """The entry of the n+1 view that class column k stands for: L_S, or
+    the first risk of its class."""
+    if k == 0 or model.risk_columns is None:
+        return k
+    return int(np.argmax(model.risk_columns == k - 1)) + 1
 
 
-def eval_transform(model, z) -> np.ndarray:
-    """[L_S(z), L_1(z), ..., L_n(z)] along a new last axis for an array of
-    nodes with Re z > 0, with shape, finiteness and (at real nodes) pure-real
-    checks on every entry."""
-    z = np.asarray(z)
+def _checked_columns(model, z: np.ndarray) -> np.ndarray:
+    """The m+1 columns of ``column_values`` at nodes with Re z > 0, complex,
+    with finiteness and (at real nodes) pure-real checks on every entry; a
+    refusal names the entry of the n+1 view, so a class's first risk."""
     if not (np.real(z) > 0.0).all():
         raise DomainError(f"transform needs Re z > 0, got Re z = {np.real(z).min()}")
-    vals = node_values(model, z).astype(complex, copy=False)
+    vals = column_values(model, z).astype(complex, copy=False)
     finite = np.isfinite(vals)
     if not finite.all():
         at = np.argwhere(~finite)[0]
         raise EvaluationError(
-            f"transform entry {at[-1]} returned non-finite value {vals[tuple(at)]} "
-            f"at z={z[tuple(at[:-1])]}"
+            f"transform entry {_risk_entry(model, at[-1])} returned non-finite value "
+            f"{vals[tuple(at)]} at z={z[tuple(at[:-1])]}"
         )
     # an all-zero imaginary part passes at once; the tolerance test is the
     # costlier part of a diagnostic's work at small n
@@ -151,10 +168,19 @@ def eval_transform(model, z) -> np.ndarray:
         if bad.any():
             at = np.argwhere(bad)[0]
             raise EvaluationError(
-                f"transform entry {at[-1]} at real z={np.real(z[tuple(at[:-1])])} has "
-                f"non-negligible imaginary part {vals[tuple(at)].imag}"
+                f"transform entry {_risk_entry(model, at[-1])} at real "
+                f"z={np.real(z[tuple(at[:-1])])} has non-negligible imaginary part "
+                f"{vals[tuple(at)].imag}"
             )
     return vals
+
+
+def eval_transform(model, z) -> np.ndarray:
+    """[L_S(z), L_1(z), ..., L_n(z)] along a new last axis for an array of
+    nodes with Re z > 0: the model's m+1 columns are checked (shape,
+    finiteness and, at real nodes, pure-real), then expanded to the n+1
+    view."""
+    return model.expand(_checked_columns(model, np.asarray(z)))
 
 
 def numerical_aggregate_derivative(model, t):
@@ -165,7 +191,7 @@ def numerical_aggregate_derivative(model, t):
     if not (t > 0.0).all():
         raise DomainError(f"need t > 0, got {t.min()}")
     h = _H_REL * t
-    hi, lo = eval_transform(model, np.stack([t + h, t - h]))[..., 0].real
+    hi, lo = _checked_columns(model, np.stack([t + h, t - h]))[..., 0].real
     return (hi - lo) / (2.0 * h)
 
 
@@ -193,13 +219,17 @@ def diagonal_diagnostic(model, t_grid: Sequence[float], tol: float = 1e-5) -> Di
     The residual is normalized by max(|L_S'(t)|, 1e-300); the derivative is a
     central difference with step 1e-6 * t, so the residual bundles both any
     model inconsistency and the differencing error.  The whole grid costs two
-    model calls: one at every t - h and t + h, one at every t.
+    model calls: one at every t - h and t + h, one at every t.  The sum runs
+    over the m class columns, ``math.fsum`` of m_c L_c(t) with m_c the
+    class's multiplicity; nothing is expanded to the n risks.
     """
     ts = tuple(float(t) for t in t_grid)
     if not ts:
         return DiagonalReport((), (), (), tol)
     d = numerical_aggregate_derivative(model, ts)
-    vals = eval_transform(model, np.array(ts))[:, 1:].real
+    vals = _checked_columns(model, np.array(ts))[:, 1:].real
+    if model.risk_columns is not None:
+        vals = vals * model.multiplicity
     res = tuple(
         abs(math.fsum(row) + dk) / max(abs(dk), _RESIDUAL_FLOOR)
         for row, dk in zip(vals.tolist(), d.tolist())

@@ -62,8 +62,8 @@ from cmrs.oracles import (
 from cmrs.transforms import (
     JointTransformModel,
     diagonal_diagnostic,
+    column_values,
     eval_transform,
-    node_values,
 )
 
 CS_REF = CommonShockCPSpec(
@@ -802,6 +802,34 @@ def _exponential_classes(cols, atom=0.1):
     return JointTransformModel(n, transform, atom_mass=atom, risk_columns=cols)
 
 
+def _no_map_twin(model):
+    """A class model's transform expanded to one column per risk, with no
+    map: the reference a class pool's results must match."""
+    return dataclasses.replace(
+        model, transform=lambda z: model.expand(model.transform(z)), risk_columns=None
+    )
+
+
+def _faulty_classes(model, scheme, faults):
+    """``model`` with class columns corrupted at the Euler nodes of chosen
+    gridpoints (the nodes of level s share Re z = A / (2s)): ``faults``
+    holds (s, class, factor), and a factor of inf puts 1e308 at the real
+    node, which overflows in the kernel."""
+
+    def transform(z):
+        vals = np.array(model.transform(z))
+        level = scheme.A / (2.0 * np.real(z))
+        for s, c, factor in faults:
+            at = np.isclose(level, s)
+            if np.isinf(factor):
+                vals[at & (np.imag(z) == 0.0), 1 + c] = 1e308
+            else:
+                vals[at, 1 + c] *= factor
+        return vals
+
+    return dataclasses.replace(model, transform=transform)
+
+
 def _csv_pair(res):
     """The class writer's bytes and the per-value writer's bytes of ``res``."""
     model = res.request.model
@@ -853,7 +881,8 @@ class TestRiskClasses:
         model = build_common_shock_cp(spec)
         z = EulerScheme().nodes(np.array([0.5, 4.0, 12.0]))
         want = _per_risk_common_shock(spec).transform(z)
-        assert np.abs(node_values(model, z) - want).max() <= 1e-13 * np.abs(want).max()
+        got = model.expand(column_values(model, z))
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
         grid = _grid(0.5, 12.0, 0.5)
         res = allocate(AllocationRequest(model=model, s_grid=grid, scheme=EulerScheme()))
         ref = allocate(
@@ -872,7 +901,7 @@ class TestRiskClasses:
         z = EulerScheme().nodes(np.array([1.0, 6.0]))
         pairs = [sp.lst_pair(z) for sp in specs]
         want = np.moveaxis(_product_rule(*(np.stack(v) for v in zip(*pairs))), 0, -1)
-        got = node_values(model, z)
+        got = model.expand(column_values(model, z))
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
     @pytest.mark.parametrize("pool", ["common_shock", "lognormal"])
@@ -894,6 +923,56 @@ class TestRiskClasses:
             assert np.array_equal(values, values[:, first[cols]], equal_nan=True)
         tail = np.array(tail_contribution(res, grid[len(grid) // 2]).per_risk)
         assert np.array_equal(tail, tail[first[cols]])
+
+    def test_class_space_results_match_the_no_map_twin(self):
+        # shares, sums and statuses on the class columns against the same
+        # numbers on one column per risk: ok points, a budget violation
+        # (s = 6), the points after the break, a class with xi < -1e-8
+        # (s = 7, where a failed row's roundoff in class 3 is kept), a class
+        # whose inverted value is non-finite (s = 8) and a class whose
+        # roundoff is clamped (s = 9)
+        scheme = EulerScheme()
+        faults = [(6.0, 1, 1.05), (7.0, 2, -1.0), (7.0, 3, -1e-12), (8.0, 0, np.inf), (9.0, 3, -1e-12)]
+        model = _faulty_classes(build_common_shock_cp(_scaled_cscp(CS_REF, 10)), scheme, faults)
+        grid = _grid(0.5, 12.0, 0.5)
+        with np.errstate(over="ignore"):
+            res, ref = (
+                allocate(AllocationRequest(model=m, s_grid=grid, scheme=scheme))
+                for m in (model, _no_map_twin(model))
+            )
+        status = dict(zip(grid, res.status))
+        assert res.status[:11] == [STATUS_OK] * 11
+        assert status[6.0] == status[6.5] == status[9.0] == STATUS_DEGRADED
+        assert status[7.0] == status[8.0] == STATUS_FAILED
+        k = grid.index(8.0)
+        assert np.isfinite(res.density[k]) and not np.isfinite(res.raw_xi[k]).all()
+        k = grid.index(9.0)
+        assert -1e-8 < res.raw_xi[k, 9] < 0.0 == res.xi[k, 9]
+        k = grid.index(7.0)
+        assert -1e-8 < res.raw_xi[k, 9] == res.xi[k, 9] < 0.0
+        assert res.status == ref.status
+        for name in ("density", "raw_xi", "xi", "h"):
+            assert np.array_equal(getattr(res, name), getattr(ref, name), equal_nan=True)
+        # the sums weigh each class by its multiplicity: n eps relative to
+        # the sum, so to sum_h and to sum xi / (s f) = 1 +- the residual
+        bound = 4 * model.n * np.finfo(float).eps
+        for got, want, scale in (
+            (res.sum_h, ref.sum_h, np.abs(ref.sum_h)),
+            (res.balance_residual, ref.balance_residual, 1.0 + ref.balance_residual),
+        ):
+            assert np.array_equal(np.isnan(got), np.isnan(want))
+            ok = ~np.isnan(want)
+            assert (np.abs(got - want)[ok] <= bound * scale[ok]).all()
+
+    def test_class_tail_contribution_is_the_no_map_twins(self):
+        model = build_common_shock_cp(_scaled_cscp(CS_REF, 10))
+        grid = (2.0, 4.0)
+        tails = [
+            tail_contribution(allocate(AllocationRequest(model=m, s_grid=grid, scheme=s)), 3.0)
+            for m in (model, _no_map_twin(model))
+            for s in (EulerScheme(), GsScheme())
+        ]
+        assert tails[0] == tails[2] and tails[1] == tails[3]
 
     def test_class_csv_is_the_per_value_csv(self):
         # with an origin atom and a degraded tail: the class writer's bytes

@@ -31,7 +31,7 @@ from cmrs.models import (
     exponential_severity,
     is_phase_type,
 )
-from cmrs.transforms import diagonal_diagnostic, eval_transform, node_values
+from cmrs.transforms import column_values, diagonal_diagnostic, eval_transform
 
 
 # a phase-type risk whose phases 1 -> 2 -> 3 -> 1 form a cycle: T is not
@@ -161,12 +161,14 @@ class TestMixedExpFrailty:
         assert eval_transform(model, 1.0)[0] == pytest.approx(0.4619670665254551, abs=1e-12)
 
     def test_batch_matches_scalar_exactly(self):
-        # the values the engine inverts (``node_values``) and the checked
-        # evaluation the diagnostics use (``eval_transform``) agree exactly
+        # the values the engine inverts (``column_values``, expanded) and
+        # the checked evaluation the diagnostics use (``eval_transform``)
+        # agree exactly
         model = build_mixed_exp_frailty(MixedExpFrailtySpec((1.0, 0.5, 2.0), gamma_mixing(1.3)))
         for z in (0.4 + 0.0j, 1.0 + 0.0j, 2.0 + 3.0j):
             z = np.asarray(z)
-            assert np.array_equal(node_values(model, z).real, eval_transform(model, z).real)
+            got = model.expand(column_values(model, z))
+            assert np.array_equal(got.real, eval_transform(model, z).real)
 
     def test_degenerate_mixing_reduces_to_independent_exponentials(self):
         # point mass at theta0 means risk j is Exp(theta0 / lambda_j)
@@ -373,13 +375,14 @@ class TestCommonShockCP:
         assert abs(model.atom_mass - math.exp(-4.0)) < 1e-15
 
     def test_batch_matches_scalar_exactly(self):
-        # the values the engine inverts (``node_values``) and the checked
-        # evaluation the diagnostics use (``eval_transform``) agree exactly,
-        # the origin atom included
+        # the values the engine inverts (``column_values``, expanded) and
+        # the checked evaluation the diagnostics use (``eval_transform``)
+        # agree exactly, the origin atom included
         model = build_common_shock_cp(CommonShockCPSpec(**CS_531))
         for z in (0.2 + 0.0j, 1.0 + 0.0j, 3.0 + 2.0j):
             z = np.asarray(z)
-            assert np.array_equal(node_values(model, z).real, eval_transform(model, z).real)
+            got = model.expand(column_values(model, z))
+            assert np.array_equal(got.real, eval_transform(model, z).real)
 
     def test_means(self):
         model = build_common_shock_cp(CommonShockCPSpec(**CS_531))

@@ -7,9 +7,9 @@ from cmrs.errors import DomainError, EvaluationError, ModelSpecError
 from cmrs.models import build_matrix_exp, erlang_me_spec, exponential_me_spec
 from cmrs.transforms import (
     JointTransformModel,
+    column_values,
     diagonal_diagnostic,
     eval_transform,
-    node_values,
     numerical_aggregate_derivative,
 )
 
@@ -28,7 +28,7 @@ class TestOriginAtom:
             atom_mass=1.0,
         )
         z = np.array([[0.7 + 0.3j, 2.0 - 1.0j], [5.0 + 0j, 0.1 + 9.0j]])
-        vals = node_values(model, z)
+        vals = model.expand(column_values(model, z))
         assert vals.shape == (2, 2, 3)
         assert np.abs(vals[..., 0] - model.atom_mass).max() < 1e-15
         assert np.abs(vals[..., 1:]).max() < 1e-15
@@ -130,6 +130,42 @@ class TestDerivativeAndDiagonal:
         assert report.all_passed
         # every t - h and t + h in one call, every t in the other
         assert [np.shape(z) for z in calls] == [(2, len(t_grid)), (len(t_grid),)]
+
+
+def _no_map_twin(model):
+    return JointTransformModel(
+        n=model.n, transform=lambda z: model.expand(model.transform(z)), atom_mass=model.atom_mass
+    )
+
+
+class TestClassColumns:
+    """A model with a risk map against its no-map twin, the same transform
+    expanded by ``model.expand``: the checks read the class columns and
+    expand nothing they do not hand out."""
+
+    def test_diagonal_residuals_match_the_twin(self):
+        model = build_matrix_exp([erlang_me_spec(2, r) for r in (1.0, 2.0, 1.0, 3.0, 2.0, 1.0, 1.0)])
+        assert model.risk_columns.tolist() == [0, 1, 0, 2, 1, 0, 0]
+        t_grid = np.logspace(-2, 2, 25)
+        got, want = (diagonal_diagnostic(m, t_grid) for m in (model, _no_map_twin(model)))
+        assert got.all_passed and want.all_passed
+        assert np.abs(np.subtract(got.residual, want.residual)).max() <= 1e-12
+        assert np.array_equal(eval_transform(model, t_grid), eval_transform(_no_map_twin(model), t_grid))
+
+    @pytest.mark.parametrize("bad", [complex("nan"), 0.1 + 1e-3j])
+    def test_refusal_names_the_first_risk_of_the_class(self, bad):
+        # class 1 holds risks 2 and 3 (0-based), so entry 1 + 2 = 3 of the
+        # n+1 view, not the class index
+        vals = np.array([0.5, 0.1, bad, 0.2], dtype=complex)
+        model = JointTransformModel(
+            n=5, transform=lambda z: np.broadcast_to(vals, np.shape(z) + (4,)),
+            risk_columns=np.array([0, 0, 1, 1, 2]),
+        )
+        for m in (model, _no_map_twin(model)):
+            with pytest.raises(EvaluationError, match="transform entry 3 "):
+                eval_transform(m, 2.0)
+            with pytest.raises(EvaluationError, match="transform entry 3 "):
+                diagonal_diagnostic(m, [2.0])
 
 
 @given(
