@@ -11,7 +11,11 @@ modules and, for every seed, builds every leg of the benchmark workloads
 ``Bench.setup``, the way the benchmark builds them, and runs ``allocate``,
 ``write_csv`` and ``breakdown_scan`` on each.  It also runs all three on
 every ``configs/*.yaml`` of its tree, with the request ``cmrs allocate``
-builds from the file.
+builds from the file, and, under default Euler, on two pools of distinct
+risks (m = n) that ``scripts/large_pool_timing.py`` builds, at 10 points
+each: the heterogeneous common-shock pool at n = 3000, whose 3000 classes
+take the node-major layout of ``models._class_rows``, and distinct
+Erlang(3) risks at n = 300, the product rule with no repeated class.
 
 A leg is equal when every result array (``density``, ``raw_xi``, ``xi``,
 ``h``, ``sum_h`` and ``balance_residual``) is ``np.array_equal`` (NaN equal
@@ -22,7 +26,7 @@ that differ in each, and exits 1 when there is any (2 when a tree cannot be
 run).  For each differing array it also prints the largest |change - parent|
 over the entries finite in both trees, and whether the NaN positions match.
 A change that passes it needs no fade gate (``scripts/fade_gate.py``).  The
-five default seeds take about five seconds per tree.
+five default seeds and the two pools take a few seconds per tree.
 """
 
 from __future__ import annotations
@@ -40,16 +44,19 @@ import tempfile
 import numpy as np
 
 from fade_gate import _seeds
+from large_pool_timing import pool
 
 ARRAYS = ("density", "raw_xi", "xi", "h", "sum_h", "balance_residual")
 SCAN = ("first_violation", "breakdown_s", "n_ok", "n_degraded", "n_failed")
+# (family, n, points) of the large_pool_timing pools run as legs
+POOLS = (("common_shock_cp", 3000, 10), ("matrix_exp", 300, 10))
 
 
 def _worker(root: str, seeds: list[int], out: str) -> None:
     """Pickle {leg key: output} for every leg and shipped config to ``out``."""
     sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "benchmark")]
     from bench import Bench
-    from cmrs import allocate, breakdown_scan, load_config
+    from cmrs import AllocationRequest, EulerScheme, allocate, breakdown_scan, load_config
     from cmrs.cli import _build_request, write_csv
     from workloads import NAMES, make_workload
 
@@ -74,6 +81,9 @@ def _worker(root: str, seeds: list[int], out: str) -> None:
                     legs[f"{name}/seed{seed}/{leg.label}"] = output(request)
     for path in sorted(glob.glob(os.path.join(root, "configs", "*.yaml"))):
         legs[f"configs/{os.path.basename(path)}"] = output(_build_request(load_config(path)))
+    for family, n, points in POOLS:
+        model, grid = pool(family, n, points)
+        legs[f"pools/{family}/n{n}"] = output(AllocationRequest(model=model, s_grid=grid, scheme=EulerScheme()))
     with open(out, "wb") as fh:
         pickle.dump(legs, fh)
 

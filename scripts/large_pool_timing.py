@@ -7,7 +7,8 @@
 ROOT is a checkout with ``src/cmrs``; its package is the one imported.  The
 pools run under default Euler (41 nodes per point) or default
 Gaver-Stehfest (16 nodes).  All but ``common_shock_replicated`` have no two
-identical risks, so they run without a risk map; that one is a class pool.
+identical risks, so their models carry the identity risk map (m = n); that
+one is a class pool.
 
 * ``common_shock_cp`` (default n = 10000, 100 points): lambda_i ~ U(0.5, 1.5)
   rescaled to sum 3, beta_i ~ U(0.6, 2.0) and w_i ~ U(0.5, 1.5) normalised,
@@ -60,26 +61,16 @@ DEFAULTS = {
 }
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("root")
-    ap.add_argument("--family", choices=sorted(DEFAULTS), default="common_shock_cp")
-    ap.add_argument("--n", type=int, help="pool size (default per family)")
-    ap.add_argument("--points", type=int, help="gridpoints (default per family)")
-    ap.add_argument("--scheme", choices=["euler", "gaver-stehfest"], default="euler")
-    ap.add_argument("--reps", type=int, default=5)
-    args = ap.parse_args(argv)
-    n, points, top = DEFAULTS[args.family]
-    n = args.n or n
-    points = args.points or points
-    sys.path.insert(0, os.path.join(os.path.abspath(args.root), "src"))
-    from cmrs import AllocationRequest, CommonShockCPSpec, EulerScheme, GsScheme, MixedExpFrailtySpec
-    from cmrs import allocate, build_common_shock_cp, build_mixed_exp_frailty, gamma_mixing
+def pool(family: str, n: int, points: int):
+    """The model and grid of one family's pool, from the ``cmrs`` package on
+    ``sys.path``."""
+    from cmrs import CommonShockCPSpec, MixedExpFrailtySpec
+    from cmrs import build_common_shock_cp, build_mixed_exp_frailty, gamma_mixing
+    from cmrs.cli import _scaled_cscp
     from cmrs.models import build_matrix_exp, erlang_me_spec
-    from cmrs.cli import _scaled_cscp, write_csv
-    from cmrs.transforms import diagonal_diagnostic
 
-    if args.family == "common_shock_cp":
+    top = DEFAULTS[family][2]
+    if family == "common_shock_cp":
         rng = np.random.default_rng(3)
         lam = rng.uniform(0.5, 1.5, n)
         lam *= 3.0 / lam.sum()
@@ -87,10 +78,10 @@ def main(argv=None) -> int:
         w = rng.uniform(0.5, 1.5, n)
         w /= w.sum()
         model = build_common_shock_cp(CommonShockCPSpec(1.5, tuple(lam), 0.9, tuple(bet), tuple(w)))
-    elif args.family == "common_shock_replicated":
+    elif family == "common_shock_replicated":
         base = CommonShockCPSpec(1.5, (0.8, 1.1, 0.6), 0.9, (1.4, 0.7, 1.9), (0.2, 0.3, 0.5))
         model = build_common_shock_cp(_scaled_cscp(base, n))
-    elif args.family == "matrix_exp":
+    elif family == "matrix_exp":
         rates = np.random.default_rng(7).uniform(0.5, 2.0, n) * n / 3.0
         model = build_matrix_exp([erlang_me_spec(3, r) for r in rates])
         mean, sd = (3.0 / rates).sum(), math.sqrt((3.0 / rates**2).sum())
@@ -100,9 +91,30 @@ def main(argv=None) -> int:
         model = build_mixed_exp_frailty(MixedExpFrailtySpec(tuple(lam), gamma_mixing(3.0)))
     if top is not None:
         grid = np.linspace(0.5, top, points)
+    return model, tuple(grid)
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("root")
+    ap.add_argument("--family", choices=sorted(DEFAULTS), default="common_shock_cp")
+    ap.add_argument("--n", type=int, help="pool size (default per family)")
+    ap.add_argument("--points", type=int, help="gridpoints (default per family)")
+    ap.add_argument("--scheme", choices=["euler", "gaver-stehfest"], default="euler")
+    ap.add_argument("--reps", type=int, default=5)
+    args = ap.parse_args(argv)
+    n, points, _ = DEFAULTS[args.family]
+    n = args.n or n
+    points = args.points or points
+    sys.path.insert(0, os.path.join(os.path.abspath(args.root), "src"))
+    from cmrs import AllocationRequest, EulerScheme, GsScheme, allocate
+    from cmrs.cli import write_csv
+    from cmrs.transforms import diagonal_diagnostic
+
+    model, grid = pool(args.family, n, points)
     request = AllocationRequest(
         model=model,
-        s_grid=tuple(grid),
+        s_grid=grid,
         scheme=EulerScheme() if args.scheme == "euler" else GsScheme(),
     )
     allocate(request)

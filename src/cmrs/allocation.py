@@ -13,7 +13,7 @@ The model is called once per block of gridpoints, with the nodes of every
 point in the block stacked into one array, and the kernel inverts the whole
 block in one pass; every point's numbers are those of a call on its own
 nodes, bit for bit.  The kernel inverts the model's m+1 columns, L_S and one
-column per class of identical risks (m = n without a ``risk_columns`` map).
+column per class of identical risks (m = n for the identity map).
 Shares, sums and statuses are derived on those class columns, and only
 ``raw_xi``, ``xi`` and ``h`` are expanded to the n risks, once, at the end,
 so identical risks get identical shares.  A block holds
@@ -41,8 +41,8 @@ violation at s = 199.2 demotes 20 later points whose residuals are at most
 negative allocation values in [-1e-8, 0) are clamped to zero, and a share
 above s by at most balance_tol * s is clipped to s (with one risk, h_1 = s
 exactly).  sum_h and the budget residual are numpy row sums over the m
-class columns, each weighed by its number of risks (exactly 1 without a
-map), within about n eps relative of the exact sums of nonnegative shares,
+class columns, each weighed by its number of risks (exactly 1 for the
+identity map), within about n eps relative of the exact sums of nonnegative shares,
 far inside any balance_tol.  ``breakdown_scan`` summarises the stored
 statuses.
 """

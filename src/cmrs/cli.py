@@ -57,15 +57,16 @@ def write_csv(result: AllocationResult, fh: TextIO) -> int:
     density column, zero allocation masses and shares), then one row per
     gridpoint; every number as ``%.12g``.
 
-    With a ``risk_columns`` map on the model, identical risks have identical
-    values, so each class's xi, h and pi are formatted once per row and
-    their strings placed by the map: the bytes are those of formatting every
-    value.  The 3n positions the map reads are cut into chunks of
-    ``isqrt(3n)`` positions (the last takes the remainder), and each
-    distinct chunk is joined once per row, so a map that repeats a stretch,
-    cycled or grouped, joins that stretch once.  When the distinct chunks
-    and their sequence would hold as many positions as the map itself, as a
-    shuffled map's do, the whole map is one chunk."""
+    With m == n, every risk its own class, the per-risk values are formatted
+    from one table.  With m < n, each class's xi, h and pi are formatted
+    once per row and their strings placed by the model's ``risk_columns``
+    map: the bytes are those of formatting every value.  The 3n positions
+    the map reads are cut into chunks of ``isqrt(3n)`` positions (the last
+    takes the remainder), and each distinct chunk is joined once per row, so
+    a map that repeats a stretch, cycled or grouped, joins that stretch
+    once.  When the distinct chunks and their sequence would hold as many
+    positions as the map itself, as a shuffled map's do, the whole map is
+    one chunk."""
     n = result.n
     nums = list(map(str, range(1, n + 1)))
     fh.write(
@@ -75,8 +76,8 @@ def write_csv(result: AllocationResult, fh: TextIO) -> int:
     atoms = int(result.atom_mass > 0.0)
     if atoms:
         fh.write("0,%.12g,%s0,0,%s\n" % (result.atom_mass, "0," * (3 * n), STATUS_ATOM))
-    cols = result.request.model.risk_columns
-    if cols is None:
+    model = result.request.model
+    if model.m == n:
         line = ",".join(["%.12g"] * (3 * n + 4)) + ",%s\n"
         table = np.column_stack(
             [
@@ -93,8 +94,8 @@ def write_csv(result: AllocationResult, fh: TextIO) -> int:
         return atoms + len(result.status)
     # the first risk of each class stands for it: its xi, h and pi are
     # formatted once per row, and the strings placed in risk order by the map
+    cols, m = model.risk_columns, model.m
     first = np.unique(cols, return_index=True)[1]
-    m = len(first)
     idx = np.concatenate([cols, cols + m, cols + 2 * m]).tolist()
     size = math.isqrt(len(idx))
     cuts = [*range(0, len(idx) - size + 1, size), len(idx)]

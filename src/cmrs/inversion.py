@@ -188,16 +188,16 @@ def invert_values(values: np.ndarray, s: float | np.ndarray, scheme: Scheme) -> 
     across points and columns, so a result does not depend on the points or
     columns that come with it (a matrix product or a pairwise sum along the
     node axis would not promise that).  A point whose scale factor overflows
-    gets NaN in every column.
+    gets NaN in every column, and an overflow elsewhere gives +-inf, silently.
     """
     values = np.asarray(values, dtype=float)
     s = np.asarray(s, dtype=float)
     acc = np.zeros(values.shape[:-2] + values.shape[-1:])
-    for w, row in zip(scheme.weights, np.moveaxis(values, -2, 0), strict=True):
-        acc += w * row
     with np.errstate(over="ignore"):
+        for w, row in zip(scheme.weights, np.moveaxis(values, -2, 0), strict=True):
+            acc += w * row
         scale = scheme.scale(s)
-    return np.where(np.isinf(scale), np.nan, scale)[..., None] * acc
+        return np.where(np.isinf(scale), np.nan, scale)[..., None] * acc
 
 
 def invert(transform: Callable, s: float, scheme: Scheme) -> float | np.ndarray:

@@ -10,7 +10,7 @@ L_S and the L_i.  The builders of the common-shock, matrix-exponential, Katz
 and lognormal families find the classes of identical risks (by exact
 equality of each risk's parameters) and return one allocation column per
 class, shape z.shape + (m+1,), with the map from risks to classes as the
-model's ``risk_columns``; a pool of distinct risks has no map.  Every
+model's ``risk_columns``, the identity map when every risk is distinct.  Every
 family works on (m+1, N) class rows over the N flattened nodes and returns
 their transposed view.  The common-shock and frailty transforms fill one
 such array, one contiguous row per column up to m = 2048 and node-major
@@ -77,7 +77,6 @@ def _joint_model(
     at z = 0 and lie in (0, 1] at z = 1e-6.
     """
     if risks is not None:
-        mult = None if risk_columns is None else np.bincount(risk_columns)[:, None]
 
         def transform(z):
             z = np.asarray(z)
@@ -96,6 +95,8 @@ def _joint_model(
     model = JointTransformModel(
         n, transform, atom_mass=atom_mass, label=label, stats=stats, risk_columns=risk_columns
     )
+    # the product rule's transform runs from here on; no powers unless a class repeats
+    mult = None if model.m == n else model.multiplicity[:, None]
     try:
         at0, near = factors(np.array([0.0, 1e-6]))
     except Exception as exc:
@@ -124,7 +125,7 @@ def _product_rule(
     L_{c'}^{m_{c'}}, the product rule on the powers L_c^{m_c} and the mean
     transforms M_c L_c^{m_c - 1}, with ``mult`` an (m, 1) column.  At
     m_c = 1 the powers are exact (x**1 = x, x**0 = 1), so a singleton class
-    gets the numbers of the plain rule."""
+    gets the numbers of the plain rule, which a pool with m = n gets free."""
     if mult is not None:
         lsts, mean_lsts = lsts**mult, mean_lsts * lsts ** (mult - 1)
     one = np.ones_like(lsts[:1])
@@ -142,10 +143,10 @@ def _positive_tuple(values: Sequence[float], what: str) -> tuple[float, ...]:
     return out
 
 
-def _risk_classes(keys) -> tuple[list[int], Optional[np.ndarray]]:
+def _risk_classes(keys) -> tuple[list[int], np.ndarray]:
     """Classes of identical risks by exact equality of their keys, in order
     of first appearance: the first risk of each class and the risk -> class
-    map, which is None when every risk is its own class."""
+    map, the identity when every risk is its own class."""
     index: dict = {}
     first: list[int] = []
     cols = []
@@ -154,7 +155,7 @@ def _risk_classes(keys) -> tuple[list[int], Optional[np.ndarray]]:
             index[key] = len(first)
             first.append(i)
         cols.append(index[key])
-    return first, None if len(first) == len(cols) else np.array(cols)
+    return first, np.array(cols)
 
 
 # the widest class axis the common-shock and frailty transforms lay out
@@ -677,7 +678,7 @@ def build_common_shock_cp(spec: CommonShockCPSpec) -> JointTransformModel:
 
     # each class's rate counts once per risk in the exponent of L_S; the
     # per-class parameters are complex columns, so no loop casts them
-    lam_sum = lam if cols is None else lam * np.bincount(cols)
+    lam_sum = lam * np.bincount(cols)
     bet, lam_bet, shock, lam_sum = (
         v.astype(complex)[:, None] for v in (bet, lam * bet, lam0 * b0 * p, lam_sum)
     )

@@ -47,8 +47,8 @@ class JointTransformModel:
     values [L_S(z), L_1(z), ..., L_n(z)] with L_i(z) = E[X_i exp(-zS)] along a
     new last axis, shape z.shape + (n+1,).  The nodes are a real array on the
     real axis and a complex one on the contour; a scalar z is a 0-d array, so
-    ``transform(1.0)`` gives the n+1 values at one point (m+1 with a
-    ``risk_columns`` map, below).  Nothing in the
+    ``transform(1.0)`` gives the n+1 values at one point (the m+1 class
+    columns of ``risk_columns``, below).  Nothing in the
     package writes into the returned array, so a read-only view or an array
     cached across calls is a valid return.
 
@@ -61,13 +61,14 @@ class JointTransformModel:
 
     ``risk_columns`` maps risks to classes of identical risks: an int array
     of shape (n,) sending risk i to class column risk_columns[i] in 0..m-1,
-    every column used.  ``transform`` then returns [L_S, L_(1), ..., L_(m)]
-    with one allocation column per class, shape z.shape + (m+1,), which the
-    class's risks share; ``expand`` gives the n+1 view.  The allocation
+    every column used.  ``transform`` returns [L_S, L_(1), ..., L_(m)] with
+    one allocation column per class, shape z.shape + (m+1,), which the
+    class's risks share; ``expand`` gives the n+1 view.  ``None`` (the
+    default) stands for the identity ``arange(n)``, m = n.  ``m`` and the
+    ``multiplicity`` of each class are derived once, at construction.  The
     engine and the diagnostics work on the class columns, weighing a class
-    by its ``multiplicity`` where they sum over risks, and expand only what
-    they hand out per risk.  With ``None`` (the default) every risk is its
-    own column and m = n.
+    by its multiplicity where they sum over risks, and expand only what
+    they hand out per risk.
     """
 
     n: int
@@ -76,51 +77,48 @@ class JointTransformModel:
     label: str = ""
     stats: dict = field(default_factory=dict, repr=False)
     risk_columns: Optional[np.ndarray] = field(default=None, repr=False)
+    m: int = field(init=False, repr=False)
+    multiplicity: np.ndarray = field(init=False, repr=False)
+    _identity: bool = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ModelSpecError(f"need at least one risk, got n={self.n}")
         if not 0.0 <= self.atom_mass <= 1.0:
             raise ModelSpecError(f"atom_mass must be finite and in [0, 1], got {self.atom_mass}")
-        if self.risk_columns is not None:
-            cols = np.asarray(self.risk_columns)
-            if (
-                cols.shape != (self.n,)
-                or cols.dtype.kind not in "iu"
-                or cols.min() < 0
-                or not np.bincount(cols).all()
-            ):
-                raise ModelSpecError(
-                    f"risk_columns must map the {self.n} risks onto columns 0..m-1, "
-                    f"each column used, got {self.risk_columns!r}"
-                )
-            object.__setattr__(self, "risk_columns", cols)
-
-    @property
-    def m(self) -> int:
-        """The number of allocation columns ``transform`` returns."""
-        return self.n if self.risk_columns is None else int(self.risk_columns.max()) + 1
-
-    @property
-    def multiplicity(self) -> np.ndarray:
-        """The number of risks in each of the m class columns: ones without
-        a map."""
-        if self.risk_columns is None:
-            return np.ones(self.n)
-        return np.bincount(self.risk_columns)
+        given, ids = self.risk_columns, np.arange(self.n)
+        cols = ids if given is None else np.asarray(given)
+        # a map that uses every column holds no value >= n, so the bound
+        # comes before bincount, which would allocate a count per value
+        if (
+            cols.shape != (self.n,)
+            or cols.dtype.kind not in "iu"
+            or cols.min() < 0
+            or cols.max() >= self.n
+            or not (mult := np.bincount(cols)).all()
+        ):
+            raise ModelSpecError(
+                f"risk_columns must map the {self.n} risks onto columns 0..m-1, "
+                f"each column used, got {given!r}"
+            )
+        # frozen: the map and what it derives are set past __setattr__, the
+        # counts as floats like the arrays they weigh, so no product casts
+        vars(self).update(
+            risk_columns=cols, m=len(mult), multiplicity=mult.astype(float), _identity=(cols == ids).all()
+        )
 
     def expand(self, values: np.ndarray) -> np.ndarray:
         """The n+1 view [L_S, L_1, ..., L_n] of values whose last axis holds
-        the m+1 columns [L_S, class columns]; the values themselves when
-        there is no map."""
-        if self.risk_columns is None:
+        the m+1 columns [L_S, class columns]; the values themselves for the
+        identity map."""
+        if self._identity:
             return values
         return np.take(values, np.append(0, self.risk_columns + 1), axis=-1)
 
     def per_risk(self, classes: np.ndarray) -> np.ndarray:
         """The n risk columns of an array whose last axis holds the m class
-        columns; the array itself when there is no map."""
-        if self.risk_columns is None:
+        columns; the array itself for the identity map."""
+        if self._identity:
             return classes
         return np.take(classes, self.risk_columns, axis=-1)
 
@@ -141,9 +139,7 @@ def column_values(model, z: np.ndarray) -> np.ndarray:
 def _risk_entry(model, k: int) -> int:
     """The entry of the n+1 view that class column k stands for: L_S, or
     the first risk of its class."""
-    if k == 0 or model.risk_columns is None:
-        return k
-    return int(np.argmax(model.risk_columns == k - 1)) + 1
+    return int(np.argmax(model.risk_columns == k - 1)) + 1 if k else 0
 
 
 def _checked_columns(model, z: np.ndarray) -> np.ndarray:
@@ -227,9 +223,7 @@ def diagonal_diagnostic(model, t_grid: Sequence[float], tol: float = 1e-5) -> Di
     if not ts:
         return DiagonalReport((), (), (), tol)
     d = numerical_aggregate_derivative(model, ts)
-    vals = _checked_columns(model, np.array(ts))[:, 1:].real
-    if model.risk_columns is not None:
-        vals = vals * model.multiplicity
+    vals = _checked_columns(model, np.array(ts))[:, 1:].real * model.multiplicity
     res = tuple(
         abs(math.fsum(row) + dk) / max(abs(dk), _RESIDUAL_FLOOR)
         for row, dk in zip(vals.tolist(), d.tolist())

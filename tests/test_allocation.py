@@ -2,6 +2,7 @@ import dataclasses
 import io
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -803,8 +804,8 @@ def _exponential_classes(cols, atom=0.1):
 
 
 def _no_map_twin(model):
-    """A class model's transform expanded to one column per risk, with no
-    map: the reference a class pool's results must match."""
+    """A class model's transform expanded to one column per risk, with the
+    identity map: the reference a class pool's results must match."""
     return dataclasses.replace(
         model, transform=lambda z: model.expand(model.transform(z)), risk_columns=None
     )
@@ -846,12 +847,22 @@ class TestRiskClasses:
     """Pools of a few classes of identical risks: one column per class from
     the model, inverted once and expanded to the risks."""
 
-    def test_distinct_risks_have_no_map(self):
-        assert build_common_shock_cp(CS_REF).risk_columns is None
-        assert build_matrix_exp([exponential_me_spec(1.0), exponential_me_spec(2.0)]).risk_columns is None
+    def test_distinct_risks_have_the_identity_map(self):
         # the frailty keeps one column per risk, equal lambdas or not
-        frailty = build_mixed_exp_frailty(MixedExpFrailtySpec((1.0, 1.0), gamma_mixing(2.0)))
-        assert frailty.risk_columns is None
+        for model in (
+            build_common_shock_cp(CS_REF),
+            build_matrix_exp([exponential_me_spec(1.0), exponential_me_spec(2.0)]),
+            build_mixed_exp_frailty(MixedExpFrailtySpec((1.0, 1.0), gamma_mixing(2.0))),
+        ):
+            assert model.m == model.n
+            assert model.risk_columns.dtype.kind == "i"
+            assert np.array_equal(model.risk_columns, np.arange(model.n))
+            assert np.array_equal(model.multiplicity, np.ones(model.n))
+            # allocate copies nothing: raw_xi and the density are views of
+            # its one (points, n+1) array of inverted values (disjoint
+            # columns, so np.shares_memory would say False)
+            res = allocate(AllocationRequest(model=model, s_grid=(1.0, 2.0), scheme=EulerScheme()))
+            assert res.raw_xi.base is res.density.base is not None
 
     def test_classes_in_order_of_first_appearance(self):
         model = build_common_shock_cp(_scaled_cscp(CS_REF, 10))
@@ -867,10 +878,13 @@ class TestRiskClasses:
         shared = build_katz_compound(KatzCompoundSpec((0.0, 0.0), (2.0, 2.0), (sev, sev)))
         assert shared.risk_columns.tolist() == [0, 0]
         twins = (exponential_severity(1.0), exponential_severity(1.0))
-        assert build_katz_compound(KatzCompoundSpec((0.0, 0.0), (2.0, 2.0), twins)).risk_columns is None
+        plain = build_katz_compound(KatzCompoundSpec((0.0, 0.0), (2.0, 2.0), twins))
+        assert plain.m == 2 and plain.risk_columns.tolist() == [0, 1]
 
     @pytest.mark.parametrize(
-        "cols", [[0, 2, 2], [0, 1], [0, -1, 1], [0.0, 1.0, 1.0]], ids=["gap", "short", "negative", "float"]
+        "cols",
+        [[0, 2, 2], [0, 1], [0, -1, 1], [0.0, 1.0, 1.0], [0, 2**62, 1]],
+        ids=["gap", "short", "negative", "float", "out_of_range"],
     )
     def test_bad_map_refused(self, cols):
         with pytest.raises(ModelSpecError, match="risk_columns"):
@@ -935,11 +949,10 @@ class TestRiskClasses:
         faults = [(6.0, 1, 1.05), (7.0, 2, -1.0), (7.0, 3, -1e-12), (8.0, 0, np.inf), (9.0, 3, -1e-12)]
         model = _faulty_classes(build_common_shock_cp(_scaled_cscp(CS_REF, 10)), scheme, faults)
         grid = _grid(0.5, 12.0, 0.5)
-        with np.errstate(over="ignore"):
-            res, ref = (
-                allocate(AllocationRequest(model=m, s_grid=grid, scheme=scheme))
-                for m in (model, _no_map_twin(model))
-            )
+        res, ref = (
+            allocate(AllocationRequest(model=m, s_grid=grid, scheme=scheme))
+            for m in (model, _no_map_twin(model))
+        )
         status = dict(zip(grid, res.status))
         assert res.status[:11] == [STATUS_OK] * 11
         assert status[6.0] == status[6.5] == status[9.0] == STATUS_DEGRADED
@@ -963,6 +976,18 @@ class TestRiskClasses:
             assert np.array_equal(np.isnan(got), np.isnan(want))
             ok = ~np.isnan(want)
             assert (np.abs(got - want)[ok] <= bound * scale[ok]).all()
+
+    def test_kernel_overflow_fails_its_point_without_a_warning(self):
+        # 1e308 at the real Euler node of s = 8: the weighted sum is finite,
+        # its product with the scale factor overflows, and the point fails
+        scheme = EulerScheme()
+        model = _faulty_classes(build_common_shock_cp(_scaled_cscp(CS_REF, 10)), scheme, [(8.0, 0, np.inf)])
+        grid = (7.0, 8.0, 9.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = allocate(AllocationRequest(model=model, s_grid=grid, scheme=scheme))
+        assert res.status[:2] == [STATUS_OK, STATUS_FAILED]
+        assert not np.isfinite(res.raw_xi[1]).all()
 
     def test_class_tail_contribution_is_the_no_map_twins(self):
         model = build_common_shock_cp(_scaled_cscp(CS_REF, 10))
@@ -997,23 +1022,30 @@ class TestRiskClasses:
             [0, 1, 2, 0, 1, 2, 0],
             [2, 0, 1] * 40,
             [2, 2, 0, 1, 1, 0, 2, 1, 0, 2, 0, 1, 1],
+            [1, 0, 2],
         ],
         ids=[
             "grouped", "grouped_twice", "shuffled", "one_class", "n1", "n2", "n2_one_class", "n3", "n7",
-            "unordered_cycled", "unordered_mixed",
+            "unordered_cycled", "unordered_mixed", "permuted",
         ],
     )
     def test_class_csv_layouts_are_the_per_value_csv(self, cols):
         # the grouped, one-class and cycled maps repeat stretches, so they
         # are cut into chunks: one_class's last chunk takes a remainder, and
         # a chunk of grouped_twice comes back after another.  The shuffled
-        # and the small maps are one chunk.  The grid spans the bulk of S
-        # and its fading tails.
+        # and the small maps are one chunk.  The maps with m == n (n1, n2,
+        # permuted) take the per-value table, which reads the per-risk
+        # arrays, so a permuted map writes the bytes of its twin that
+        # returns one column per risk.  The grid spans the bulk of S and its
+        # fading tails.
         model = _exponential_classes(cols)
-        grid = model.transform(0.0)[1:][model.risk_columns].sum() * np.linspace(0.3, 2.0, 9)
-        res = allocate(AllocationRequest(model=model, s_grid=tuple(grid), scheme=EulerScheme()))
+        grid = tuple(model.transform(0.0)[1:][model.risk_columns].sum() * np.linspace(0.3, 2.0, 9))
+        res = allocate(AllocationRequest(model=model, s_grid=grid, scheme=EulerScheme()))
         by_class, by_value = _csv_pair(res)
         assert by_class == by_value
+        if model.m == model.n:
+            twin = allocate(AllocationRequest(model=_no_map_twin(model), s_grid=grid, scheme=EulerScheme()))
+            assert by_class == _csv_pair(twin)[0]
 
     def test_csv_header_and_atom_row_at_n1000(self):
         n = 1000

@@ -275,7 +275,7 @@ class TestConfigParsing:
         assert model.m == 1 and model.risk_columns.tolist() == [0, 0, 0]
         twins = tuple(exponential_severity(1.0) for _ in range(3))
         plain = build_katz_compound(KatzCompoundSpec(spec.a, spec.b, twins))
-        assert plain.risk_columns is None
+        assert plain.m == 3 and plain.risk_columns.tolist() == [0, 1, 2]
         grid = tuple(np.arange(0.5, 15.0, 0.5))
         res, ref = (
             allocate(AllocationRequest(model=m, s_grid=grid, scheme=EulerScheme()))
