@@ -75,6 +75,20 @@ _BLOCK_BUDGET = 2**14
 _POINT_ERRORS = (ArithmeticError, ValueError, CmrsError)
 
 
+def checked_grid(s_grid) -> tuple[float, ...]:
+    """``s_grid`` as a tuple of floats, refused with DomainError unless it is
+    nonempty, finite, positive and strictly increasing: the check of
+    ``AllocationRequest`` and of a config's grid points."""
+    grid = tuple(float(s) for s in s_grid)
+    if not grid:
+        raise DomainError("s_grid must be nonempty")
+    if not all(math.isfinite(s) and s > 0.0 for s in grid):
+        raise DomainError("s_grid entries must be finite and positive")
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise DomainError("s_grid must be strictly increasing")
+    return grid
+
+
 @dataclass(frozen=True)
 class AllocationRequest:
     """Evaluation request: model, grid, inversion scheme, tolerances.  The
@@ -88,13 +102,7 @@ class AllocationRequest:
     density_floor: float = 1e-300
 
     def __post_init__(self) -> None:
-        grid = tuple(float(s) for s in self.s_grid)
-        if not grid:
-            raise DomainError("s_grid must be nonempty")
-        if not all(math.isfinite(s) and s > 0.0 for s in grid):
-            raise DomainError("s_grid entries must be finite and positive")
-        if any(b <= a for a, b in zip(grid, grid[1:])):
-            raise DomainError("s_grid must be strictly increasing")
+        grid = checked_grid(self.s_grid)
         for name in ("balance_tol", "density_floor"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):

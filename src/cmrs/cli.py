@@ -17,7 +17,6 @@ import math
 import sys
 import time
 from dataclasses import dataclass, replace
-from operator import itemgetter
 from typing import Optional, Sequence, TextIO
 
 import numpy as np
@@ -29,7 +28,6 @@ from .allocation import (
     AllocationResult,
     allocate,
     breakdown_scan,
-    proportions,
 )
 from .config import RunConfig, build_model_from_config, load_config
 from .errors import CmrsError, ConfigError
@@ -53,71 +51,41 @@ from .transforms import diagonal_diagnostic
 
 
 def write_csv(result: AllocationResult, fh: TextIO) -> int:
-    """The origin atom's row first, if the model has one (P(S = 0) in the
-    density column, zero allocation masses and shares), then one row per
+    """The header, then the origin atom's row, if the model has one (P(S = 0)
+    in the density column, zero allocation masses), then one row per
     gridpoint; every number as ``%.12g``.
 
-    With m == n, every risk its own class, the per-risk values are formatted
-    from one table.  With m < n, each class's xi, h and pi are formatted
-    once per row and their strings placed by the model's ``risk_columns``
-    map: the bytes are those of formatting every value.  The 3n positions
-    the map reads are cut into chunks of ``isqrt(3n)`` positions (the last
-    takes the remainder), and each distinct chunk is joined once per row, so
-    a map that repeats a stretch, cycled or grouped, joins that stretch
-    once.  When the distinct chunks and their sequence would hold as many
-    positions as the map itself, as a shuffled map's do, the whole map is
-    one chunk."""
-    n = result.n
-    nums = list(map(str, range(1, n + 1)))
+    There is one xi and one h column per class of identical risks, labelled
+    by the class's 1-based risks, ascending and joined by ``;`` (``xi_1;4;7``),
+    so the model's ``risk_columns`` map is written once, in the header.  The
+    columns follow each class's first risk: a pool of distinct risks gets
+    ``xi_1, ..., xi_n, h_1, ..., h_n``.  Shares as fractions of s are
+    ``proportions(result)``."""
+    members: dict[int, list[int]] = {}
+    for risk, k in enumerate(result.request.model.risk_columns.tolist(), 1):
+        members.setdefault(k, []).append(risk)
+    # the dict keeps the classes in the order of their first risks
+    first = [risks[0] - 1 for risks in members.values()]
+    labels = [";".join(map(str, risks)) for risks in members.values()]
+    m = len(labels)
     fh.write(
-        "s,f_S,xi_%s,h_%s,pi_%s,sum_h,balance_residual,status\n"
-        % (",xi_".join(nums), ",h_".join(nums), ",pi_".join(nums))
+        "s,f_S,xi_%s,h_%s,sum_h,balance_residual,status\n" % (",xi_".join(labels), ",h_".join(labels))
     )
     atoms = int(result.atom_mass > 0.0)
     if atoms:
-        fh.write("0,%.12g,%s0,0,%s\n" % (result.atom_mass, "0," * (3 * n), STATUS_ATOM))
-    model = result.request.model
-    if model.m == n:
-        line = ",".join(["%.12g"] * (3 * n + 4)) + ",%s\n"
-        table = np.column_stack(
-            [
-                result.s_grid,
-                result.density,
-                result.xi,
-                result.h,
-                proportions(result),
-                result.sum_h,
-                result.balance_residual,
-            ]
-        )
-        fh.writelines(line % (*row, status) for row, status in zip(table.tolist(), result.status))
-        return atoms + len(result.status)
-    # the first risk of each class stands for it: its xi, h and pi are
-    # formatted once per row, and the strings placed in risk order by the map
-    cols, m = model.risk_columns, model.m
-    first = np.unique(cols, return_index=True)[1]
-    idx = np.concatenate([cols, cols + m, cols + 2 * m]).tolist()
-    size = math.isqrt(len(idx))
-    cuts = [*range(0, len(idx) - size + 1, size), len(idx)]
-    chunks = {}
-    seq = [chunks.setdefault(tuple(idx[a:b]), len(chunks)) for a, b in zip(cuts, cuts[1:])]
-    if len(chunks) * size + len(seq) >= len(idx):
-        chunks, seq = {tuple(idx): 0}, [0]
-    # each getter gives a tuple: a chunk of one position needs isqrt(3n) = 1,
-    # and then the sequence alone is as long as the map.  The empty last
-    # piece makes ``order``'s a tuple too, and ends the risk columns with
-    # their comma
-    getters = [itemgetter(*chunk) for chunk in chunks]
-    order = itemgetter(*seq, len(chunks))
-    shares = ",".join(["%.12g"] * (3 * m))
-    h = result.h[:, first]
-    classes = np.column_stack([result.xi[:, first], h, h / result.s_grid[:, None]])
-    ends = np.column_stack([result.s_grid, result.density, result.sum_h, result.balance_residual])
-    for (s, f, sum_h, resid), row, status in zip(ends.tolist(), classes.tolist(), result.status):
-        strs = (shares % tuple(row)).split(",")
-        pieces = [",".join(get(strs)) for get in getters]
-        pieces.append("")
-        fh.write("%.12g,%.12g,%s%.12g,%.12g,%s\n" % (s, f, ",".join(order(pieces)), sum_h, resid, status))
+        fh.write("0,%.12g,%s0,0,%s\n" % (result.atom_mass, "0," * (2 * m), STATUS_ATOM))
+    line = ",".join(["%.12g"] * (2 * m + 4)) + ",%s\n"
+    table = np.column_stack(
+        [
+            result.s_grid,
+            result.density,
+            result.xi[:, first],
+            result.h[:, first],
+            result.sum_h,
+            result.balance_residual,
+        ]
+    )
+    fh.writelines(line % (*row, status) for row, status in zip(table.tolist(), result.status))
     return atoms + len(result.status)
 
 

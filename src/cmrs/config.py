@@ -22,6 +22,7 @@ from typing import Optional, Union
 import numpy as np
 import yaml
 
+from .allocation import checked_grid
 from .errors import CmrsError, ConfigError
 from .inversion import EulerScheme, GsScheme, Scheme
 from .mixing import gamma_mixing, levy_mixing, point_mass_mixing
@@ -100,7 +101,7 @@ class GridSpec:
             pts = tuple(float(p) for p in self.points)
             if not pts:
                 raise ConfigError("grid: points must be nonempty")
-            object.__setattr__(self, "points", pts)
+            object.__setattr__(self, "points", checked_grid(pts))
             return
         if None in (self.start, self.stop, self.step):
             raise ConfigError("grid: start, stop and step are all required")

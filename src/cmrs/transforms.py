@@ -179,16 +179,21 @@ def eval_transform(model, z) -> np.ndarray:
     return model.expand(_checked_columns(model, np.asarray(z)))
 
 
+def _difference(model, t: np.ndarray, *extra: np.ndarray):
+    """Central-difference d/dt L_S(t) with step h = 1e-6 * t, and the m+1
+    checked columns at each of ``extra``, from one model call."""
+    if not (t > 0.0).all():
+        raise DomainError(f"need t > 0, got {t.min()}")
+    h = _H_REL * t
+    hi, lo, *cols = _checked_columns(model, np.stack([t + h, t - h, *extra]))
+    return (hi[..., 0].real - lo[..., 0].real) / (2.0 * h), *cols
+
+
 def numerical_aggregate_derivative(model, t):
     """Central-difference d/dt L_S(t) on the real axis with step
     h = 1e-6 * t, for one t > 0 or an array of them (one model call for all
     t - h and t + h)."""
-    t = np.asarray(t, dtype=float)
-    if not (t > 0.0).all():
-        raise DomainError(f"need t > 0, got {t.min()}")
-    h = _H_REL * t
-    hi, lo = _checked_columns(model, np.stack([t + h, t - h]))[..., 0].real
-    return (hi - lo) / (2.0 * h)
+    return _difference(model, np.asarray(t, dtype=float))[0]
 
 
 @dataclass(frozen=True)
@@ -214,16 +219,17 @@ def diagonal_diagnostic(model, t_grid: Sequence[float], tol: float = 1e-5) -> Di
 
     The residual is normalized by max(|L_S'(t)|, 1e-300); the derivative is a
     central difference with step 1e-6 * t, so the residual bundles both any
-    model inconsistency and the differencing error.  The whole grid costs two
-    model calls: one at every t - h and t + h, one at every t.  The sum runs
+    model inconsistency and the differencing error.  The whole grid costs one
+    model call, at every t + h, t - h and t.  The sum runs
     over the m class columns, ``math.fsum`` of m_c L_c(t) with m_c the
     class's multiplicity; nothing is expanded to the n risks.
     """
     ts = tuple(float(t) for t in t_grid)
     if not ts:
         return DiagonalReport((), (), (), tol)
-    d = numerical_aggregate_derivative(model, ts)
-    vals = _checked_columns(model, np.array(ts))[:, 1:].real * model.multiplicity
+    t = np.array(ts)
+    d, at = _difference(model, t, t)
+    vals = at[:, 1:].real * model.multiplicity
     res = tuple(
         abs(math.fsum(row) + dk) / max(abs(dk), _RESIDUAL_FLOOR)
         for row, dk in zip(vals.tolist(), d.tolist())

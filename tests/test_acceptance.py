@@ -316,7 +316,7 @@ def test_c10_origin_atom_separation(cscp_model):
     t0 = time.perf_counter()
     assert abs(cscp_model.atom_mass - math.exp(-4.0)) <= 1e-12
     # conditional shares at the origin atom are identically zero: the CSV's
-    # atom row has s = 0, f_S = e^{-4} and zero xi, h, pi and sum_h
+    # atom row has s = 0, f_S = e^{-4} and zero xi, h and sum_h
     result = allocate(AllocationRequest(model=cscp_model, s_grid=(1.0,), scheme=EulerScheme()))
     buf = io.StringIO()
     write_csv(result, buf)
@@ -324,7 +324,7 @@ def test_c10_origin_atom_separation(cscp_model):
     assert atom_row[-1] == "atom"
     assert float(atom_row[0]) == 0.0
     assert abs(float(atom_row[1]) - math.exp(-4.0)) <= 1e-12
-    assert [float(v) for v in atom_row[2:-2]] == [0.0] * 10
+    assert [float(v) for v in atom_row[2:-2]] == [0.0] * 7
 
     # slow severities keep the continuous transform's 1/t tail below 1e-6
     # by t = 1e4; the subtracted atom is what makes that decay visible

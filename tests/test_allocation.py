@@ -831,16 +831,54 @@ def _faulty_classes(model, scheme, faults):
     return dataclasses.replace(model, transform=transform)
 
 
-def _csv_pair(res):
-    """The class writer's bytes and the per-value writer's bytes of ``res``."""
-    model = res.request.model
-    plain = dataclasses.replace(
-        res,
-        request=dataclasses.replace(res.request, model=dataclasses.replace(model, risk_columns=None)),
-    )
-    bufs = io.StringIO(), io.StringIO()
-    assert write_csv(res, bufs[0]) == write_csv(plain, bufs[1]) == len(res.status) + (model.atom_mass > 0.0)
-    return bufs[0].getvalue(), bufs[1].getvalue()
+def _csv_by_risk(res):
+    """``write_csv`` of ``res`` read back through its header labels: each
+    risk's xi and h cells as (rows, n) string arrays, risk i in column
+    i - 1, and the other columns by name.  The labels must name every risk
+    once, ascending within a class, and the classes must follow their first
+    risks."""
+    buf = io.StringIO()
+    assert write_csv(res, buf) == len(res.status) + (res.atom_mass > 0.0)
+    header, *rows = [line.split(",") for line in buf.getvalue().split("\n")[:-1]]
+    table = np.array(rows, dtype=object).reshape(len(rows), len(header))
+    classes = {"xi": [], "h": []}
+    cells = {}
+    for j, name in enumerate(header):
+        kind, _, label = name.partition("_")
+        if kind in classes:
+            classes[kind].append((j, [int(r) for r in label.split(";")]))
+        else:
+            cells[name] = table[:, j].tolist()
+    for kind, labelled in classes.items():
+        assert sorted(r for _, risks in labelled for r in risks) == list(range(1, res.n + 1))
+        assert all(risks == sorted(risks) for _, risks in labelled)
+        firsts = [risks[0] for _, risks in labelled]
+        assert firsts == sorted(firsts)
+        column = {r: j for j, risks in labelled for r in risks}
+        cells[kind] = table[:, [column[i] for i in range(1, res.n + 1)]]
+    return cells
+
+
+def _assert_csv_reads_back(res):
+    """Every cell of the CSV, read through its labels, is the ``%.12g`` text
+    of the result's value; the atom row, if any, holds zeros."""
+    cells = _csv_by_risk(res)
+    atoms = int(res.atom_mass > 0.0)
+    if atoms:
+        assert [cells[k][0] for k in ("s", "f_S", "sum_h", "balance_residual", "status")] == [
+            "0", "%.12g" % res.atom_mass, "0", "0", STATUS_ATOM,
+        ]
+        assert (cells["xi"][0] == "0").all() and (cells["h"][0] == "0").all()
+    for name, values in (
+        ("s", res.s_grid),
+        ("f_S", res.density),
+        ("sum_h", res.sum_h),
+        ("balance_residual", res.balance_residual),
+        ("xi", res.xi),
+        ("h", res.h),
+    ):
+        assert np.array_equal(np.asarray(cells[name])[atoms:], np.char.mod("%.12g", values))
+    assert cells["status"][atoms:] == res.status
 
 
 class TestRiskClasses:
@@ -999,14 +1037,13 @@ class TestRiskClasses:
         ]
         assert tails[0] == tails[2] and tails[1] == tails[3]
 
-    def test_class_csv_is_the_per_value_csv(self):
-        # with an origin atom and a degraded tail: the class writer's bytes
-        # are those of formatting every value
+    def test_class_csv_reads_back_per_risk(self):
+        # with an origin atom and a degraded tail: one column per class, and
+        # each risk's cells found through the labels are its values' text
         model = build_common_shock_cp(_scaled_cscp(CS_REF, 50))
         res = allocate(AllocationRequest(model=model, s_grid=_grid(0.5, 60.0, 0.5), scheme=EulerScheme()))
         assert model.atom_mass > 0.0 and res.worst_status != STATUS_OK
-        by_class, by_value = _csv_pair(res)
-        assert by_class == by_value
+        _assert_csv_reads_back(res)
 
     @pytest.mark.parametrize(
         "cols",
@@ -1029,41 +1066,60 @@ class TestRiskClasses:
             "unordered_cycled", "unordered_mixed", "permuted",
         ],
     )
-    def test_class_csv_layouts_are_the_per_value_csv(self, cols):
-        # the grouped, one-class and cycled maps repeat stretches, so they
-        # are cut into chunks: one_class's last chunk takes a remainder, and
-        # a chunk of grouped_twice comes back after another.  The shuffled
-        # and the small maps are one chunk.  The maps with m == n (n1, n2,
-        # permuted) take the per-value table, which reads the per-risk
-        # arrays, so a permuted map writes the bytes of its twin that
-        # returns one column per risk.  The grid spans the bulk of S and its
-        # fading tails.
+    def test_class_csv_layouts_read_back_per_risk(self, cols):
+        # grouped, cycled, shuffled and unordered maps, and maps with m == n;
+        # the grid spans the bulk of S and its fading tails
         model = _exponential_classes(cols)
         grid = tuple(model.transform(0.0)[1:][model.risk_columns].sum() * np.linspace(0.3, 2.0, 9))
-        res = allocate(AllocationRequest(model=model, s_grid=grid, scheme=EulerScheme()))
-        by_class, by_value = _csv_pair(res)
-        assert by_class == by_value
-        if model.m == model.n:
-            twin = allocate(AllocationRequest(model=_no_map_twin(model), s_grid=grid, scheme=EulerScheme()))
-            assert by_class == _csv_pair(twin)[0]
+        _assert_csv_reads_back(allocate(AllocationRequest(model=model, s_grid=grid, scheme=EulerScheme())))
 
-    def test_csv_header_and_atom_row_at_n1000(self):
-        n = 1000
-        model = build_common_shock_cp(_scaled_cscp(CS_REF, n))
+    def test_class_csv_labels_a_cycled_map(self):
+        model = _exponential_classes([2, 0, 1] * 3)
         res = allocate(AllocationRequest(model=model, s_grid=(1.0,), scheme=EulerScheme()))
         buf = io.StringIO()
         write_csv(res, buf)
-        header, atom = buf.getvalue().split("\n")[:2]
+        assert buf.getvalue().split("\n")[0] == (
+            "s,f_S,xi_1;4;7,xi_2;5;8,xi_3;6;9,h_1;4;7,h_2;5;8,h_3;6;9,sum_h,balance_residual,status"
+        )
+
+    @pytest.mark.parametrize("cols", [[0], [0, 1, 2], [1, 0, 2], [4, 2, 0, 6, 1, 5, 3]])
+    def test_distinct_risks_write_the_per_risk_table(self, cols):
+        # m == n, the identity map or a permuted one: the columns are the
+        # risks in order, each value as %.12g, and no pi columns
+        model = _exponential_classes(cols)
+        n = model.n
+        grid = tuple(model.transform(0.0)[1:][model.risk_columns].sum() * np.linspace(0.5, 1.5, 4))
+        res = allocate(AllocationRequest(model=model, s_grid=grid, scheme=EulerScheme()))
+        buf = io.StringIO()
+        write_csv(res, buf)
         names = (
             ["s", "f_S"]
             + [f"xi_{i}" for i in range(1, n + 1)]
             + [f"h_{i}" for i in range(1, n + 1)]
-            + [f"pi_{i}" for i in range(1, n + 1)]
             + ["sum_h", "balance_residual", "status"]
         )
-        assert header == ",".join(names)
-        line = ",".join(["%.12g"] * (3 * n + 4)) + ",%s"
-        assert atom == line % (0.0, model.atom_mass, *[0.0] * (3 * n + 2), STATUS_ATOM)
+        line = ",".join(["%.12g"] * (2 * n + 4)) + ",%s\n"
+        table = np.column_stack([res.s_grid, res.density, res.xi, res.h, res.sum_h, res.balance_residual])
+        assert buf.getvalue() == "".join(
+            [",".join(names) + "\n", line % (0.0, model.atom_mass, *[0.0] * (2 * n + 2), STATUS_ATOM)]
+            + [line % (*row, status) for row, status in zip(table.tolist(), res.status)]
+        )
+
+    def test_csv_header_and_atom_row_at_n1000(self):
+        # the replicated pool's 4 classes: the three base risks cycled, and
+        # the last risk alone, whose weight absorbs the rounding
+        n = 1000
+        model = build_common_shock_cp(_scaled_cscp(CS_REF, n))
+        assert model.m == 4
+        res = allocate(AllocationRequest(model=model, s_grid=(1.0,), scheme=EulerScheme()))
+        buf = io.StringIO()
+        write_csv(res, buf)
+        header, atom = buf.getvalue().split("\n")[:2]
+        labels = [";".join(map(str, range(k, n, 3))) for k in (1, 2, 3)] + [str(n)]
+        names = ["s", "f_S"] + [f"xi_{x}" for x in labels] + [f"h_{x}" for x in labels]
+        assert header == ",".join(names + ["sum_h", "balance_residual", "status"])
+        line = ",".join(["%.12g"] * 12) + ",%s"
+        assert atom == line % (0.0, model.atom_mass, *[0.0] * 10, STATUS_ATOM)
 
     def test_block_budget_counts_class_columns(self):
         # n = 10^4 risks in m = 4 classes on the bench grid: 2**14 // (41 x 5)

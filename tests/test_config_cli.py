@@ -27,7 +27,7 @@ from cmrs.config import (
     load_config,
     parse_config,
 )
-from cmrs.errors import ConfigError, InversionError, ModelSpecError
+from cmrs.errors import ConfigError, DomainError, InversionError, ModelSpecError
 from cmrs.inversion import EulerScheme, GsScheme
 from cmrs.models import (
     CommonShockCPSpec,
@@ -207,6 +207,24 @@ class TestConfigParsing:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "whole number" in err
 
+    @pytest.mark.parametrize(
+        "points, message",
+        [
+            ([2.0, 1.0, -3.0], "s_grid entries must be finite and positive"),
+            ([2.0, 1.0], "s_grid must be strictly increasing"),
+            ([1.0, 1.0], "s_grid must be strictly increasing"),
+        ],
+    )
+    def test_grid_points_errors_surface_at_parse_time(self, tmp_path, capsys, points, message):
+        # the engine's grid check, at load, before any model is built
+        data = yaml.safe_load(ERLANG_YAML)
+        data["grid"] = {"points": points}
+        with pytest.raises(DomainError, match=message):
+            parse_config(data)
+        cfg = _write(tmp_path, "cfg.yaml", yaml.safe_dump(data))
+        assert main(["diagnose", "--config", cfg]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_scientific_notation_strings_coerced(self, tmp_path):
         # yaml reads dot-less exponents as strings; the loader must not
         text = ERLANG_YAML + 'tolerance:\n  balance: "1e-3"\n  density_floor: "1e-300"\n'
@@ -362,8 +380,7 @@ class TestCliAllocate:
         with open(out) as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == [
-            "s", "f_S", "xi_1", "xi_2", "h_1", "h_2", "pi_1", "pi_2",
-            "sum_h", "balance_residual", "status",
+            "s", "f_S", "xi_1", "xi_2", "h_1", "h_2", "sum_h", "balance_residual", "status",
         ]
         assert len(rows) == 11
         for row in rows[1:]:
@@ -388,11 +405,10 @@ class TestCliAllocate:
         buf = io.StringIO()
         assert write_csv(res, buf) == 3
         assert buf.getvalue() == (
-            "s,f_S,xi_1,xi_2,h_1,h_2,pi_1,pi_2,sum_h,balance_residual,status\n"
-            "0,0.17377394345,0,0,0,0,0,0,0,0,atom\n"
-            "0.5,-0,0.333333333333,4.94065645841e-324,0.125,0.666666666667,"
-            "0.25,1.33333333333,0.5,1.23456789012e-05,ok\n"
-            "2,nan,inf,-inf,0,1e+300,0,5e+299,nan,inf,failed\n"
+            "s,f_S,xi_1,xi_2,h_1,h_2,sum_h,balance_residual,status\n"
+            "0,0.17377394345,0,0,0,0,0,0,atom\n"
+            "0.5,-0,0.333333333333,4.94065645841e-324,0.125,0.666666666667,0.5,1.23456789012e-05,ok\n"
+            "2,nan,inf,-inf,0,1e+300,nan,inf,failed\n"
         )
 
     def test_stdout_when_no_out_path(self, tmp_path, capsys):
@@ -417,7 +433,8 @@ class TestCliAllocate:
         assert atom[-1] == "atom"
         assert float(atom[0]) == 0.0
         assert abs(float(atom[1]) - math.exp(-4.0)) < 1e-12
-        assert float(atom[4]) == 0.0  # h at the origin atom
+        # h at the origin atom, its columns found by name
+        assert [float(atom[rows[0].index(f"h_{i}")]) for i in (1, 2, 3)] == [0.0] * 3
         data_status = {r[-1] for r in rows[2:]}
         assert "ok" in data_status
         assert data_status - {"ok"}  # and some degraded/failed tail
