@@ -17,16 +17,31 @@ each: the heterogeneous common-shock pool at n = 3000, whose 3000 classes
 take the node-major layout of ``models._class_rows``, and distinct
 Erlang(3) risks at n = 300, the product rule with no repeated class.
 
-A leg is equal when every result array (``density``, ``raw_xi``, ``xi``,
-``h``, ``sum_h`` and ``balance_residual``) is ``np.array_equal`` (NaN equal
-to NaN), ``status`` is the same list, the CSV bytes are the same and so are
-the ``breakdown_scan`` fields (``first_violation``, ``breakdown_s`` and the
-three counts).  The script prints the legs that differ, naming the fields
-that differ in each, and exits 1 when there is any (2 when a tree cannot be
-run).  For each differing array it also prints the largest |change - parent|
-over the entries finite in both trees, and whether the NaN positions match.
-A change that passes it needs no fade gate (``scripts/fade_gate.py``).  The
-five default seeds and the two pools take a few seconds per tree.
+Every leg also keeps the residuals and pass flags of
+``diagonal_diagnostic(model, np.logspace(-2, 2, 25))`` (the grid of
+``cmrs diagnose``), ``numerical_aggregate_derivative`` on the same grid, and
+the per-risk ``tail_contribution`` at the leg's middle grid level, or the
+error it raises.  Two kinds of leg compare the series references instead
+of an allocation: the ``h_ref`` and ``ref_meta`` that
+``workloads.attach_reference`` fills for the two common-shock workloads at
+seed 0, and, for every config with ``verify: series``, f_S and every xi of
+``cscp_series_oracle`` (at the config's ``mass_tol``) on the config's grid.
+
+A leg is equal when every array field is ``np.array_equal`` (NaN equal to
+NaN) and every other field is equal.  The array fields are the result
+arrays (``density``, ``raw_xi``, ``xi``, ``h``, ``sum_h`` and
+``balance_residual``), the diagonal residuals, the derivative, the tail
+contributions and the reference arrays.  The other fields are ``status``,
+the CSV bytes, the ``breakdown_scan`` fields (``first_violation``,
+``breakdown_s`` and the three counts), the diagonal pass flags, a
+refusal's message and the reference metadata.  The script prints the legs
+that differ, naming the fields that differ in each, and exits 1 when there
+is any (2 when a tree cannot be run).  For each differing array it also
+prints the largest |change - parent| over the entries finite in both
+trees, and whether the NaN positions match.  A change that passes it needs
+no fade gate (``scripts/fade_gate.py``).  The five default seeds and the
+two pools take a few seconds per tree, and the three series references
+about ten more.
 """
 
 from __future__ import annotations
@@ -48,6 +63,8 @@ from large_pool_timing import pool
 
 ARRAYS = ("density", "raw_xi", "xi", "h", "sum_h", "balance_residual")
 SCAN = ("first_violation", "breakdown_s", "n_ok", "n_degraded", "n_failed")
+# the t grid of `cmrs diagnose`
+DIAG_T = np.logspace(-2, 2, 25)
 # (family, n, points) of the large_pool_timing pools run as legs
 POOLS = (("common_shock_cp", 3000, 10), ("matrix_exp", 300, 10))
 
@@ -56,9 +73,19 @@ def _worker(root: str, seeds: list[int], out: str) -> None:
     """Pickle {leg key: output} for every leg and shipped config to ``out``."""
     sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "benchmark")]
     from bench import Bench
-    from cmrs import AllocationRequest, EulerScheme, allocate, breakdown_scan, load_config
+    from cmrs import (
+        AllocationRequest,
+        EulerScheme,
+        allocate,
+        breakdown_scan,
+        load_config,
+        tail_contribution,
+    )
     from cmrs.cli import _build_request, write_csv
-    from workloads import NAMES, make_workload
+    from cmrs.errors import CmrsError
+    from cmrs.oracles import cscp_series_oracle
+    from cmrs.transforms import diagonal_diagnostic, numerical_aggregate_derivative
+    from workloads import NAMES, attach_reference, make_workload
 
     def output(request):
         result = allocate(request)
@@ -69,18 +96,41 @@ def _worker(root: str, seeds: list[int], out: str) -> None:
         row["csv"] = hashlib.sha256(buf.getvalue().encode()).hexdigest()
         scan = breakdown_scan(result)
         row.update((name, getattr(scan, name)) for name in SCAN)
+        report = diagonal_diagnostic(request.model, DIAG_T)
+        row["diagonal_residual"] = np.array(report.residual)
+        row["diagonal_passed"] = report.passed
+        row["aggregate_derivative"] = numerical_aggregate_derivative(request.model, DIAG_T)
+        s_star = float(result.s_grid[len(result.s_grid) // 2])
+        try:
+            row["tail_contribution"] = np.array(tail_contribution(result, s_star).per_risk)
+        except CmrsError as exc:  # a refusal must repeat too
+            row["tail_contribution"] = f"{type(exc).__name__}: {exc}"
         return row
 
     legs = {}
     with tempfile.TemporaryDirectory() as tmp:
         for name in NAMES:
-            for seed in seeds:
+            for seed in sorted(set(seeds) | {0}):
                 wl = make_workload(name, seed)
                 _, _, requests = Bench(wl, os.path.join(tmp, f"{name}-{seed}.yaml")).setup()
-                for leg, request in zip(wl.legs, requests):
-                    legs[f"{name}/seed{seed}/{leg.label}"] = output(request)
+                if seed in seeds:
+                    for leg, request in zip(wl.legs, requests):
+                        legs[f"{name}/seed{seed}/{leg.label}"] = output(request)
+                if seed == 0 and wl.config["model"]["family"] == "common_shock_cp":
+                    attach_reference(wl, requests[0].s_grid)
+                    legs[f"{name}/seed0/reference"] = {"h_ref": wl.h_ref, "ref_meta": wl.ref_meta}
     for path in sorted(glob.glob(os.path.join(root, "configs", "*.yaml"))):
-        legs[f"configs/{os.path.basename(path)}"] = output(_build_request(load_config(path)))
+        cfg = load_config(path)
+        request = _build_request(cfg)
+        key = f"configs/{os.path.basename(path)}"
+        legs[key] = output(request)
+        if cfg.verify.method == "series":
+            oracle = cscp_series_oracle(cfg.model, cfg.verify.mass_tol)
+            grid = [float(s) for s in request.s_grid]
+            legs[key + "/series"] = {
+                "f_S": np.array([oracle.f_S(s) for s in grid]),
+                "xi": np.array([[oracle.xi(i, s) for i in range(oracle.n)] for s in grid]),
+            }
     for family, n, points in POOLS:
         model, grid = pool(family, n, points)
         legs[f"pools/{family}/n{n}"] = output(AllocationRequest(model=model, s_grid=grid, scheme=EulerScheme()))
@@ -119,8 +169,17 @@ def differences(parent: dict[str, dict], change: dict[str, dict]) -> list[str]:
             out.append(f"{key}: only in the {'change' if key in change else 'parent'}")
             continue
         p, c = parent[key], change[key]
-        fields = [_gap(f, p[f], c[f]) for f in ARRAYS if not np.array_equal(p[f], c[f], equal_nan=True)]
-        fields += [f for f in ("status", "csv", *SCAN) if p[f] != c[f]]
+        fields = []
+        for f in sorted(p.keys() | c.keys()):
+            if f not in p or f not in c:
+                fields.append(f"{f} (in one tree only)")
+            elif type(p[f]) is not type(c[f]):
+                fields.append(f"{f} ({type(p[f]).__name__} against {type(c[f]).__name__})")
+            elif isinstance(p[f], np.ndarray):
+                if not np.array_equal(p[f], c[f], equal_nan=True):
+                    fields.append(_gap(f, p[f], c[f]))
+            elif p[f] != c[f]:
+                fields.append(f)
         if fields:
             out.append(f"{key}: {', '.join(fields)} differ")
     return out

@@ -125,13 +125,23 @@ def _product_rule(
     L_{c'}^{m_{c'}}, the product rule on the powers L_c^{m_c} and the mean
     transforms M_c L_c^{m_c - 1}, with ``mult`` an (m, 1) column.  At
     m_c = 1 the powers are exact (x**1 = x, x**0 = 1), so a singleton class
-    gets the numbers of the plain rule, which a pool with m = n gets free."""
+    gets the numbers of the plain rule, which a pool with m = n gets free.
+
+    The products accumulate in place and each temporary goes after its last
+    use: a larger peak heap is what glibc trims and re-faults on every call
+    (ROADMAP, Settled)."""
     if mult is not None:
         lsts, mean_lsts = lsts**mult, mean_lsts * lsts ** (mult - 1)
     one = np.ones_like(lsts[:1])
-    pre = np.cumprod(np.concatenate([one, lsts]), axis=0)  # prod_{j < i}
-    suf = np.cumprod(np.concatenate([one, lsts[::-1]]), axis=0)[::-1]
-    return np.concatenate([pre[-1:], mean_lsts * pre[:-1] * suf[1:]])
+    pre = np.concatenate([one, lsts])
+    np.cumprod(pre, axis=0, out=pre)  # prod_{j < i}
+    suf = np.concatenate([one, lsts[::-1]])
+    np.cumprod(suf, axis=0, out=suf)  # prod_{j > i}, last row first
+    del lsts
+    rows = mean_lsts * pre[:-1]
+    rows *= suf[::-1][1:]
+    del suf, mean_lsts
+    return np.concatenate([pre[-1:], rows])
 
 
 def _positive_tuple(values: Sequence[float], what: str) -> tuple[float, ...]:
@@ -345,7 +355,12 @@ class _MatrixExpGroup:
         off = [_off_diagonal(sp.T) for sp in specs]
         self.off_max = col([np.abs(v).max() for v in off])
         R, T, off = col(R), col([sp.T for sp in specs]), col(off)
-        self.pivot_shift = [R[i, i] for i in range(d)]
+        # equal shifts (an Erlang's d equal rates) share one array of pivots
+        slot: dict = {}
+        self.pivot_index = [slot.setdefault(R[i, i].tobytes(), len(slot)) for i in range(d)]
+        self.pivot_shift = [
+            R[i, i] for i in range(d) if self.pivot_index[i] not in self.pivot_index[:i]
+        ]
         self.diag_shift = [T[i, i] for i in range(d)]
         self.r_terms = [terms(R[i], range(i + 1, d)) for i in range(d)]
         self.off_terms = [terms(off[i], range(d)) for i in range(d)]
@@ -365,9 +380,10 @@ class _MatrixExpGroup:
         solve's residual, in the original basis, fails
         |(zI - T) Q y - u| <= 1e-10 (|zI - T| |Q y| + |u|) in the max norm.
 
-        The checks free their temporaries on return and the second solve
-        reuses y's slots: holding them all doubles the peak, and glibc then
-        trims and re-faults the heap on every call (ROADMAP, Settled).
+        The checks free their temporaries on return, the second solve
+        reuses y's slots and equal pivots are one array: holding them all
+        doubles the peak, and glibc then trims and re-faults the heap on
+        every call (ROADMAP, Settled).
         """
         pivots, diag, scale = self._pivots(z)
         y = self._solve(pivots, list(self.b))
@@ -381,11 +397,13 @@ class _MatrixExpGroup:
     def _pivots(self, z):
         """The pivots z - r_ii, the diagonal of zI - T and the scale
         max|zI - T| of each node; raises where a pivot is too small."""
-        pivots = [z - r for r in self.pivot_shift]
+        distinct = [z - r for r in self.pivot_shift]
+        pivots = [distinct[k] for k in self.pivot_index]
         # zI - T in the original basis: its diagonal, off-diagonal part and largest entry
         diag = [z - t for t in self.diag_shift] if self.schur else pivots
         scale, low = self.off_max, np.inf
-        for p, t in zip(pivots, diag):
+        # a repeated (pivot, diagonal) pair would take the same max and min again
+        for p, t in {(id(p), id(t)): (p, t) for p, t in zip(pivots, diag)}.values():
             size = np.abs(p)
             scale = np.maximum(scale, size if t is p else np.abs(t))
             low = np.minimum(low, size)

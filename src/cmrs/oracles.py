@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.stats import poisson
+from scipy.special import pdtrc, pdtrik
 
 from .errors import OracleError, SamplingError
 from .mixing import MixingLawHandle
@@ -196,8 +196,15 @@ class CscpSeriesOracle:
     partial fractions; summing over all count vectors with at most K total
     claims gives f_S, and bumping the relevant rate's multiplicity by two
     gives each xi_i.  K is the smallest count with Poisson tail mass at most
-    ``mass_tol``, which must lie in (0, 1) and above the tail masses scipy
-    resolves (near 1e-16).
+    ``mass_tol``, which must lie in (0, 1) with 1 - mass_tol < 1 in double
+    precision (mass_tol above 2**-54, about 5.6e-17).
+
+    The cost is the enumeration: every count vector with at most K claims
+    over the s streams with a positive rate, C(K+s, s) of them.  Four
+    streams at K = 25 give 23,751 vectors and take 2-3 s; ten risks and the
+    common shock at K = 20 give C(31, 11), about 8.5e7, and take hours.  So
+    the oracle suits a handful of risks, and a larger pool is checked by
+    grouping identical cycled risks into one stream each.
     """
 
     def __init__(self, spec: CommonShockCPSpec, mass_tol: float = 1e-8):
@@ -208,15 +215,19 @@ class CscpSeriesOracle:
         rate_all = (spec.beta0,) + spec.betas
         lam_total = spec.total_rate
 
-        K = poisson.isf(self.mass_tol, lam_total) if 0.0 < self.mass_tol < 1.0 else math.nan
-        if not math.isfinite(K):
+        # pdtrc(k, mu) is the Poisson tail P(N > k), and pdtrik inverts the
+        # cdf; 1 - mass_tol rounds to 1.0 at or below 2**-54 (about 5.6e-17),
+        # where pdtrik is NaN
+        start = pdtrik(1.0 - self.mass_tol, lam_total) if 0.0 < self.mass_tol < 1.0 else math.nan
+        if not math.isfinite(start):
             raise OracleError(
-                f"mass_tol must be in (0, 1) and resolvable by scipy, got {mass_tol}"
+                f"mass_tol must be in (0, 1) with 1 - mass_tol < 1 in double "
+                f"precision, got {mass_tol}"
             )
-        K = int(K)
-        while K > 0 and poisson.sf(K - 1, lam_total) <= self.mass_tol:
+        K = math.ceil(start)
+        while K > 0 and pdtrc(K - 1, lam_total) <= self.mass_tol:
             K -= 1
-        while K <= _K_CAP and poisson.sf(K, lam_total) > self.mass_tol:
+        while K <= _K_CAP and pdtrc(K, lam_total) > self.mass_tol:
             K += 1
         if K > _K_CAP:
             raise OracleError(
@@ -224,7 +235,7 @@ class CscpSeriesOracle:
                 "the expansion would be too ill-conditioned"
             )
         self.K = K
-        tail = float(poisson.sf(K, lam_total))
+        tail = float(pdtrc(K, lam_total))
 
         # distinct claim-size rates; near-ties break the partial fractions
         rho: list[float] = []
@@ -247,17 +258,19 @@ class CscpSeriesOracle:
         D = len(rho)
         self._rho = np.array(rho)
         maxdeg = K + 2  # bumped multiplicity can reach K + 2
-        pf_cache: dict[tuple[int, ...], list[np.ndarray]] = {}
+        pf_cache: dict[tuple[int, ...], list[tuple[int, np.ndarray]]] = {}
 
-        def pf_polys(mult: tuple[int, ...]) -> list[np.ndarray]:
-            """Per-rate coefficient arrays a_j with density
-            sum_j sum_d a_j[d] s^d exp(-rho_j s) for the Erlang convolution
-            with multiplicities ``mult`` (constant prod rho^mult included)."""
+        def pf_polys(mult: tuple[int, ...]) -> list[tuple[int, np.ndarray]]:
+            """Pairs (j, a_j) for the rates with mult[j] > 0, where the
+            density of the Erlang convolution with multiplicities ``mult``
+            (constant prod rho^mult included) is
+            sum_j sum_d a_j[d] s^d exp(-rho_j s).  a_j holds the mult[j]
+            coefficients of degree d < mult[j]; the higher ones are zero."""
             got = pf_cache.get(mult)
             if got is not None:
                 return got
             const = math.prod(r**m for r, m in zip(rho, mult))
-            out = [np.zeros(maxdeg) for _ in range(D)]
+            out = []
             for j in range(D):
                 mj = mult[j]
                 if mj == 0:
@@ -275,9 +288,11 @@ class CscpSeriesOracle:
                         [(-1) ** q * math.comb(ml + q - 1, q) * d ** (-q) for q in range(mj)]
                     )
                     series = np.convolve(series, fac)[:mj]
+                coef = np.zeros(mj)
                 for r in range(1, mj + 1):
                     # coefficient of s^{r-1}/(r-1)! exp(-rho_j s)
-                    out[j][r - 1] += const * scale * series[mj - r] / math.factorial(r - 1)
+                    coef[r - 1] += const * scale * series[mj - r] / math.factorial(r - 1)
+                out.append((j, coef))
             pf_cache[mult] = out
             return out
 
@@ -298,19 +313,19 @@ class CscpSeriesOracle:
                     mult[stream_rate[k]] += c
                 key = tuple(mult)
                 if total >= 1:
-                    for j, arr in enumerate(pf_polys(key)):
-                        poly_f[j] += weight * arr
+                    for j, arr in pf_polys(key):
+                        poly_f[j][: arr.size] += weight * arr
                 if spec.lambda0 > 0.0:
                     bumped = list(mult)
                     bumped[idx0] += 2
-                    for j, arr in enumerate(pf_polys(tuple(bumped))):
-                        poly_common[j] += weight * arr
+                    for j, arr in pf_polys(tuple(bumped)):
+                        poly_common[j][: arr.size] += weight * arr
                 for i in range(n):
                     if spec.lambdas[i] > 0.0:
                         bumped = list(mult)
                         bumped[stream_rate[i + 1]] += 2
-                        for j, arr in enumerate(pf_polys(tuple(bumped))):
-                            poly_idio[i][j] += weight * arr
+                        for j, arr in pf_polys(tuple(bumped)):
+                            poly_idio[i][j][: arr.size] += weight * arr
                 return
             k = active[pos]
             lw = 0.0

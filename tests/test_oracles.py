@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.special import iv
 
+import cmrs
 from cmrs.errors import OracleError, SamplingError
 from cmrs.mixing import gamma_mixing, levy_mixing, point_mass_mixing
 from cmrs.models import (
@@ -228,6 +233,62 @@ class TestCscpSeriesOracle:
     def test_bad_mass_tol_refused(self, mass_tol):
         with pytest.raises(OracleError, match="mass_tol"):
             cscp_series_oracle(CommonShockCPSpec(**CS_REF), mass_tol)
+
+    # (total rate, mass_tol, K, tail mass), as scipy.stats.poisson's isf and
+    # sf gave them: K is the smallest count with P(N > K) <= mass_tol
+    TRUNCATION_TABLE = [
+        (0.01, 1e-15, 6, 1.966842802553368e-18),
+        (0.01, 1e-12, 4, 8.264185641806515e-13),
+        (0.01, 1e-08, 3, 4.133471826263344e-10),
+        (0.01, 0.001, 1, 4.966791334026596e-05),
+        (0.01, 0.3, 0, 0.009950166250831952),
+        (0.5, 1e-15, 13, 4.392539881550789e-16),
+        (0.5, 1e-12, 11, 3.214697303345178e-13),
+        (0.5, 1e-08, 8, 3.4354902468481273e-09),
+        (0.5, 0.001, 4, 0.00017211562995584072),
+        (0.5, 0.3, 1, 0.09020401043104986),
+        (4.0, 1e-15, 28, 6.884082634066401e-16),
+        (4.0, 1e-12, 25, 2.398510212133836e-13),
+        (4.0, 1e-08, 20, 1.9230584594146956e-09),
+        (4.0, 0.001, 11, 0.0009152291472700608),
+        (4.0, 0.3, 5, 0.2148696129695948),
+        (12.0, 1e-15, 49, 2.3998794536786187e-16),
+        (12.0, 1e-12, 43, 9.579358460036512e-13),
+        (12.0, 1e-08, 36, 5.520799421876334e-09),
+        (12.0, 0.001, 24, 0.0006856332013882274),
+        (12.0, 0.3, 14, 0.2279754676964551),
+        # the smallest accepted tolerances: 1 - mass_tol < 1 in double precision
+        (4.0, 6e-17, 30, 1.1732435431464442e-17),
+    ]
+
+    @staticmethod
+    def _two_stream(rate):
+        return CommonShockCPSpec(
+            lambda0=rate / 2, lambdas=(rate / 2,), beta0=1.0, betas=(2.0,), weights=(1.0,)
+        )
+
+    @pytest.mark.parametrize("rate,mass_tol,K,tail", TRUNCATION_TABLE)
+    def test_truncation_depth_and_tail_pinned(self, rate, mass_tol, K, tail):
+        oracle = cscp_series_oracle(self._two_stream(rate), mass_tol)
+        assert oracle.K == oracle.truncation.K == K
+        assert oracle.truncation.tail_mass == pytest.approx(tail, rel=1e-12)
+
+    def test_refusal_edge_is_where_one_minus_mass_tol_rounds_to_one(self):
+        # 6e-17 is accepted (the table's last row); 5e-17 is refused
+        assert 1.0 - 5e-17 == 1.0 and 1.0 - 6e-17 < 1.0
+        with pytest.raises(OracleError, match="mass_tol"):
+            cscp_series_oracle(self._two_stream(4.0), 5e-17)
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats costs about 0.5 s and 37 MB at import; nothing needs it
+    code = "import sys, cmrs; print('scipy.stats' in sys.modules)"
+    src_dir = str(Path(cmrs.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_dir, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 class TestPhiloxStreams:
