@@ -28,20 +28,22 @@ seed 0, and, for every config with ``verify: series``, f_S and every xi of
 ``cscp_series_oracle`` (at the config's ``mass_tol``) on the config's grid.
 
 A leg is equal when every array field is ``np.array_equal`` (NaN equal to
-NaN) and every other field is equal.  The array fields are the result
-arrays (``density``, ``raw_xi``, ``xi``, ``h``, ``sum_h`` and
-``balance_residual``), the diagonal residuals, the derivative, the tail
-contributions and the reference arrays.  The other fields are ``status``,
-the CSV bytes, the ``breakdown_scan`` fields (``first_violation``,
-``breakdown_s`` and the three counts), the diagonal pass flags, a
-refusal's message and the reference metadata.  The script prints the legs
-that differ, naming the fields that differ in each, and exits 1 when there
-is any (2 when a tree cannot be run).  For each differing array it also
-prints the largest |change - parent| over the entries finite in both
-trees, and whether the NaN positions match.  A change that passes it needs
-no fade gate (``scripts/fade_gate.py``).  The five default seeds and the
-two pools take a few seconds per tree, and the three series references
-about ten more.
+NaN) with equal ``np.signbit`` on the entries that are NaN in neither tree,
+and every other field is equal.  ``np.array_equal`` alone takes -0.0 for
+0.0, and a signed zero reaches the CSV (``%.12g`` writes ``-0``).  The
+array fields are the result arrays (``density``, ``raw_xi``, ``xi``, ``h``,
+``sum_h`` and ``balance_residual``), the diagonal residuals, the
+derivative, the tail contributions and the reference arrays.  The other
+fields are ``status``, the CSV bytes, the ``breakdown_scan`` fields
+(``first_violation``, ``breakdown_s`` and the three counts), the diagonal
+pass flags, a refusal's message and the reference metadata.  The script
+prints the legs that differ, naming the fields that differ in each, and
+exits 1 when there is any (2 when a tree cannot be run).  For each
+differing array it also prints the largest |change - parent| over the
+entries finite in both trees, and whether the NaN positions and the sign
+bits match.  A change that passes it needs no fade gate
+(``scripts/fade_gate.py``).  The five default seeds and the two pools take
+a few seconds per tree, and the three series references about ten more.
 """
 
 from __future__ import annotations
@@ -150,15 +152,28 @@ def _run_tree(root: str, spec: str, out: str) -> dict[str, dict]:
         return pickle.load(fh)
 
 
+def _signs_match(p: np.ndarray, c: np.ndarray) -> bool:
+    """Whether the sign bits agree on the entries that are NaN in neither."""
+    numbers = ~(np.isnan(p) | np.isnan(c))
+    return np.array_equal(np.signbit(p[numbers]), np.signbit(c[numbers]))
+
+
+def _equal(p: np.ndarray, c: np.ndarray) -> bool:
+    """Equal arrays, NaN equal to NaN, with -0.0 and 0.0 told apart."""
+    return np.array_equal(p, c, equal_nan=True) and _signs_match(p, c)
+
+
 def _gap(name: str, p: np.ndarray, c: np.ndarray) -> str:
     """The name of a differing array, with its largest |c - p| over the
-    entries finite in both and whether the NaN positions match."""
+    entries finite in both and whether the NaN positions and the sign bits
+    match."""
     if p.shape != c.shape:
         return f"{name} (shape {p.shape} against {c.shape})"
     both = np.isfinite(p) & np.isfinite(c)
     gap = np.abs(c[both] - p[both]).max(initial=0.0)
     nans = "match" if np.array_equal(np.isnan(p), np.isnan(c)) else "differ"
-    return f"{name} (max |d| {gap:.3g}, NaN positions {nans})"
+    signs = "match" if _signs_match(p, c) else "differ"
+    return f"{name} (max |d| {gap:.3g}, NaN positions {nans}, sign bits {signs})"
 
 
 def differences(parent: dict[str, dict], change: dict[str, dict]) -> list[str]:
@@ -176,7 +191,7 @@ def differences(parent: dict[str, dict], change: dict[str, dict]) -> list[str]:
             elif type(p[f]) is not type(c[f]):
                 fields.append(f"{f} ({type(p[f]).__name__} against {type(c[f]).__name__})")
             elif isinstance(p[f], np.ndarray):
-                if not np.array_equal(p[f], c[f], equal_nan=True):
+                if not _equal(p[f], c[f]):
                     fields.append(_gap(f, p[f], c[f]))
             elif p[f] != c[f]:
                 fields.append(f)

@@ -4,16 +4,25 @@ For each gridpoint s the engine inverts the aggregate density f_S and all
 allocation densities xi_i = h_i f_S from one shared set of transform nodes,
 then forms h_i = xi_i / f_S.  The origin atom's mass P(S = 0) is subtracted
 from the real parts of L_S at the nodes before inversion (the continuous
-remainder is what the contour rules can recover), in the copy of the block
-that the finiteness mask gathers, never in the array the model returned.  It
-is reported as a separate row at s = 0, where every share is exactly 0:
-X_i >= 0 forces E[X_i 1{S = 0}] = 0, no inversion involved.
+remainder is what the contour rules can recover), in the block's own copy,
+never in the array the model returned.  It is reported as a separate row at
+s = 0, where every share is exactly 0: X_i >= 0 forces E[X_i 1{S = 0}] = 0,
+no inversion involved.
 
 The model is called once per block of gridpoints, with the nodes of every
 point in the block stacked into one array, and the kernel inverts the whole
 block in one pass; every point's numbers are those of a call on its own
 nodes, bit for bit.  The kernel inverts the model's m+1 columns, L_S and one
-column per class of identical risks (m = n for the identity map).
+column per class of identical risks (m = n for the identity map).  Each
+block's real parts are copied once, into the block's own node-major
+(nodes, m+1, points) array (``.transpose(1, 2, 0).copy()``, which is cheap
+from the class-major view the shipped families return); the finiteness test
+and the atom's subtraction run on that copy, which goes to the kernel as it
+is.  It is a ``.copy()``, never ``np.ascontiguousarray``: on one point the
+transpose of a C-contiguous array is contiguous already, so the latter would
+hand back the model's array, perhaps a cached one, and the atom would be
+taken off it.  Only a block with a non-finite point gathers its finite
+points, and only a grid with a refused point gathers its nodes.
 Shares, sums and statuses are derived on those class columns, and only
 ``raw_xi``, ``xi`` and ``h`` are expanded to the n risks, once, at the end,
 so identical risks get identical shares.  A block holds
@@ -160,20 +169,24 @@ def allocate(request: AllocationRequest) -> AllocationResult:
     start = time.perf_counter()
     nodes = scheme.nodes(s_grid)
     kept = np.flatnonzero(admitted(nodes))
-    nodes = nodes[kept]
+    if len(kept) < len(s_grid):
+        nodes = nodes[kept]
     size = max(1, _BLOCK_BUDGET // (nodes.shape[1] * (model.m + 1)))
     pending = [slice(lo, lo + size) for lo in range(0, len(kept), size)]
     while pending:
         block = pending.pop()
         points = kept[block]
         try:
-            V = column_values(model, nodes[block]).real
-            good = np.isfinite(V).all(axis=(1, 2))
-            # V may be the model's own array, even a read-only view: the atom
-            # leaves L_S only in the copy that the mask gathers
-            V = V[good]
-            V[..., 0] -= model.atom_mass
-            values[points[good]] = invert_values(V, s_grid[points[good]], scheme)
+            # the block's one owned copy, node-major (nodes, m+1, points): the
+            # model's array may be cached or a read-only view, so the atom
+            # leaves L_S only here
+            V = column_values(model, nodes[block]).real.transpose(1, 2, 0).copy()
+            good = np.isfinite(V).all(axis=(0, 1))
+            V[:, 0] -= model.atom_mass
+            done = points
+            if not good.all():
+                V, done = V[..., good], points[good]
+            values[done] = invert_values(V, s_grid[done], scheme).T
         except _POINT_ERRORS:
             # one bad node (or a wrong shape) fails its gridpoint, never its block
             if len(points) > 1:

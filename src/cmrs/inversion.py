@@ -4,7 +4,14 @@ Both rules have the node/weight form of Abate and Whitt's unified framework
 (INFORMS J. Computing 18, 2006), f(s) ~ c(s) sum_k w_k Re L(alpha_k): a scheme
 carries s-free weights w_k and gives the nodes alpha_k and the scale factor
 c(s) at every level at once, and ``invert_values`` is the one kernel for both
-rules.  Gaver-Stehfest samples the positive real axis at alpha_k = k ln2/s
+rules.  It takes node-major rows, one per node, each holding that node's
+values for every column and point, and sums the weighted rows in one
+``np.add.reduce`` along the node axis.  numpy adds the rows in order, as a
+loop over the nodes would, when that axis is the outer one in memory (the
+kernel makes its product in C order), and sums pairwise along a contiguous
+axis, so a lone column is padded to two.
+
+Gaver-Stehfest samples the positive real axis at alpha_k = k ln2/s
 (k = 1..2M), with the alternating combinatorial weights zeta_k and
 c = ln2/s.  Euler (binomial-accelerated Fourier series) samples a Bromwich
 contour at alpha_k = A(s)/(2s) + i pi k/s (k = 0..N+m), with
@@ -156,7 +163,12 @@ class EulerScheme:
         """The nodes at each level in ``s``, shape s.shape + (N+m+1,)."""
         s = np.asarray(s, dtype=float)[..., None]
         ks = np.arange(self.N + self.m + 1, dtype=float)
-        return self.contour(s) / (2.0 * s) + 1j * (ks * (math.pi / s))
+        # both parts filled in place: the sum A(s)/(2s) + 1j*(ks*pi/s), bit
+        # for bit, without its complex multiply and add
+        out = np.empty(s.shape[:-1] + ks.shape, dtype=complex)
+        out.real = self.contour(s) / (2.0 * s)
+        np.multiply(ks, math.pi / s, out=out.imag)
+        return out
 
     def scale(self, s) -> np.ndarray:
         s = np.asarray(s, dtype=float)
@@ -180,24 +192,38 @@ def admitted(nodes: np.ndarray) -> np.ndarray:
 def invert_values(values: np.ndarray, s: float | np.ndarray, scheme: Scheme) -> np.ndarray:
     """Invert many transforms at many points from their pre-evaluated node values.
 
-    ``s`` is one point or an array of points, and ``values`` has shape
-    s.shape + (nodes, columns): per point, one row per node (in
-    ``scheme.nodes`` order, real parts) and one column per target transform.
-    Each column's result is its point's scale factor times
-    sum_k w_k values[..., k, :].  The sum runs node by node, elementwise
-    across points and columns, so a result does not depend on the points or
-    columns that come with it (a matrix product or a pairwise sum along the
-    node axis would not promise that).  A point whose scale factor overflows
-    gets NaN in every column, and an overflow elsewhere gives +-inf, silently.
+    ``values`` is node-major, shape (nodes,) + shape: one row per node (in
+    ``scheme.nodes`` order, real parts), each row holding that node's value
+    of every target transform at every point, and ``s`` (one point or an
+    array of points) broadcasts against ``shape``.  Each entry of the
+    result, of that shape, is its point's scale factor times
+    sum_k w_k values[k, ...].  The sum is one ``np.add.reduce`` of the
+    weighted rows along the node axis, starting from 0.0.  The product is
+    made in C order, so that the node axis is the outer one in memory, and
+    numpy then adds the rows one after another, elementwise, as the loop
+    ``acc = 0.0; acc += w_k * row`` does; a column of -0.0 terms gives +0.0,
+    as the loop's does.  So an entry does not depend on the points or
+    columns that come with it.  Along a contiguous axis numpy sums pairwise
+    instead, and a lone entry per row would be such an axis, so it is padded
+    to two.  A point whose scale factor overflows gets NaN in every column,
+    and an overflow elsewhere gives +-inf, silently.
     """
-    values = np.asarray(values, dtype=float)
-    s = np.asarray(s, dtype=float)
-    acc = np.zeros(values.shape[:-2] + values.shape[-1:])
+    rows = np.asarray(values, dtype=float)
+    if len(rows) != len(scheme.weights):
+        raise InversionError(
+            f"{scheme.describe()} has {len(scheme.weights)} nodes, got {len(rows)} rows"
+        )
+    shape = rows.shape[1:]
+    lone = rows[0].size == 1
+    if lone:
+        rows = np.repeat(rows.reshape(-1, 1), 2, axis=1)
+    w = np.array(scheme.weights).reshape((-1,) + (1,) * (rows.ndim - 1))
     with np.errstate(over="ignore"):
-        for w, row in zip(scheme.weights, np.moveaxis(values, -2, 0), strict=True):
-            acc += w * row
+        acc = np.add.reduce(np.multiply(rows, w, order="C"), axis=0, initial=0.0)
+        if lone:
+            acc = acc[:1].reshape(shape)
         scale = scheme.scale(s)
-        return np.where(np.isinf(scale), np.nan, scale)[..., None] * acc
+        return np.where(np.isinf(scale), np.nan, scale) * acc
 
 
 def invert(transform: Callable, s: float, scheme: Scheme) -> float | np.ndarray:

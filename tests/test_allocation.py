@@ -402,35 +402,45 @@ class TestAtomHandling:
     def test_model_arrays_stay_untouched(self, scheme):
         # a transform may return a read-only view, or the same array on every
         # call: allocate takes the atom off in its own copy, so repeated runs
-        # give the plain model's numbers and the cached array keeps its values
+        # give the plain model's numbers and the cached array keeps its values.
+        # On one point a cached C-contiguous real (1, nodes, m+1) array has a
+        # contiguous node-major transpose, which only a real copy leaves alone
         base = build_common_shock_cp(CS_REF)
-        cache = {}
+        assert base.atom_mass > 0.0
+        cache, real_cache = {}, {}
 
         def cached(z):
             if z.shape not in cache:
                 cache[z.shape] = base.transform(z)
             return cache[z.shape]
 
+        def cached_real(z):
+            if z.shape not in real_cache:
+                real_cache[z.shape] = np.ascontiguousarray(base.transform(z).real)
+            return real_cache[z.shape]
+
         def read_only(z):
             return np.broadcast_to(base.transform(z), z.shape + (base.n + 1,))
 
-        grid = (1.0, 2.0, 4.0)
-        want = allocate(AllocationRequest(model=base, s_grid=grid, scheme=scheme))
-        assert STATUS_FAILED not in want.status
-        for transform in (read_only, cached):
-            request = AllocationRequest(
-                model=dataclasses.replace(base, transform=transform), s_grid=grid, scheme=scheme
-            )
-            first = allocate(request)
-            kept = {shape: vals.copy() for shape, vals in cache.items()}
-            second = allocate(request)
-            for res in (first, second):
-                assert np.array_equal(res.density, want.density)
-                assert np.array_equal(res.raw_xi, want.raw_xi)
-                assert res.status == want.status
-            assert cache.keys() == kept.keys()
-            assert all(np.array_equal(cache[shape], kept[shape]) for shape in kept)
-        assert len(cache) == 1
+        for grid in ((1.0, 2.0, 4.0), (2.0,)):
+            want = allocate(AllocationRequest(model=base, s_grid=grid, scheme=scheme))
+            assert STATUS_FAILED not in want.status
+            for transform, store in ((read_only, {}), (cached, cache), (cached_real, real_cache)):
+                request = AllocationRequest(
+                    model=dataclasses.replace(base, transform=transform), s_grid=grid, scheme=scheme
+                )
+                first = allocate(request)
+                kept = {shape: vals.copy() for shape, vals in store.items()}
+                second = allocate(request)
+                for res in (first, second):
+                    assert np.array_equal(res.density, want.density)
+                    assert np.array_equal(res.raw_xi, want.raw_xi)
+                    assert res.status == want.status
+                assert store.keys() == kept.keys()
+                assert all(np.array_equal(store[shape], kept[shape]) for shape in kept)
+        assert len(cache) == len(real_cache) == 2
+        one_point = real_cache[(1, len(scheme.weights))]
+        assert one_point.flags.c_contiguous and one_point.transpose(1, 2, 0).flags.c_contiguous
 
 
 class TestTwoRiskProperty:

@@ -120,6 +120,18 @@ class TestSchemes:
             with np.errstate(over="ignore"):
                 assert tilted.scale(s) == plain.scale(s)
 
+    @pytest.mark.parametrize("A, theta", [(18.4, 0.0), (30.4, 0.2), (1500.0, 10.0)])
+    def test_euler_nodes_are_the_formula(self, A, theta):
+        # the nodes filled part by part are contour(s)/(2s) + 1j*(k*pi/s),
+        # bit for bit, signed zeros included
+        scheme = EulerScheme(A=A, theta=theta)
+        s = np.arange(1, 751) / 10.0
+        ks = np.arange(len(scheme.weights), dtype=float)
+        want = scheme.contour(s[:, None]) / (2.0 * s[:, None]) + 1j * (ks * (math.pi / s[:, None]))
+        got = scheme.nodes(s)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
     def test_describe(self):
         assert "M=8" in GsScheme().describe()
         assert "theta" in EulerScheme(theta=0.1).describe()
@@ -282,12 +294,13 @@ class TestVectorKernel:
 
     @pytest.mark.parametrize("scheme", [GsScheme(M=8), EulerScheme(), EulerScheme(theta=0.4)])
     def test_point_axis_matches_one_point_calls(self, scheme):
-        # a (points, nodes, columns) call gives, at every point and column,
-        # that column's one-point call bit for bit, with one scale per point
+        # a node-major (nodes, columns, points) call gives, at every point
+        # and column, that column's one-point call bit for bit, with one
+        # scale per point
         s = np.array([0.3, 1.5, 2.3, 7.0, 11.5])
         nodes = scheme.nodes(s)
         values = np.stack([exp_lst(nodes).real, gamma2_lst(nodes).real], axis=-1)
-        out = invert_values(values, s, scheme)
+        out = invert_values(values.transpose(1, 2, 0), s, scheme).T
         assert out.shape == (len(s), 2)
         for p, x in enumerate(s):
             for c in range(2):
@@ -295,6 +308,54 @@ class TestVectorKernel:
                 assert out[p, c] == one[0]
             assert out[p, 0] == invert(exp_lst, x, scheme)
             assert out[p, 1] == invert(gamma2_lst, x, scheme)
+
+    @pytest.mark.parametrize("scheme", [GsScheme(M=8), EulerScheme(), EulerScheme(theta=0.4)])
+    def test_negative_zero_terms_sum_to_positive_zero(self, scheme):
+        # every weighted term -0.0: the sum starts from 0.0, as the loop
+        # ``acc = 0.0; acc += w * v`` does, so it is +0.0 and ``%.12g``
+        # writes 0, not -0
+        w = np.array(scheme.weights)
+        col = np.copysign(0.0, -w)
+        assert np.signbit(w * col).all()
+        for values, s in (
+            (col[:, None], 2.3),
+            (np.stack([col, col, np.ones_like(col)], axis=-1), 2.3),
+            (np.stack([col] * 4, axis=-1)[:, None, :], np.array([0.5, 1.0, 2.3, 7.0])),
+        ):
+            out = invert_values(values, s, scheme)
+            zero = out[..., :2] if values.shape[-1] == 3 else out
+            assert (zero == 0.0).all() and not np.signbit(zero).any()
+            assert "%.12g" % zero.flat[0] == "0"
+        one = invert(lambda z: col.astype(complex), 2.3, scheme)
+        assert one == 0.0 and math.copysign(1.0, one) > 0.0
+
+    @pytest.mark.parametrize("scheme", [GsScheme(M=8), EulerScheme(), EulerScheme(theta=0.4)])
+    def test_lone_column_is_the_sequential_loop(self, scheme):
+        # numpy reduces a lone contiguous column pairwise, which rounds
+        # differently from adding node by node; the kernel pads it to two
+        # columns, so ``invert``, a point-by-point call and a many-point call
+        # all give the loop's numbers bit for bit
+        rng = np.random.default_rng(11)
+        columns = rng.standard_normal((200, len(scheme.weights)))
+        s = np.linspace(0.5, 20.0, 200)
+        scale = scheme.scale(s)
+
+        def loop(col, k):
+            acc = 0.0
+            for w, v in zip(scheme.weights, col):
+                acc += w * v
+            return scale[k] * acc
+
+        want = np.array([loop(col, k) for k, col in enumerate(columns)])
+        many = invert_values(columns.T[:, None, :], s, scheme)[0]
+        assert many.tobytes() == want.tobytes()
+        for k, col in enumerate(columns):
+            assert invert_values(col[:, None], s[k], scheme)[0] == want[k]
+            assert invert(lambda z: col, s[k], scheme) == want[k]
+            # an F-ordered block of columns, as a transposed class-major view
+            # gives, adds node by node too
+            pair = np.asfortranarray(np.stack([col, -col], axis=-1))
+            assert invert_values(pair, s[k], scheme)[0] == want[k]
 
     def test_overflowing_scale_fails_its_level_alone(self):
         # e^{A/2} overflows at A = 1500, so every level fails, quietly; with
