@@ -9,7 +9,10 @@ For each tree a subprocess imports that tree's package and benchmark
 modules and, for every seed, builds every leg of the benchmark workloads
 (``me_erlang_pool``, ``cs_large_pool``, ``cs_wide_fade``) through
 ``Bench.setup``, the way the benchmark builds them, and runs ``allocate``,
-``write_csv`` and ``breakdown_scan`` on each.  It also runs all three on
+``write_csv`` and ``breakdown_scan`` on each.  The CSV is written twice
+from the result, and once more after a second ``allocate`` on the same
+model; all three must give the same bytes, in each tree, since the writer
+derives its header once per model.  It also runs all three on
 every ``configs/*.yaml`` of its tree, with the request ``cmrs allocate``
 builds from the file, and, under default Euler, on two pools of distinct
 risks (m = n) that ``scripts/large_pool_timing.py`` builds, at 10 points
@@ -34,10 +37,11 @@ and every other field is equal.  ``np.array_equal`` alone takes -0.0 for
 array fields are the result arrays (``density``, ``raw_xi``, ``xi``, ``h``,
 ``sum_h`` and ``balance_residual``), the diagonal residuals, the
 derivative, the tail contributions and the reference arrays.  The other
-fields are ``status``, the CSV bytes, the ``breakdown_scan`` fields
-(``first_violation``, ``breakdown_s`` and the three counts), the diagonal
-pass flags, a refusal's message and the reference metadata.  The script
-prints the legs that differ, naming the fields that differ in each, and
+fields are ``status``, the CSV bytes of each write, the ``breakdown_scan``
+fields (``first_violation``, ``breakdown_s`` and the three counts), the
+diagonal pass flags, a refusal's message and the reference metadata.  The
+script prints the legs that differ, naming the fields that differ in each,
+and the legs of either tree whose CSV bytes change on a repeated write, and
 exits 1 when there is any (2 when a tree cannot be run).  For each
 differing array it also prints the largest |change - parent| over the
 entries finite in both trees, and whether the NaN positions and the sign
@@ -89,13 +93,18 @@ def _worker(root: str, seeds: list[int], out: str) -> None:
     from cmrs.transforms import diagonal_diagnostic, numerical_aggregate_derivative
     from workloads import NAMES, attach_reference, make_workload
 
-    def output(request):
-        result = allocate(request)
+    def csv(result):
         buf = io.StringIO()
         write_csv(result, buf)
+        return hashlib.sha256(buf.getvalue().encode()).hexdigest()
+
+    def output(request):
+        result = allocate(request)
         row = {name: getattr(result, name) for name in ARRAYS}
         row["status"] = list(result.status)
-        row["csv"] = hashlib.sha256(buf.getvalue().encode()).hexdigest()
+        row["csv"] = csv(result)
+        # the writer keeps per-model state, so it must repeat its bytes
+        row["csv_repeats"] = [csv(result), csv(allocate(request))]
         scan = breakdown_scan(result)
         row.update((name, getattr(scan, name)) for name in SCAN)
         report = diagonal_diagnostic(request.model, DIAG_T)
@@ -200,6 +209,15 @@ def differences(parent: dict[str, dict], change: dict[str, dict]) -> list[str]:
     return out
 
 
+def unrepeated(tree: dict[str, dict], side: str) -> list[str]:
+    """One line per leg whose CSV bytes changed on a repeated write."""
+    return [
+        f"{key}: the {side}'s CSV bytes change on a repeated write"
+        for key, row in sorted(tree.items())
+        if any(h != row["csv"] for h in row.get("csv_repeats", ()))
+    ]
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent_root", nargs="?")
@@ -216,7 +234,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         parent = _run_tree(os.path.abspath(args.parent_root), args.seeds, f"{tmp}/parent")
         change = _run_tree(os.path.abspath(args.change_root), args.seeds, f"{tmp}/change")
-    diffs = differences(parent, change)
+    diffs = differences(parent, change) + unrepeated(parent, "parent") + unrepeated(change, "change")
     print(f"{len(parent.keys() | change.keys())} legs compared")
     print("bit-equal: PASS" if not diffs else "bit-equal: FAIL\n  " + "\n  ".join(diffs))
     return 1 if diffs else 0

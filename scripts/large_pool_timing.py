@@ -33,9 +33,12 @@ One untimed ``allocate`` comes first.  Then each rep times ``allocate``,
 ``write_csv`` (into an in-memory buffer) and
 ``diagonal_diagnostic(model, np.logspace(-2, 2, 25))`` separately.  The
 script prints one JSON object: the family, the scheme, the per-rep seconds
-of each, their medians, the CSV size, the status counts and the process's
-peak RSS in MB.
-Run parent and change in alternating fresh processes to compare two trees.
+of each, their medians and minima (the fastest rep), the CSV size, the
+status counts and the process's peak RSS in MB.
+Run parent and change in alternating fresh processes to compare two trees,
+and compare the minima (``allocate_s_min``, ``write_csv_s_min``,
+``diagnostic_s_min``): the medians of 5 reps spread about 17% across
+processes of one tree at n = 3000, the host's slow spells included.
 """
 
 from __future__ import annotations
@@ -140,10 +143,13 @@ def main(argv=None) -> int:
                 "points": points,
                 "allocate_s": alloc_s,
                 "allocate_s_median": statistics.median(alloc_s),
+                "allocate_s_min": min(alloc_s),
                 "write_csv_s": csv_s,
                 "write_csv_s_median": statistics.median(csv_s),
+                "write_csv_s_min": min(csv_s),
                 "diagnostic_s": diag_s,
                 "diagnostic_s_median": statistics.median(diag_s),
+                "diagnostic_s_min": min(diag_s),
                 "csv_bytes": len(buf.getvalue()),
                 "status_counts": {st: result.status.count(st) for st in sorted(set(result.status))},
                 "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,

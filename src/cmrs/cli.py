@@ -22,6 +22,7 @@ from typing import Optional, Sequence, TextIO
 import numpy as np
 
 from .allocation import (
+    _BLOCK_BUDGET,
     STATUS_ATOM,
     STATUS_OK,
     AllocationRequest,
@@ -60,13 +61,15 @@ def write_csv(result: AllocationResult, fh: TextIO) -> int:
     so the model's ``risk_columns`` map is written once, in the header.  The
     columns follow each class's first risk: a pool of distinct risks gets
     ``xi_1, ..., xi_n, h_1, ..., h_n``.  Shares as fractions of s are
-    ``proportions(result)``."""
-    members: dict[int, list[int]] = {}
-    for risk, k in enumerate(result.request.model.risk_columns.tolist(), 1):
-        members.setdefault(k, []).append(risk)
-    # the dict keeps the classes in the order of their first risks
-    first = [risks[0] - 1 for risks in members.values()]
-    labels = [";".join(map(str, risks)) for risks in members.values()]
+    ``proportions(result)``.
+
+    The class order and labels are the model's ``class_labels``, derived
+    once per model, so a call does only the work that depends on the result.
+    The body is formatted in blocks of at most ``_BLOCK_BUDGET`` (2^14)
+    values, each block one ``%`` over a template of its rows, each row's
+    status written into it.  The floor is CPython's ``%.12g``, about 200 ns
+    per value; the blocks bound the Python floats held at once."""
+    first, labels = result.request.model.class_labels
     m = len(labels)
     fh.write(
         "s,f_S,xi_%s,h_%s,sum_h,balance_residual,status\n" % (",xi_".join(labels), ",h_".join(labels))
@@ -74,7 +77,6 @@ def write_csv(result: AllocationResult, fh: TextIO) -> int:
     atoms = int(result.atom_mass > 0.0)
     if atoms:
         fh.write("0,%.12g,%s0,0,%s\n" % (result.atom_mass, "0," * (2 * m), STATUS_ATOM))
-    line = ",".join(["%.12g"] * (2 * m + 4)) + ",%s\n"
     table = np.column_stack(
         [
             result.s_grid,
@@ -85,7 +87,13 @@ def write_csv(result: AllocationResult, fh: TextIO) -> int:
             result.balance_residual,
         ]
     )
-    fh.writelines(line % (*row, status) for row, status in zip(table.tolist(), result.status))
+    # the statuses are the package's constants, so none holds a %
+    nums = "%.12g," * table.shape[1]
+    line = {status: nums + status + "\n" for status in set(result.status)}
+    rows = max(1, _BLOCK_BUDGET // table.shape[1])
+    for lo in range(0, len(table), rows):
+        template = "".join([line[status] for status in result.status[lo : lo + rows]])
+        fh.write(template % tuple(table[lo : lo + rows].ravel().tolist()))
     return atoms + len(result.status)
 
 

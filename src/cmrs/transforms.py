@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -121,6 +122,21 @@ class JointTransformModel:
         if self._identity:
             return classes
         return np.take(classes, self.risk_columns, axis=-1)
+
+    @cached_property
+    def class_labels(self) -> tuple[np.ndarray, tuple[str, ...]]:
+        """The classes in the order of their first risks: each class's first
+        risk (0-based, an index into the n risk columns) and its label, the
+        class's 1-based risks ascending and joined by ``;`` (``1;4;7``).
+        They depend on ``risk_columns`` alone, so they are derived on first
+        use and kept; ``dataclasses.replace`` gives a new model, which
+        derives its own."""
+        members: dict[int, list[int]] = {}
+        for risk, k in enumerate(self.risk_columns.tolist(), 1):
+            members.setdefault(k, []).append(risk)
+        # the dict keeps the classes in the order of their first risks
+        first = np.array([risks[0] - 1 for risks in members.values()])
+        return first, tuple(";".join(map(str, risks)) for risks in members.values())
 
 
 def column_values(model, z: np.ndarray) -> np.ndarray:

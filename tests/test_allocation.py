@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import gammaincc
 
+from cmrs import cli
 from cmrs.allocation import (
     _BLOCK_BUDGET,
     STATUS_ATOM,
@@ -891,6 +892,25 @@ def _assert_csv_reads_back(res):
     assert cells["status"][atoms:] == res.status
 
 
+def _per_row_csv(res):
+    """The CSV of a result with one column per risk (m = n), one ``%`` per
+    row: the header, the atom row if any, then the gridpoint rows.  The
+    reference for ``write_csv``'s blocks."""
+    n = res.n
+    names = (
+        ["s", "f_S"]
+        + [f"xi_{i}" for i in range(1, n + 1)]
+        + [f"h_{i}" for i in range(1, n + 1)]
+        + ["sum_h", "balance_residual", "status"]
+    )
+    line = ",".join(["%.12g"] * (2 * n + 4)) + ",%s\n"
+    atom = [line % (0.0, res.atom_mass, *[0.0] * (2 * n + 2), STATUS_ATOM)] if res.atom_mass > 0.0 else []
+    table = np.column_stack([res.s_grid, res.density, res.xi, res.h, res.sum_h, res.balance_residual])
+    return "".join(
+        [",".join(names) + "\n", *atom] + [line % (*row, status) for row, status in zip(table.tolist(), res.status)]
+    )
+
+
 class TestRiskClasses:
     """Pools of a few classes of identical risks: one column per class from
     the model, inverted once and expanded to the risks."""
@@ -1092,28 +1112,58 @@ class TestRiskClasses:
             "s,f_S,xi_1;4;7,xi_2;5;8,xi_3;6;9,h_1;4;7,h_2;5;8,h_3;6;9,sum_h,balance_residual,status"
         )
 
-    @pytest.mark.parametrize("cols", [[0], [0, 1, 2], [1, 0, 2], [4, 2, 0, 6, 1, 5, 3]])
-    def test_distinct_risks_write_the_per_risk_table(self, cols):
+    @pytest.mark.parametrize(
+        "cols, points",
+        [([0], 4), ([0, 1, 2], 4), ([1, 0, 2], 4), ([4, 2, 0, 6, 1, 5, 3], 4), (list(range(1000)), 20)],
+        ids=["n1", "n3", "permuted", "permuted_n7", "n1000"],
+    )
+    def test_distinct_risks_write_the_per_risk_table(self, cols, points):
         # m == n, the identity map or a permuted one: the columns are the
-        # risks in order, each value as %.12g, and no pi columns
+        # risks in order, each value as %.12g, and no pi columns; at n = 1000
+        # a block holds 2**14 // 2004 = 8 rows, so 20 rows cross two blocks
         model = _exponential_classes(cols)
-        n = model.n
-        grid = tuple(model.transform(0.0)[1:][model.risk_columns].sum() * np.linspace(0.5, 1.5, 4))
+        grid = tuple(model.transform(0.0)[1:][model.risk_columns].sum() * np.linspace(0.5, 1.5, points))
         res = allocate(AllocationRequest(model=model, s_grid=grid, scheme=EulerScheme()))
         buf = io.StringIO()
+        assert write_csv(res, buf) == points + 1
+        assert buf.getvalue() == _per_row_csv(res)
+
+    def test_csv_holds_the_atom_row_and_every_status(self, monkeypatch):
+        # ok points, a budget violation (s = 6) and the degraded points after
+        # it, and a non-finite class (s = 8), with one column per risk; three
+        # rows of 24 values per block, so statuses change within and across
+        # blocks
+        monkeypatch.setattr(cli, "_BLOCK_BUDGET", 3 * 24)
+        scheme = EulerScheme()
+        faults = [(6.0, 1, 1.05), (8.0, 0, np.inf)]
+        model = _no_map_twin(_faulty_classes(build_common_shock_cp(_scaled_cscp(CS_REF, 10)), scheme, faults))
+        res = allocate(AllocationRequest(model=model, s_grid=_grid(0.5, 12.0, 0.5), scheme=scheme))
+        buf = io.StringIO()
         write_csv(res, buf)
-        names = (
-            ["s", "f_S"]
-            + [f"xi_{i}" for i in range(1, n + 1)]
-            + [f"h_{i}" for i in range(1, n + 1)]
-            + ["sum_h", "balance_residual", "status"]
+        text = buf.getvalue()
+        assert text == _per_row_csv(res)
+        statuses = {line.rsplit(",", 1)[1] for line in text.split("\n")[1:-1]}
+        assert statuses == {STATUS_ATOM, STATUS_OK, STATUS_DEGRADED, STATUS_FAILED}
+
+    def test_csv_header_is_derived_once_per_model(self):
+        # repeated writes give the same bytes from the same labels object; a
+        # model replaced with another map derives its own header
+        model = _exponential_classes([2, 0, 1] * 3)
+        res = allocate(AllocationRequest(model=model, s_grid=(1.0, 2.0), scheme=EulerScheme()))
+        labels = model.class_labels
+        first, again = io.StringIO(), io.StringIO()
+        write_csv(res, first)
+        write_csv(res, again)
+        assert first.getvalue() == again.getvalue()
+        assert model.class_labels is labels
+        other = dataclasses.replace(model, risk_columns=np.repeat([0, 1, 2], 3))
+        buf = io.StringIO()
+        write_csv(allocate(AllocationRequest(model=other, s_grid=(1.0,), scheme=EulerScheme())), buf)
+        assert other.class_labels is not labels
+        assert buf.getvalue().split("\n")[0] == (
+            "s,f_S,xi_1;2;3,xi_4;5;6,xi_7;8;9,h_1;2;3,h_4;5;6,h_7;8;9,sum_h,balance_residual,status"
         )
-        line = ",".join(["%.12g"] * (2 * n + 4)) + ",%s\n"
-        table = np.column_stack([res.s_grid, res.density, res.xi, res.h, res.sum_h, res.balance_residual])
-        assert buf.getvalue() == "".join(
-            [",".join(names) + "\n", line % (0.0, model.atom_mass, *[0.0] * (2 * n + 2), STATUS_ATOM)]
-            + [line % (*row, status) for row, status in zip(table.tolist(), res.status)]
-        )
+        assert model.class_labels is labels
 
     def test_csv_header_and_atom_row_at_n1000(self):
         # the replicated pool's 4 classes: the three base risks cycled, and
