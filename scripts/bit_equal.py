@@ -30,6 +30,17 @@ of an allocation: the ``h_ref`` and ``ref_meta`` that
 seed 0, and, for every config with ``verify: series``, f_S and every xi of
 ``cscp_series_oracle`` (at the config's ``mass_tol``) on the config's grid.
 
+Every config the worker loads (each ``configs/*.yaml`` and each workload's
+YAML at each seed) is also a ``load_config`` leg, compared field by field:
+the document ``load_config`` hands to ``parse_config`` and every field of
+the ``RunConfig`` and of the specs in it, each reduced recursively to a
+record in which a float is its ``float.hex`` (the sign of zero kept), an
+int, bool, str, list, tuple or numpy scalar keeps its type, a numpy array
+is its dtype, shape and bytes, a dict keeps its key order, and a handle's
+function is its name and the values it closes over.  A loader change that
+moves a type or a sign bit fails here even where a spec constructor would
+coerce the value back.
+
 A leg is equal when every array field is ``np.array_equal`` (NaN equal to
 NaN) with equal ``np.signbit`` on the entries that are NaN in neither tree,
 and every other field is equal.  ``np.array_equal`` alone takes -0.0 for
@@ -53,6 +64,7 @@ a few seconds per tree, and the three series references about ten more.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import glob
 import hashlib
 import io
@@ -75,6 +87,35 @@ DIAG_T = np.logspace(-2, 2, 25)
 POOLS = (("common_shock_cp", 3000, 10), ("matrix_exp", 300, 10))
 
 
+def _record(value, seen: dict):
+    """A picklable record of ``value`` that is equal in two trees only when
+    the values have equal types and bits throughout (the module docstring).
+    An object met again in ``seen`` is recorded by its first ordinal, so
+    shared handles stay shared."""
+    if isinstance(value, np.generic):
+        return (type(value).__name__, value.tobytes())
+    if isinstance(value, float):
+        return ("float", value.hex())
+    if value is None or isinstance(value, (bool, int, str)):
+        return (type(value).__name__, value)
+    if isinstance(value, np.ndarray):
+        return ("ndarray", value.dtype.str, value.shape, value.tobytes())
+    if isinstance(value, (list, tuple)):
+        return (type(value).__name__, tuple(_record(v, seen) for v in value))
+    if isinstance(value, dict):
+        return ("dict", tuple((_record(k, seen), _record(v, seen)) for k, v in value.items()))
+    if id(value) in seen:
+        return ("the object", seen[id(value)])
+    seen[id(value)] = len(seen)
+    if dataclasses.is_dataclass(value):
+        fields = dataclasses.fields(value)
+        return (type(value).__name__, tuple((f.name, _record(getattr(value, f.name), seen)) for f in fields))
+    if callable(value):
+        cells = getattr(value, "__closure__", None) or ()
+        return ("function", value.__qualname__, tuple(_record(c.cell_contents, seen) for c in cells))
+    raise TypeError(f"no record for {type(value).__name__}")
+
+
 def _worker(root: str, seeds: list[int], out: str) -> None:
     """Pickle {leg key: output} for every leg and shipped config to ``out``."""
     sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "benchmark")]
@@ -87,6 +128,7 @@ def _worker(root: str, seeds: list[int], out: str) -> None:
         load_config,
         tail_contribution,
     )
+    from cmrs import config
     from cmrs.cli import _build_request, write_csv
     from cmrs.errors import CmrsError
     from cmrs.oracles import cscp_series_oracle
@@ -118,22 +160,50 @@ def _worker(root: str, seeds: list[int], out: str) -> None:
             row["tail_contribution"] = f"{type(exc).__name__}: {exc}"
         return row
 
+    documents = []  # what load_config hands to parse_config
+    parse_config = config.parse_config
+
+    def recorded_parse(data):
+        documents.append(data)
+        return parse_config(data)
+
+    config.parse_config = recorded_parse
+
+    def loaded(path):
+        """The load_config leg of the file at ``path``: its document and
+        each field of its RunConfig and of the specs in it."""
+        documents.clear()
+        cfg = load_config(path)
+        seen = {}
+        row = {"document": _record(documents[0], seen)}
+        for f in dataclasses.fields(cfg):
+            value = getattr(cfg, f.name)
+            if dataclasses.is_dataclass(value):
+                for g in dataclasses.fields(value):
+                    row[f"{f.name}.{g.name}"] = _record(getattr(value, g.name), seen)
+            else:
+                row[f.name] = _record(value, seen)
+        return row
+
     legs = {}
     with tempfile.TemporaryDirectory() as tmp:
         for name in NAMES:
             for seed in sorted(set(seeds) | {0}):
                 wl = make_workload(name, seed)
-                _, _, requests = Bench(wl, os.path.join(tmp, f"{name}-{seed}.yaml")).setup()
+                path = os.path.join(tmp, f"{name}-{seed}.yaml")
+                _, _, requests = Bench(wl, path).setup()
                 if seed in seeds:
+                    legs[f"{name}/seed{seed}/load_config"] = loaded(path)
                     for leg, request in zip(wl.legs, requests):
                         legs[f"{name}/seed{seed}/{leg.label}"] = output(request)
                 if seed == 0 and wl.config["model"]["family"] == "common_shock_cp":
                     attach_reference(wl, requests[0].s_grid)
                     legs[f"{name}/seed0/reference"] = {"h_ref": wl.h_ref, "ref_meta": wl.ref_meta}
     for path in sorted(glob.glob(os.path.join(root, "configs", "*.yaml"))):
+        key = f"configs/{os.path.basename(path)}"
+        legs[key + "/load_config"] = loaded(path)
         cfg = load_config(path)
         request = _build_request(cfg)
-        key = f"configs/{os.path.basename(path)}"
         legs[key] = output(request)
         if cfg.verify.method == "series":
             oracle = cscp_series_oracle(cfg.model, cfg.verify.mass_tol)

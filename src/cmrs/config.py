@@ -7,6 +7,17 @@ silently run with defaults, a missing key is named, not a traceback, and so
 is a boolean, which no field takes, and a scheme key that only the other
 rule reads.
 
+``load_config`` gives the data ``yaml.load`` gives with PyYAML's safe
+loader, but builds it from the parser's events (libyaml's when PyYAML has
+it): lists, dicts in key order, and a plain decimal int or float such as
+``3``, ``-0.5`` or ``1.0e-05`` read by ``int`` or ``float`` directly.  Every
+other scalar goes through the safe loader's own resolver and constructors,
+so the YAML 1.1 readings hold (``yes`` is True, ``010`` is 8, ``1e-300`` is
+a string).  ``yaml.load`` itself reads a file with an anchor or alias, an
+explicit tag, a ``<<`` merge or ``=`` value scalar, a key that is not a str,
+int or float, a root that is not a mapping, or not exactly one document,
+and a file that does not parse, so that the error is the one it raises.
+
 Loading parses the model block once, into its family spec
 (``RunConfig.model``), whose constructor checks the values.  The model
 itself is built by ``build_model_from_config``, once per run, and that build
@@ -16,11 +27,24 @@ runs the construction probe.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
 import yaml
+from yaml.events import (
+    DocumentEndEvent,
+    DocumentStartEvent,
+    MappingEndEvent,
+    MappingStartEvent,
+    ScalarEvent,
+    SequenceEndEvent,
+    SequenceStartEvent,
+    StreamEndEvent,
+    StreamStartEvent,
+)
+from yaml.nodes import ScalarNode
 
 from .allocation import checked_grid
 from .errors import CmrsError, ConfigError
@@ -302,13 +326,104 @@ def parse_config(data: dict) -> RunConfig:
     return cfg
 
 
-def load_config(path: str) -> RunConfig:
+# libyaml's parser when PyYAML has it; its events cost a third of yaml.load
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+# a strict subset of SafeLoader's YAML 1.1 int and float patterns: no "_",
+# no sexagesimal, no int with a leading zero (octal); group 1 is set for an int
+_DECIMAL = re.compile(r"[-+]?(?:(0|[1-9][0-9]*)|[0-9]+\.[0-9]*(?:[eE][-+][0-9]+)?)\Z").match
+_KEY_TYPES = (str, int, float)
+_NO_KEY = object()
+
+
+class _NeedsYamlLoad(Exception):
+    """The document uses YAML that only ``yaml.load`` composes."""
+
+
+def _build_document(loader) -> dict:
+    """The data of the one-mapping document ``loader`` parses, built from its
+    events; _NeedsYamlLoad where the document needs ``yaml.load``."""
+    get = loader.get_event
+    if type(get()) is not StreamStartEvent or type(get()) is not DocumentStartEvent:
+        raise _NeedsYamlLoad
+    root = None
+    top = None  # the innermost open list or dict
+    stack = []  # the collections that enclose it, None below the root
+    key = _NO_KEY  # the innermost dict's key awaiting its value
+    while True:
+        ev = get()
+        kind = type(ev)
+        if kind is ScalarEvent:
+            if ev.tag is not None or ev.anchor is not None:
+                raise _NeedsYamlLoad
+            value = ev.value
+            if ev.implicit[0]:  # plain: SafeLoader would resolve its type
+                number = _DECIMAL(value)
+                if number is None:
+                    tag = loader.resolve(ScalarNode, value, ev.implicit)
+                    # no constructor: a "<<" merge, "=" value, or "!", "&", "*"
+                    if tag not in loader.yaml_constructors:
+                        raise _NeedsYamlLoad
+                    value = loader.yaml_constructors[tag](loader, ScalarNode(tag, value))
+                elif number.lastindex:
+                    value = int(value)
+                else:
+                    value = float(value)
+            opened = None
+        elif kind is SequenceStartEvent or kind is MappingStartEvent:
+            if ev.tag is not None or ev.anchor is not None:
+                raise _NeedsYamlLoad
+            value = opened = [] if kind is SequenceStartEvent else {}
+        elif kind is SequenceEndEvent or kind is MappingEndEvent:
+            top = stack.pop()
+            if top is None:
+                break
+            continue
+        else:  # an alias
+            raise _NeedsYamlLoad
+        if type(top) is list:
+            top.append(value)
+        elif top is None:
+            if type(value) is not dict:
+                raise _NeedsYamlLoad
+            root = value
+        elif key is _NO_KEY:
+            if type(value) not in _KEY_TYPES:
+                raise _NeedsYamlLoad
+            key = value
+            continue
+        else:
+            top[key] = value
+            key = _NO_KEY
+        if opened is not None:
+            stack.append(top)
+            top = opened
+    if type(get()) is not DocumentEndEvent or type(get()) is not StreamEndEvent:
+        raise _NeedsYamlLoad
+    return root
+
+
+def _read_yaml(path: str):
+    """The data of the YAML file at ``path``: ``yaml.load``'s, built from the
+    event stream where the document allows (the module docstring)."""
+    try:
+        with open(path) as fh:
+            loader = _LOADER(fh.read())
+        try:
+            return _build_document(loader)
+        finally:
+            loader.dispose()
+    except (_NeedsYamlLoad, yaml.YAMLError, ValueError):
+        pass  # yaml.load builds the data, or raises the error with its text
     with open(path) as fh:
         try:
-            # libyaml's parser when PyYAML has it: the same data, ~8x faster
-            data = yaml.load(fh, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
-        except (yaml.YAMLError, UnicodeDecodeError) as exc:
+            return yaml.load(fh, Loader=_LOADER)
+        # ValueError: bytes that are not UTF-8, or a bad "!!int" or "!!float"
+        except (yaml.YAMLError, ValueError) as exc:
             raise ConfigError(f"{path} is not valid YAML: {exc}") from None
+
+
+def load_config(path: str) -> RunConfig:
+    data = _read_yaml(path)
     if not isinstance(data, dict):
         raise ConfigError(f"{path} does not contain a mapping")
     return parse_config(data)

@@ -557,6 +557,19 @@ def exponential_severity(rate: float) -> SeverityHandle:
     )
 
 
+def _require_finite(**fields) -> None:
+    """ModelSpecError naming the first NaN or infinite value among ``fields``,
+    each a number or a tuple of them: ordered comparisons pass NaN through,
+    and an infinite rate fails only in the construction probe."""
+    for name, value in fields.items():
+        if not isinstance(value, tuple):
+            if not math.isfinite(value):
+                raise ModelSpecError(f"{name} must be finite, got {value}")
+        elif not all(map(math.isfinite, value)):
+            i = next(i for i, v in enumerate(value) if not math.isfinite(v))
+            raise ModelSpecError(f"{name}[{i}] must be finite, got {value[i]}")
+
+
 def _check_katz_pair(a: float, b: float) -> None:
     if a == 0.0:
         if b < 0.0:
@@ -588,6 +601,7 @@ class KatzCompoundSpec:
         b = tuple(float(v) for v in self.b)
         if not a or len(a) != len(b) or len(a) != len(self.severities):
             raise ModelSpecError("a, b and severities must have equal positive length")
+        _require_finite(a=a, b=b)
         for ai, bi in zip(a, b):
             _check_katz_pair(ai, bi)
         object.__setattr__(self, "a", a)
@@ -657,6 +671,9 @@ class CommonShockCPSpec:
         w = tuple(float(v) for v in self.weights)
         if not lams or len(lams) != len(betas) or len(lams) != len(w):
             raise ModelSpecError("lambdas, betas and weights must have equal positive length")
+        _require_finite(
+            lambda0=self.lambda0, lambdas=lams, beta0=self.beta0, betas=betas, weights=w
+        )
         if self.lambda0 < 0.0 or any(v < 0.0 for v in lams):
             raise ModelSpecError("claim rates must be >= 0")
         if self.lambda0 + sum(lams) <= 0.0:

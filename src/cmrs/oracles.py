@@ -337,6 +337,9 @@ class CscpSeriesOracle:
             del counts[k]
 
         visit(0, {}, 0, 0.0)
+        # the recursive closure is a reference cycle that holds pf_cache;
+        # without this it lives on until the next full garbage collection
+        del visit
 
         self._poly_f = poly_f
         self._poly_xi = []

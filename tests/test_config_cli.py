@@ -67,6 +67,9 @@ def _write(tmp_path, name, text):
     return str(path)
 
 
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
 class TestGridSpec:
     def test_arithmetic_grid_row_count(self):
         pts = GridSpec(start=0.1, stop=75.0, step=0.1).build()
@@ -253,11 +256,6 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="balance"):
             load_config(_write(tmp_path, "cfg.yaml", text))
 
-    def test_non_mapping_file_rejected(self, tmp_path):
-        path = _write(tmp_path, "cfg.yaml", "- 1\n- 2\n")
-        with pytest.raises(ConfigError, match="mapping"):
-            load_config(path)
-
     def test_unknown_verify_method_rejected(self):
         with pytest.raises(ConfigError, match="verify method"):
             VerifySpec(method="crystal_ball")
@@ -314,6 +312,206 @@ class TestConfigParsing:
         }
         with pytest.raises(ConfigError, match="not both"):
             parse_config(data)
+
+
+# ---------------------------------------------------------------------------
+# the YAML loader: yaml.load's data, built from the event stream
+
+# the parent loader: the data of every document must equal what it gives
+REFERENCE_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+EVENT_LOADERS = [
+    pytest.param(
+        getattr(yaml, "CSafeLoader", None),
+        id="libyaml",
+        marks=pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="PyYAML without libyaml"),
+    ),
+    pytest.param(yaml.SafeLoader, id="pure-python"),
+]
+
+# YAML 1.1 scalars with a reading of their own; written plain unless quoted
+EDGE_SCALARS = [
+    "yes", "No", "on", "OFF", "true", "~", "null", "", "''", '"1.5"', "'2'",
+    "1.0e5", "-.5", "1e-300", "010", "1_000", "1:30", "-1:30.5", "0x1F", "0b101",
+    ".nan", ".NaN", ".inf", "-.Inf", ".5", "123.", "-0", "+0", "0", "-0.0",
+    "+1.5", "-7", "1.0e+5", "1.0E-5", "2.5e+400", "-1.0e-400", "1.5_0",
+    "12345678901234567890", "2001-12-14", "1.2.3", "3 apples", "<<<", "==",
+]
+
+
+def _same_data(a, b) -> bool:
+    """Equal YAML data: the same types throughout, keys in the same order,
+    and floats equal with the same sign (NaN equal to NaN; ``math.copysign``
+    tells -0.0 from 0.0)."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, float):
+        return (a == b or math.isnan(a) and math.isnan(b)) and math.copysign(
+            1.0, a
+        ) == math.copysign(1.0, b)
+    if isinstance(a, dict):
+        return len(a) == len(b) and all(
+            _same_data(ka, kb) and _same_data(a[ka], b[kb]) for ka, kb in zip(a, b)
+        )
+    if isinstance(a, list):
+        return len(a) == len(b) and all(map(_same_data, a, b))
+    return a == b
+
+
+def _pool_text(n: int = 1000) -> str:
+    """A replicated n-risk common-shock pool as ``yaml.safe_dump`` writes it."""
+    cycled = [(0.8, 1.1, 0.6)[j % 3] for j in range(n)]
+    scale = 2.5 / math.fsum(cycled)
+    weights = [1.0 / n] * n
+    weights[-1] = 1.0 - math.fsum(weights[:-1])
+    model = {
+        "family": "common_shock_cp",
+        "lambda0": 1.5,
+        "lambdas": [v * scale for v in cycled],
+        "beta0": 0.9,
+        "betas": [(1.4, 0.7, 1.9)[j % 3] for j in range(n)],
+        "weights": weights,
+    }
+    grid = {"points": [float(v) for v in np.linspace(0.1, 15.0, 100)]}
+    return yaml.safe_dump({"model": model, "grid": grid, "scheme": {"rule": "euler"}}, sort_keys=False)
+
+
+class TestYamlLoader:
+    """``load_config`` reads the file's data from the parser's events, and
+    hands what it does not build itself to ``yaml.load``.  Either way the data
+    must be ``yaml.load``'s, under libyaml and under the pure-Python parser."""
+
+    @pytest.fixture
+    def read(self, tmp_path, monkeypatch):
+        """read(text, loader) -> (_read_yaml's data, yaml.load calls made)."""
+        calls = []
+        real_load = yaml.load
+
+        def counted_load(*args, **kwargs):
+            calls.append(args)
+            return real_load(*args, **kwargs)
+
+        monkeypatch.setattr(yaml, "load", counted_load)
+
+        def read(text, loader):
+            monkeypatch.setattr(cmrs.config, "_LOADER", loader)
+            path = tmp_path / "doc.yaml"
+            path.write_bytes(text if isinstance(text, bytes) else text.encode())
+            calls.clear()
+            return cmrs.config._read_yaml(str(path)), len(calls)
+
+        return read
+
+    @pytest.mark.parametrize("loader", EVENT_LOADERS)
+    @pytest.mark.parametrize(
+        "name", sorted(p.name for p in CONFIGS.glob("*.yaml")) + ["pool-1000"]
+    )
+    def test_configs_are_built_from_the_events(self, read, loader, name):
+        text = _pool_text() if name == "pool-1000" else (CONFIGS / name).read_text()
+        data, calls = read(text, loader)
+        assert _same_data(data, yaml.load(text, Loader=REFERENCE_LOADER))
+        assert calls == 0
+
+    @pytest.mark.parametrize("loader", EVENT_LOADERS)
+    @pytest.mark.parametrize("scalar", EDGE_SCALARS)
+    def test_edge_scalars_keep_their_yaml_reading(self, read, loader, scalar):
+        text = f"value: {scalar}\nnested:\n  list:\n  - {scalar}\n  - [{scalar or '~'}]\n"
+        data, calls = read(text, loader)
+        want = yaml.load(text, Loader=REFERENCE_LOADER)
+        assert _same_data(data, want), (data, want)
+        assert calls == 0
+
+    @pytest.mark.parametrize("loader", EVENT_LOADERS)
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "a: 1\nb: 2\na: 3\n",
+            "1: int\n1.5: float\n-0.0: signed zero\n'1': str\n",
+            "a: {b: [1, {c: [], d: {}}], e: -0.0}\n",
+            "a: |\n  1.5\nb: >\n  true\n",
+            "\ufeffa: 1.5\n",
+            "a: 1\r\nb: [2.5, -0]\r\n",
+        ],
+        ids=["duplicate-key", "number-keys", "flow-nesting", "block-scalars", "bom", "crlf"],
+    )
+    def test_documents_built_from_the_events(self, read, loader, text):
+        data, calls = read(text, loader)
+        assert _same_data(data, yaml.load(text, Loader=REFERENCE_LOADER))
+        assert calls == 0
+
+    @pytest.mark.parametrize("loader", EVENT_LOADERS)
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "a: &x [1, 2]\nb: *x\n",
+            "a: &x 1.5\n",
+            "a: !!float 1\n",
+            "a: !!str 1.5\n",
+            "base: &b {x: 1}\nc:\n  <<: *b\n  y: 2\n",
+            "a:\n  <<: {x: 1}\n",
+            "? [1, 2]\n: complex\n",
+            "yes: bool key\n",
+            "~: null key\n",
+            "2001-12-14: date key\n",
+            "a: =\n",
+            "a: 1\n---\nb: 2\n",
+            "",
+            "# a comment only\n",
+            "- 1\n- 2\n",
+            "3.5\n",
+        ],
+        ids=[
+            "anchor-alias", "anchor", "float-tag", "str-tag", "merge-alias", "merge",
+            "complex-key", "bool-key", "null-key", "date-key", "value-scalar",
+            "two-documents", "empty", "comment-only", "top-level-list", "top-level-scalar",
+        ],
+    )
+    def test_documents_for_yaml_load(self, read, loader, text):
+        try:
+            want = yaml.load(text, Loader=REFERENCE_LOADER)
+        except yaml.YAMLError:
+            with pytest.raises(ConfigError, match="is not valid YAML"):
+                read(text, loader)
+            return
+        data, calls = read(text, loader)
+        assert _same_data(data, want)
+        assert calls == 1
+
+    @pytest.mark.parametrize("loader", EVENT_LOADERS)
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "a: [1, 2\n",
+            "a:\n\tb: 1\n",
+            "a: 1\nb: {c: [1\n",
+            "a: 1\n  b: 2\n",
+            "a: 'open\n",
+            "a: *undefined\n",
+            "a: !!int x\n",
+            b"# \xff\xfe not utf-8\n",
+            b"a: 1.5\n" * 20000 + b"b: \xff\n",
+            "a: \x07\n",
+        ],
+        ids=[
+            "unclosed-flow", "tab-indent", "unclosed-nested", "bad-indent", "open-quote",
+            "undefined-alias", "bad-int-tag", "non-utf-8", "non-utf-8-late", "control-char",
+        ],
+    )
+    def test_malformed_files_keep_the_yaml_load_message(self, tmp_path, loader, monkeypatch, text):
+        path = tmp_path / "bad.yaml"
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
+        with open(path) as fh:  # the message without the event stream
+            with pytest.raises((yaml.YAMLError, ValueError)) as direct:
+                yaml.load(fh, Loader=loader)
+        monkeypatch.setattr(cmrs.config, "_LOADER", loader)
+        with pytest.raises(ConfigError) as info:
+            load_config(str(path))
+        assert str(info.value) == f"{path} is not valid YAML: {direct.value}"
+
+    @pytest.mark.parametrize("text", ["", "- 1\n- 2\n", "3\n", "~\n", "--- text\n"])
+    def test_non_mapping_file_rejected(self, tmp_path, text):
+        path = _write(tmp_path, "cfg.yaml", text)
+        with pytest.raises(ConfigError, match=f"{re.escape(path)} does not contain a mapping"):
+            load_config(path)
 
 
 class TestCliWeights:
@@ -596,6 +794,19 @@ _CS_MODEL = {
         ),
         ({"scheme": {"rule": "euler", "M": 12}}, ["verify"], "scheme keys ['M'] do not apply to rule 'euler'"),
         ({"scheme": {"M": 12}}, ["allocate"], "scheme keys ['M'] do not apply to rule 'euler'"),
+        (
+            b"model:\n  family: common_shock_cp\n  lambda0: 1.5\n  lambdas: [0.8, 0.6]\n"
+            b"  beta0: 0.9\n  betas: [1.4, 1.9]\n  weights: [.nan, 1.0]\n",
+            ["allocate"],
+            "weights[0] must be finite, got nan",
+        ),
+        (
+            b"model:\n  family: katz_compound\n  risks:\n"
+            b"  - {a: 0.0, b: .inf, severity: {kind: exponential, rate: 1.0}}\n",
+            ["allocate"],
+            "b[0] must be finite, got inf",
+        ),
+        (b"grid:\n  step: !!int x\n", ["allocate"], "is not valid YAML: invalid literal for int()"),
     ],
     ids=[
         "model-not-a-mapping",
@@ -641,6 +852,9 @@ _CS_MODEL = {
         "euler-keys-beside-gs-order",
         "gs-order-under-euler",
         "gs-order-under-default-rule",
+        "nan-split-weight",
+        "infinite-katz-b",
+        "int-tag-on-a-word",
     ],
 )
 def test_bad_input_exits_one_without_traceback(tmp_path, capsys, change, argv, message):
@@ -985,7 +1199,6 @@ def test_each_verb_builds_its_model_once(tmp_path, monkeypatch, capsys, argv, bu
     assert len(names) == builds, names
 
 
-CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 class TestShippedConfigs:

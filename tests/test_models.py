@@ -1,5 +1,7 @@
 import cmath
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -356,6 +358,9 @@ class TestKatzCompound:
             exponential_severity(math.inf)
 
 
+# two Poisson(b) counts with exponential severities
+KATZ_PAIR = dict(a=(0.0, 0.0), b=(1.5, 0.5), severities=(exponential_severity(1.0),) * 2)
+
 CS_531 = dict(
     lambda0=1.5,
     lambdas=(0.8, 1.1, 0.6),
@@ -578,9 +583,27 @@ class TestConstructionProbe:
         with pytest.raises(ModelSpecError):
             build_matrix_exp(risks)
 
-    def test_nan_rate_refused(self):
-        with pytest.raises(ModelSpecError):
-            build_common_shock_cp(CommonShockCPSpec(**{**CS_531, "lambda0": math.nan}))
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "spec, base, field",
+        [(CommonShockCPSpec, CS_531, f) for f in CS_531]
+        + [(KatzCompoundSpec, KATZ_PAIR, f) for f in ("a", "b")],
+        ids=[f"cs-{f}" for f in CS_531] + ["katz-a", "katz-b"],
+    )
+    def test_nonfinite_parameter_refused(self, spec, base, field, value):
+        # refused at the spec, by name, before any ordered comparison lets
+        # NaN through or the probe meets an infinite rate
+        params = dict(base)
+        if isinstance(base[field], tuple):
+            params[field] = base[field][:1] + (value,) + base[field][2:]
+            where = f"{field}[1]"
+        else:
+            params[field] = value
+            where = field
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ModelSpecError, match=re.escape(f"{where} must be finite, got {value}")):
+                spec(**params)
 
 
 class TestCrossFamilyReductions:

@@ -1,3 +1,4 @@
+import gc
 import math
 import os
 import subprocess
@@ -272,6 +273,21 @@ class TestCscpSeriesOracle:
         oracle = cscp_series_oracle(self._two_stream(rate), mass_tol)
         assert oracle.K == oracle.truncation.K == K
         assert oracle.truncation.tail_mass == pytest.approx(tail, rel=1e-12)
+
+    def test_build_leaves_no_garbage_cycle(self):
+        # whatever the build's recursion holds is freed when it returns, not
+        # at the next full collection, which a run may not reach for seconds
+        spec = CommonShockCPSpec(**CS_REF)
+        cscp_series_oracle(spec, 1e-4)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            gc.collect()
+            cscp_series_oracle(spec, 1e-4)
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
 
     def test_refusal_edge_is_where_one_minus_mass_tol_rounds_to_one(self):
         # 6e-17 is accepted (the table's last row); 5e-17 is refused
