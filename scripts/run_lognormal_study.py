@@ -13,6 +13,7 @@ Usage: python3 scripts/run_lognormal_study.py [--samples 400000]
 
 import argparse
 import sys
+import time
 
 import numpy as np
 
@@ -42,12 +43,14 @@ def main(argv=None) -> int:
     spec = LognormalPortfolioSpec.from_moments(MEANS, VARIANCES)
     model = build_lognormal_portfolio(spec)
     grid = tuple(np.arange(5, 151) * 0.1)
+    start = time.perf_counter()
     res = allocate(
         AllocationRequest(model=model, s_grid=grid, scheme=EulerScheme())
     )
+    elapsed = time.perf_counter() - start
     worst = float(np.nanmax(res.balance_residual))
     print(f"grid [0.5, 15]: worst status {res.worst_status}, "
-          f"worst balance residual {worst:.2e}, {res.elapsed:.2f}s")
+          f"worst balance residual {worst:.2e}, {elapsed:.2f}s")
 
     print("\n== proportional shares along the grid ==")
     pi = proportions(res)

@@ -59,7 +59,6 @@ statuses.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from typing import Optional
 
@@ -130,7 +129,6 @@ class AllocationResult:
     sum_h: np.ndarray  # sum of unclipped shares
     balance_residual: np.ndarray  # |sum xi - s f| / (s f)
     status: list[str]
-    elapsed: float
 
     @property
     def n(self) -> int:
@@ -166,7 +164,6 @@ def allocate(request: AllocationRequest) -> AllocationResult:
     s_grid = np.array(request.s_grid)
     values = np.full((len(s_grid), model.m + 1), np.nan)
 
-    start = time.perf_counter()
     nodes = scheme.nodes(s_grid)
     kept = np.flatnonzero(admitted(nodes))
     if len(kept) < len(s_grid):
@@ -229,7 +226,6 @@ def allocate(request: AllocationRequest) -> AllocationResult:
     # values is this call's own array (np.full), so the results view it;
     # only the per-risk arrays are expanded to the n risks
     raw_xi, xi, h = model.per_risk(raw_xi), model.per_risk(xi), model.per_risk(h)
-    elapsed = time.perf_counter() - start
     return AllocationResult(
         request=request,
         s_grid=s_grid,
@@ -240,7 +236,6 @@ def allocate(request: AllocationRequest) -> AllocationResult:
         sum_h=sum_h,
         balance_residual=resid,
         status=np.array([STATUS_OK, STATUS_DEGRADED, STATUS_FAILED])[code].tolist(),
-        elapsed=elapsed,
     )
 
 

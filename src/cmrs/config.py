@@ -229,6 +229,12 @@ class ToleranceSpec:
     balance: float = 1e-3
     density_floor: float = 1e-300
 
+    def __post_init__(self) -> None:
+        for name in ("balance", "density_floor"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ConfigError(f"tolerance {name} must be finite and positive, got {value}")
+
 
 @dataclass(frozen=True)
 class BenchSpec:

@@ -199,12 +199,13 @@ class CscpSeriesOracle:
     ``mass_tol``, which must lie in (0, 1) with 1 - mass_tol < 1 in double
     precision (mass_tol above 2**-54, about 5.6e-17).
 
-    The cost is the enumeration: every count vector with at most K claims
-    over the s streams with a positive rate, C(K+s, s) of them.  Four
-    streams at K = 25 give 23,751 vectors and take 2-3 s; ten risks and the
-    common shock at K = 20 give C(31, 11), about 8.5e7, and take hours.  So
-    the oracle suits a handful of risks, and a larger pool is checked by
-    grouping identical cycled risks into one stream each.
+    The cost is the enumeration.  The Poisson streams of one claim-size rate
+    merge into one, so it walks every count vector with at most K claims
+    over the D distinct rates with a positive claim rate, C(K+D, D) of
+    them, whatever n is.  Four rates at K = 25 give 23,751 vectors and take
+    2-3 s, also for 1000 risks cycled over three rates besides the shock's.
+    A pool of distinct rates has D = n + 1: ten risks and the common shock
+    at K = 20 give C(31, 11), about 8.5e7, and take hours.
     """
 
     def __init__(self, spec: CommonShockCPSpec, mass_tol: float = 1e-8):
@@ -238,16 +239,7 @@ class CscpSeriesOracle:
         tail = float(pdtrc(K, lam_total))
 
         # distinct claim-size rates; near-ties break the partial fractions
-        rho: list[float] = []
-        stream_rate = []
-        for r in rate_all:
-            for q, existing in enumerate(rho):
-                if r == existing:
-                    stream_rate.append(q)
-                    break
-            else:
-                rho.append(r)
-                stream_rate.append(len(rho) - 1)
+        rho = list(dict.fromkeys(rate_all))
         for a in range(len(rho)):
             for b in range(a + 1, len(rho)):
                 if abs(rho[a] - rho[b]) <= 1e-8 * max(rho[a], rho[b]):
@@ -296,64 +288,61 @@ class CscpSeriesOracle:
             pf_cache[mult] = out
             return out
 
-        active = [k for k in range(n + 1) if lam_all[k] > 0.0]
-        log_lam = {k: math.log(lam_all[k]) for k in active}
+        # the Poisson streams of one claim-size rate merge into one stream
+        # of their summed claim rate
+        merged = [math.fsum(l for l, r in zip(lam_all, rate_all) if r == q) for q in rho]
+        active = [j for j in range(D) if merged[j] > 0.0]
+        log_lam = {j: math.log(merged[j]) for j in active}
 
+        # f_S, and per claimed rate j, f_S convolved with Erlang(2, rho_j)
         poly_f = [np.zeros(maxdeg) for _ in range(D)]
-        poly_common = [np.zeros(maxdeg) for _ in range(D)]
-        poly_idio = [[np.zeros(maxdeg) for _ in range(D)] for _ in range(n)]
-        idx0 = stream_rate[0]
+        poly_bump = {q: [np.zeros(maxdeg) for _ in range(D)] for q in active}
+        counts = [0] * D
         log_norm = -lam_total
 
-        def visit(pos: int, counts: dict, total: int, log_w: float) -> None:
+        def visit(pos: int, total: int, log_w: float) -> None:
             if pos == len(active):
                 weight = math.exp(log_norm + log_w)
-                mult = [0] * D
-                for k, c in counts.items():
-                    mult[stream_rate[k]] += c
-                key = tuple(mult)
                 if total >= 1:
-                    for j, arr in pf_polys(key):
+                    for j, arr in pf_polys(tuple(counts)):
                         poly_f[j][: arr.size] += weight * arr
-                if spec.lambda0 > 0.0:
-                    bumped = list(mult)
-                    bumped[idx0] += 2
-                    for j, arr in pf_polys(tuple(bumped)):
-                        poly_common[j][: arr.size] += weight * arr
-                for i in range(n):
-                    if spec.lambdas[i] > 0.0:
-                        bumped = list(mult)
-                        bumped[stream_rate[i + 1]] += 2
-                        for j, arr in pf_polys(tuple(bumped)):
-                            poly_idio[i][j][: arr.size] += weight * arr
+                for q, polys in poly_bump.items():
+                    counts[q] += 2
+                    for j, arr in pf_polys(tuple(counts)):
+                        polys[j][: arr.size] += weight * arr
+                    counts[q] -= 2
                 return
-            k = active[pos]
+            q = active[pos]
             lw = 0.0
             for c in range(K - total + 1):
                 if c > 0:
-                    lw += log_lam[k] - math.log(c)
-                counts[k] = c
-                visit(pos + 1, counts, total + c, log_w + lw)
-            del counts[k]
+                    lw += log_lam[q] - math.log(c)
+                counts[q] = c
+                visit(pos + 1, total + c, log_w + lw)
+            counts[q] = 0
 
-        visit(0, {}, 0, 0.0)
+        visit(0, 0, 0.0)
         # the recursive closure is a reference cycle that holds pf_cache;
         # without this it lives on until the next full garbage collection
         del visit
 
+        # xi_i is its shock-rate term plus its own-rate term, formed once per
+        # class of equal (lambda_i, beta_i, w_i)
         self._poly_f = poly_f
-        self._poly_xi = []
-        for i in range(n):
-            polys = [np.zeros(maxdeg) for _ in range(D)]
-            if spec.lambda0 > 0.0:
-                scale = spec.lambda0 * spec.weights[i] / spec.beta0
-                for j in range(D):
-                    polys[j] += scale * poly_common[j]
-            if spec.lambdas[i] > 0.0:
-                scale = spec.lambdas[i] / spec.betas[i]
-                for j in range(D):
-                    polys[j] += scale * poly_idio[i][j]
-            self._poly_xi.append(polys)
+        shared: dict[tuple[float, float, float], list[np.ndarray]] = {}
+        for risk in zip(spec.lambdas, spec.betas, spec.weights):
+            if risk not in shared:
+                lam_i, beta_i, w_i = risk
+                terms = [(spec.lambda0 * w_i / spec.beta0, spec.beta0)] if spec.lambda0 > 0.0 else []
+                if lam_i > 0.0:
+                    terms.append((lam_i / beta_i, beta_i))
+                polys = [np.zeros(maxdeg) for _ in range(D)]
+                for scale, rate in terms:
+                    bump = poly_bump[rho.index(rate)]
+                    for j in range(D):
+                        polys[j] += scale * bump[j]
+                shared[risk] = polys
+        self._poly_xi = [shared[risk] for risk in zip(spec.lambdas, spec.betas, spec.weights)]
 
         self.atom_mass = math.exp(-lam_total)
         total_integral = self.atom_mass + math.fsum(

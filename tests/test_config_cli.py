@@ -16,7 +16,7 @@ import yaml
 
 import cmrs
 from cmrs.allocation import AllocationRequest, allocate
-from cmrs.cli import main, run_bench, run_verify, write_csv
+from cmrs.cli import _scaled_cscp, main, run_bench, run_verify, write_csv
 from cmrs.config import (
     BenchSpec,
     GridSpec,
@@ -254,6 +254,22 @@ class TestConfigParsing:
     def test_non_numeric_scalar_rejected(self, tmp_path):
         text = ERLANG_YAML + 'tolerance:\n  balance: "ten"\n'
         with pytest.raises(ConfigError, match="balance"):
+            load_config(_write(tmp_path, "cfg.yaml", text))
+
+    @pytest.mark.parametrize(
+        "block,message",
+        [
+            ("balance: -1.0", "tolerance balance must be finite and positive, got -1.0"),
+            ("balance: 0.0", "tolerance balance must be finite and positive, got 0.0"),
+            ("density_floor: .nan", "tolerance density_floor must be finite and positive, got nan"),
+            ("density_floor: -1.0e-300", "tolerance density_floor must be finite and positive, got -1e-300"),
+        ],
+    )
+    def test_bad_tolerance_refused_at_load(self, tmp_path, block, message):
+        # refused by the loader, as the grid and scheme blocks are, not
+        # only later by the verbs' AllocationRequest
+        text = ERLANG_YAML + f"tolerance:\n  {block}\n"
+        with pytest.raises(ConfigError, match=re.escape(message)):
             load_config(_write(tmp_path, "cfg.yaml", text))
 
     def test_unknown_verify_method_rejected(self):
@@ -763,8 +779,8 @@ _CS_MODEL = {
         ({"verify": {"seed": -3}}, ["verify"], "seed must lie in [0, 2**64), got -3"),
         ({}, ["verify", "--seed", "-1"], "seed must lie in [0, 2**64), got -1"),
         ({}, ["verify", "--seed", str(2**64)], "seed must lie in [0, 2**64)"),
-        ({"tolerance": {"balance": math.inf}}, ["allocate"], "balance_tol must be finite and positive, got inf"),
-        ({"tolerance": {"density_floor": math.inf}}, ["allocate"], "density_floor must be finite and positive, got inf"),
+        ({"tolerance": {"balance": math.inf}}, ["allocate"], "tolerance balance must be finite and positive, got inf"),
+        ({"tolerance": {"density_floor": math.inf}}, ["allocate"], "tolerance density_floor must be finite and positive, got inf"),
         ({}, ["diagnose", "--tol", "-1"], "unrecognized arguments: --tol -1"),
         ({"verify": {"n_samples": "2.00005e4"}}, ["diagnose"], "n_samples must be a whole number, got 20000.5"),
         ({"scheme": {"rule": "euler", "A": True}}, ["allocate"], "scheme.A must not be a boolean, got True"),
@@ -915,6 +931,29 @@ class TestCliVerify:
         cfg = _write(tmp_path, "cfg.yaml", text)
         assert main(["verify", "--config", cfg]) == 0
         assert "series reference" in capsys.readouterr().out
+
+    def test_series_pass_on_a_replicated_pool(self, tmp_path, capsys):
+        # 300 risks over three cycled claim-size rates: the reference walks
+        # the count vectors over the four distinct rates, whatever n is
+        spec = _scaled_cscp(
+            CommonShockCPSpec(1.5, (0.8, 1.1, 0.6), 0.9, (1.4, 0.7, 1.9), (0.2, 0.3, 0.5)), 300
+        )
+        doc = {
+            "model": {
+                "family": "common_shock_cp",
+                "lambda0": spec.lambda0,
+                "lambdas": list(spec.lambdas),
+                "beta0": spec.beta0,
+                "betas": list(spec.betas),
+                "weights": list(spec.weights),
+            },
+            "grid": {"start": 0.5, "stop": 10.0, "step": 0.5},
+            # shares are about s / 300, so 1e-3 would test little
+            "verify": {"method": "series", "tolerance": 1.0e-6},
+        }
+        cfg = _write(tmp_path, "cfg.yaml", yaml.safe_dump(doc))
+        assert main(["verify", "--config", cfg]) == 0
+        assert "series reference over 20 points: " in capsys.readouterr().out
 
     @pytest.mark.parametrize("mass_tol", ["0.0", "1.0e-17"])
     def test_bad_series_mass_tol_exits_one(self, tmp_path, capsys, mass_tol):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from scipy.special import iv
 
 import cmrs
+from cmrs.cli import _BENCH_GRID, _scaled_cscp
 from cmrs.errors import OracleError, SamplingError
 from cmrs.mixing import gamma_mixing, levy_mixing, point_mass_mixing
 from cmrs.models import (
@@ -288,6 +289,53 @@ class TestCscpSeriesOracle:
         finally:
             if enabled:
                 gc.enable()
+
+    def test_replicated_pool_matches_the_cycled_group_reference(self):
+        # the 1000 risks' streams merge into one per claim-size rate, which
+        # are the grouped pool's streams; a group's members share its
+        # allocation equally
+        n = 1000
+        spec = _scaled_cscp(CommonShockCPSpec(**CS_REF), n)
+        members = [range(g, n, 3) for g in range(3)]
+        grouped = CommonShockCPSpec(
+            spec.lambda0,
+            tuple(math.fsum(spec.lambdas[i] for i in m) for m in members),
+            spec.beta0,
+            tuple(spec.betas[m[0]] for m in members),
+            tuple(math.fsum(spec.weights[i] for i in m) for m in members),
+        )
+        oracle, ref = cscp_series_oracle(spec), cscp_series_oracle(grouped)
+        tail = ref.truncation.tail_mass
+        # the trust region of ``cmrs verify`` at tolerance 1e-3
+        trusted = [s for s in _BENCH_GRID if ref.f_S(s) >= s * tail / 1e-3]
+        assert len(trusted) == len(_BENCH_GRID)
+        for s in trusted:
+            f = oracle.f_S(s)
+            assert f == pytest.approx(ref.f_S(s), rel=1e-12)
+            for g, m in enumerate(members):
+                want = ref.h(g, s) / len(m)
+                assert [oracle.xi(i, s) / f for i in m] == pytest.approx([want] * len(m), rel=1e-12)
+
+    # f_S and xi_1..3 at s = 0.5, 3 and 9 as the per-stream enumeration gave
+    # them for a pool whose risk 1 claims at the shock's rate
+    TIED_PINS = [
+        (0.5, 0.1784622761857992, (0.020790761576258344, 0.03765837705166117, 0.030781999464970587)),
+        (3.0, 0.16468313441717658, (0.17322232402214743, 0.17516550334405348, 0.14566157588532835)),
+        (9.0, 0.011788459664513506, (0.04395549171462351, 0.029813320907258013, 0.03232732466470677)),
+    ]
+
+    def test_stream_on_the_shock_rate_pinned(self):
+        # beta_1 == beta0: the shock and risk 1 merge into one stream, which
+        # sums in another order; rates 1, 2 and 4 keep the partial fractions
+        # well conditioned, so the order shows below 1e-12
+        spec = CommonShockCPSpec(
+            lambda0=1.5, lambdas=(0.8, 1.1, 0.6), beta0=1.0, betas=(1.0, 2.0, 4.0), weights=(0.2, 0.3, 0.5)
+        )
+        oracle = cscp_series_oracle(spec)
+        assert oracle.K == 20
+        for s, f, xi in self.TIED_PINS:
+            assert oracle.f_S(s) == pytest.approx(f, rel=1e-12)
+            assert [oracle.xi(i, s) for i in range(3)] == pytest.approx(xi, rel=1e-12)
 
     def test_refusal_edge_is_where_one_minus_mass_tol_rounds_to_one(self):
         # 6e-17 is accepted (the table's last row); 5e-17 is refused
